@@ -27,9 +27,10 @@ bz), cavity_system (gamma, n_trunc, optional e00/e10/e11 with dim_h),
 lambda_system (gamma, g, alpha, n_trunc).  Complex scalars may be written as
 [re, im].  Unknown fields anywhere are rejected.
 
-Exit codes: 0 success / all identities pass, 1 parse or validation error,
-2 structural (assumption) failure.  ``converge`` and ``kurtz`` exit 0 whenever
-the computation itself succeeds.
+Exit codes: 0 success / all identities pass, 1 parse or validation error
+(including out-of-range or non-finite sweep arguments), 2 structural
+(assumption) failure.  ``converge`` and ``kurtz`` exit 0 whenever the
+computation itself succeeds.
 """
 
 from __future__ import annotations
@@ -43,11 +44,12 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .eliminate import decompose, eliminate
+from .eliminate import EliminationResult, eliminate
 from .errors import QsdeElimError, SingularRestriction
-from .linalg import Projector
-from .model import ScaledModel, check_hp_unitarity, check_scaling_consistency, instantiate
+from .linalg import DEFAULT_RANK_TOL, Projector
+from .model import DEFAULT_TOL, ScaledModel, check_hp_unitarity, check_scaling_consistency, instantiate
 from .semigroup import (
+    DEFAULT_STEPS,
     StepDrive,
     default_ground_vector,
     generator_convergence_check,
@@ -65,17 +67,12 @@ class ModelFileError(QsdeElimError, ValueError):
 
 
 # ---------------------------------------------------------------------------
-# canonical float / matrix encoding
-
-def format_float(x: float) -> float:
-    """Canonical float: round-trips bit-identically through JSON."""
-    return float(x)
-
+# matrix encoding (Python floats round-trip bit-identically through JSON)
 
 def matrix_to_pairs(M: np.ndarray) -> list[list[float]]:
     """Row-major list of [re, im] pairs."""
     M = np.asarray(M, dtype=complex)
-    return [[format_float(z.real), format_float(z.imag)] for z in M.reshape(-1, order="C")]
+    return [[float(z.real), float(z.imag)] for z in M.reshape(-1, order="C")]
 
 
 def pairs_to_matrix(pairs, dim: int, where: str) -> np.ndarray:
@@ -296,15 +293,18 @@ def model_to_document(m: ScaledModel, y1inv_override: np.ndarray | None = None) 
 # ---------------------------------------------------------------------------
 # run configuration
 
+CONVERGE_KS = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
+KURTZ_KS = [10.0, 30.0, 100.0, 300.0]
+
+
 @dataclass
 class RunConfig:
-    rank_tol: float = 1e-9
-    check_tol: float = 1e-9
-    ks: list[float] = field(default_factory=lambda: [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0])
+    rank_tol: float = DEFAULT_RANK_TOL
+    check_tol: float = DEFAULT_TOL
+    ks: list[float] = field(default_factory=lambda: list(CONVERGE_KS))
     horizon: float = 1.0
-    steps: int = 101
+    steps: int = DEFAULT_STEPS
     drive: StepDrive | None = None
-    seed: int | None = None
     output: str | None = None
     format: str = "csv"
 
@@ -340,13 +340,13 @@ def read_config_file(path: str | Path) -> dict:
         raise ModelFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    allowed = {"rank_tol", "check_tol", "ks", "horizon", "steps", "drive", "seed", "output", "format"}
+    allowed = {"rank_tol", "check_tol", "ks", "horizon", "steps", "drive", "output", "format"}
     _require_keys(doc, allowed, set(), "config")
     return doc
 
 
 def build_config(args) -> RunConfig:
-    cfg = RunConfig()
+    cfg = RunConfig(ks=list(KURTZ_KS if args.command == "kurtz" else CONVERGE_KS))
     if args.config:
         doc = read_config_file(args.config)
         if "rank_tol" in doc:
@@ -364,8 +364,6 @@ def build_config(args) -> RunConfig:
             cfg.steps = _as_int(doc["steps"], "config.steps")
         if "drive" in doc:
             cfg.drive = _parse_drive(doc["drive"], "config.drive")
-        if "seed" in doc:
-            cfg.seed = _as_int(doc["seed"], "config.seed")
         if "output" in doc:
             cfg.output = str(doc["output"])
         if "format" in doc:
@@ -399,9 +397,9 @@ def _report_section(name: str, report) -> dict:
     return {
         "name": name,
         "passed": bool(report.passed),
-        "tolerance": format_float(report.tolerance),
+        "tolerance": float(report.tolerance),
         "residuals": [
-            {"identity": ident, "residual": format_float(res)} for ident, res in report.residuals
+            {"identity": ident, "residual": float(res)} for ident, res in report.residuals
         ],
     }
 
@@ -422,37 +420,23 @@ def _float_str(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed model file, the run config and the
+# elimination result that main computed once for every command
 
-def cmd_check(mf: ModelFile, cfg: RunConfig) -> int:
+def _model_sections(m: ScaledModel, cfg: RunConfig) -> list[dict]:
+    """The check sections that do not need the elimination result."""
+    return [
+        _report_section("unitarity (k=1)", check_hp_unitarity(instantiate(m, 1.0), cfg.check_tol)),
+        _report_section("scaling-consistency", check_scaling_consistency(m, cfg.check_tol)),
+    ]
+
+
+def cmd_check(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
     """Run every structural identity check and report residuals."""
-    m = mf.model
-    sections = []
-    warnings: list[str] = []
-    hp = check_hp_unitarity(instantiate(m, 1.0), cfg.check_tol)
-    sections.append(_report_section("unitarity (k=1)", hp))
-    scaling = check_scaling_consistency(m, cfg.check_tol)
-    sections.append(_report_section("scaling-consistency", scaling))
-    try:
-        result = eliminate(m, cfg.rank_tol, cfg.check_tol, mf.y1inv_override)
-    except SingularRestriction as exc:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "check",
-            "model": mf.label,
-            "passed": False,
-            "sections": sections,
-            "error": (
-                f"{exc} (supply an explicit 'y1inv_override' in the model file "
-                "to bypass the automatic restricted inverse)"
-            ),
-        }
-        _write_text(cfg.output, _json_dumps(doc))
-        return EXIT_ASSUMPTION
+    sections = _model_sections(mf.model, cfg)
     sections.append(_report_section("inverse-structure", result.inverse_structure))
     sections.append(_report_section("ground-support", result.ground_support))
     sections.append(_report_section("limit-unitarity", result.limit_unitarity))
-    warnings.extend(result.warnings)
     passed = all(section["passed"] for section in sections)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -461,13 +445,13 @@ def cmd_check(mf: ModelFile, cfg: RunConfig) -> int:
         "passed": passed,
         "ground_rank": result.decomposition.P0.rank,
         "sections": sections,
-        "warnings": warnings,
+        "warnings": result.warnings,
     }
     _write_text(cfg.output, _json_dumps(doc))
     return EXIT_OK if passed else EXIT_ASSUMPTION
 
 
-def cmd_eliminate(mf: ModelFile, cfg: RunConfig) -> int:
+def cmd_eliminate(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
     """Write the limit model (as an explicit model file) plus a report file.
 
     The limit coefficients are encoded as a coupling-independent family:
@@ -475,15 +459,6 @@ def cmd_eliminate(mf: ModelFile, cfg: RunConfig) -> int:
     projector, restricted inverse, all check sections) goes to a sibling file
     '<out>.report.json' when --out is given, else into the same stream.
     """
-    m = mf.model
-    try:
-        result = eliminate(m, cfg.rank_tol, cfg.check_tol, mf.y1inv_override)
-    except SingularRestriction as exc:
-        sys.stderr.write(
-            f"error: {exc}\n"
-            "hint: supply an explicit 'y1inv_override' matrix in the model file\n"
-        )
-        return EXIT_ASSUMPTION
     limit = result.limit
     d, n = limit.dim, limit.channels
     zero = np.zeros((d, d), dtype=complex)
@@ -532,16 +507,10 @@ def _converge_csv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_converge(mf: ModelFile, cfg: RunConfig) -> int:
+def cmd_converge(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
     """Sweep couplings and emit the convergence distances."""
-    m = mf.model
-    try:
-        result = eliminate(m, cfg.rank_tol, cfg.check_tol, mf.y1inv_override)
-        v = default_ground_vector(result.decomposition.P0)
-        report = k_sweep(m, result, v, cfg.ks, cfg.horizon, cfg.steps, cfg.drive)
-    except SingularRestriction as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ASSUMPTION
+    v = default_ground_vector(result.decomposition.P0)
+    report = k_sweep(mf.model, result, v, cfg.ks, cfg.horizon, cfg.steps, cfg.drive)
     if cfg.format == "csv":
         _write_text(cfg.output, _converge_csv(report))
     else:
@@ -549,11 +518,11 @@ def cmd_converge(mf: ModelFile, cfg: RunConfig) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "converge",
             "model": mf.label,
-            "ks": [format_float(k) for k in report.ks],
-            "t_grid": [format_float(t) for t in report.t_grid],
-            "distances": [[format_float(x) for x in row] for row in report.distances],
-            "sup_distance": [format_float(x) for x in report.sup_distance],
-            "max_clamp": format_float(report.max_clamp),
+            "ks": report.ks.tolist(),
+            "t_grid": report.t_grid.tolist(),
+            "distances": report.distances.tolist(),
+            "sup_distance": report.sup_distance.tolist(),
+            "max_clamp": float(report.max_clamp),
         }
         _write_text(cfg.output, _json_dumps(doc))
     return EXIT_OK
@@ -570,18 +539,12 @@ def _ground_basis_labels(P0: Projector) -> list[tuple[str, np.ndarray]]:
     return labeled
 
 
-def cmd_kurtz(mf: ModelFile, cfg: RunConfig) -> int:
+def cmd_kurtz(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
     """Corrected vs uncorrected generator residuals for ground observables."""
-    m = mf.model
-    try:
-        result = eliminate(m, cfg.rank_tol, cfg.check_tol, mf.y1inv_override)
-    except SingularRestriction as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ASSUMPTION
     rows = []
     slopes = []
     for label, X in _ground_basis_labels(result.decomposition.P0):
-        res = generator_convergence_check(m, result, X, cfg.ks)
+        res = generator_convergence_check(mf.model, result, X, cfg.ks)
         for i, k in enumerate(res.ks):
             rows.append((label, float(k), float(res.corrected[i]), float(res.uncorrected[i])))
         slopes.append((label, res.corrected_slope()))
@@ -599,23 +562,53 @@ def cmd_kurtz(mf: ModelFile, cfg: RunConfig) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "kurtz",
             "model": mf.label,
-            "ks": [format_float(k) for k in cfg.ks],
+            "ks": list(cfg.ks),
             "residuals": [
-                {
-                    "label": label,
-                    "k": format_float(k),
-                    "corrected": format_float(corr),
-                    "uncorrected": format_float(uncorr),
-                }
+                {"label": label, "k": k, "corrected": corr, "uncorrected": uncorr}
                 for label, k, corr, uncorr in rows
             ],
             "slopes": [
-                {"label": label, "slope": None if np.isnan(slope) else format_float(slope)}
+                {"label": label, "slope": None if np.isnan(slope) else slope}
                 for label, slope in slopes
             ],
         }
         _write_text(cfg.output, _json_dumps(doc))
     return EXIT_OK
+
+
+COMMANDS = {
+    "check": ("verify every structural identity of a model", cmd_check),
+    "eliminate": ("compute the limit coefficients", cmd_eliminate),
+    "converge": ("sweep couplings and report convergence distances", cmd_converge),
+    "kurtz": ("corrected generator residuals over a coupling sweep", cmd_kurtz),
+}
+
+
+def _report_singular_restriction(
+    command: str, mf: ModelFile, cfg: RunConfig, exc: SingularRestriction
+) -> int:
+    """Each command's documented output when Y is not invertible on the excited sector."""
+    if command == "check":
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "check",
+            "model": mf.label,
+            "passed": False,
+            "sections": _model_sections(mf.model, cfg),
+            "error": (
+                f"{exc} (supply an explicit 'y1inv_override' in the model file "
+                "to bypass the automatic restricted inverse)"
+            ),
+        }
+        _write_text(cfg.output, _json_dumps(doc))
+    elif command == "eliminate":
+        sys.stderr.write(
+            f"error: {exc}\n"
+            "hint: supply an explicit 'y1inv_override' matrix in the model file\n"
+        )
+    else:
+        sys.stderr.write(f"error: {exc}\n")
+    return EXIT_ASSUMPTION
 
 
 # ---------------------------------------------------------------------------
@@ -627,12 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adiabatic elimination of coupling-scaled quantum stochastic models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("check", "verify every structural identity of a model"),
-        ("eliminate", "compute the limit coefficients"),
-        ("converge", "sweep couplings and report convergence distances"),
-        ("kurtz", "corrected generator residuals over a coupling sweep"),
-    ):
+    for name, (help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="path to a model JSON file")
         p.add_argument("--config", help="path to a run-config JSON file")
@@ -646,25 +634,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
-        if args.command == "kurtz" and not args.ks and (
-            not args.config or "ks" not in read_config_file(args.config)
-        ):
-            cfg.ks = [10.0, 30.0, 100.0, 300.0]
         mf = read_model_file(args.model)
-        if args.command == "check":
-            return cmd_check(mf, cfg)
-        if args.command == "eliminate":
-            return cmd_eliminate(mf, cfg)
-        if args.command == "converge":
-            return cmd_converge(mf, cfg)
-        return cmd_kurtz(mf, cfg)
-    except ModelFileError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
+        try:
+            result = eliminate(mf.model, cfg.rank_tol, cfg.check_tol, mf.y1inv_override)
+        except SingularRestriction as exc:
+            return _report_singular_restriction(args.command, mf, cfg, exc)
+        _, command = COMMANDS[args.command]
+        return command(mf, cfg, result)
     except QsdeElimError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

@@ -30,17 +30,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidOperator
-from .linalg import Projector, as_operator, dagger, kernel_projector, restricted_inverse
+from .linalg import DEFAULT_RANK_TOL, Projector, as_operator, kernel_projector, restricted_inverse
 from .model import (
+    DEFAULT_TOL,
     CheckReport,
     CoefficientSet,
     ScaledModel,
     check_limit_unitarity,
     norm_scale,
 )
-
-DEFAULT_RANK_TOL = 1e-9
-DEFAULT_TOL = 1e-9
 
 
 @dataclass
@@ -145,7 +143,7 @@ def check_inverse_structure(
     P0m, P1m, Yi = dec.P0.matrix, dec.P1.matrix, dec.Y1inv
     Y, A, B, F, G, W = m.Y, m.A, m.B, m.F, m.G, m.W
     n = m.channels
-    fdw, _ = _channel_sums(m)
+    fdw, gdw = _channel_sums(m)
 
     residuals: list[tuple[str, float]] = []
 
@@ -158,7 +156,6 @@ def check_inverse_structure(
     right_terms += [(f"F_{i}", F[i]) for i in range(n)]
     right_terms += [(f"G_{i}", G[i]) for i in range(n)]
     right_terms += [(f"W_{i}{j}", W[i, j]) for i in range(n) for j in range(n)]
-    gdw = np.einsum("iba,ijbc->jac", G.conj(), W)
     right_terms += [(f"(G†W)_{j}", gdw[j]) for j in range(n)]
     right_terms += [(f"F_{i}·Y1inv·F_{j}", F[i] @ Yi @ F[j]) for i in range(n) for j in range(n)]
     right_terms += [(f"F_{i}·Y1inv·A", F[i] @ Yi @ A) for i in range(n)]

@@ -13,9 +13,15 @@ quadratic form evaluated on propagated ground observables:
 
     ||(U(k)_t - U_t) v (x) vacuum||^2 = <v, (2 I - T_t(P0) - T_t(P0)†) v>.
 
+Every generator here is one list of sandwich terms (left, right), the map
+X -> sum left X right; the superoperator matrix and the operator action are
+both derived from that list.
+
 Coherent states enter through Weyl displacement: a piecewise-constant drive
 gives one displaced generator per segment, composed with the earliest segment
-outermost:  T(f)_t = T(a_1)_{t1-t0} o ... o T(a_m)_{t-t_{m-1}}.
+outermost:  T(f)_t = T(a_1)_{t1-t0} o ... o T(a_m)_{t-t_{m-1}}.  One stepper
+propagates every distance: the vacuum is one undisplaced segment, and within
+a segment vec(P0) is stepped along the time grid by its differences.
 
 The Kurtz corrector makes the generator convergence explicit: for a ground
 observable X there are X1, X2 with Lk(X + X1/k + X2/k^2) -> L(X) at rate 1/k.
@@ -24,6 +30,7 @@ observable X there are X1, X2 with Lk(X + X1/k + X2/k^2) -> L(X) at rate 1/k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -98,16 +105,43 @@ class ConvergenceReport:
     max_clamp: float = 0.0
 
 
+Terms = list[tuple[np.ndarray | None, np.ndarray | None]]
+
+
+def _sandwich_terms(K_left, L_left, K_right, L_right) -> Terms:
+    """Terms (left, right) of X -> K_left† X + X K_right + sum_i L_left,i† X L_right,i.
+
+    None stands for the identity factor; K_left None drops the K_left† term.
+    The order K†, K, L_i is the order of summation everywhere.
+    """
+    terms: Terms = [] if K_left is None else [(dagger(K_left), None)]
+    terms.append((None, K_right))
+    terms += [(dagger(l), r) for l, r in zip(L_left, L_right)]
+    return terms
+
+
+def _superoperator(terms: Terms, d: int) -> np.ndarray:
+    """Matrix of the terms acting on vec(X)."""
+    eye = np.eye(d, dtype=complex)
+    mats = (assemble_superoperator(eye if l is None else l, eye if r is None else r) for l, r in terms)
+    return reduce(np.add, mats)
+
+
+def _apply_terms(terms: Terms, X: np.ndarray) -> np.ndarray:
+    """Operator action of the terms on X."""
+
+    def sandwich(l, r):
+        Z = X if l is None else l @ X
+        return Z if r is None else Z @ r
+
+    return reduce(np.add, (sandwich(l, r) for l, r in terms))
+
+
 def pair_generator(left: CoefficientSet, right: CoefficientSet) -> np.ndarray:
     """Superoperator matrix of X -> left.K† X + X right.K + sum_i left.L_i† X right.L_i."""
     if left.dim != right.dim or left.channels != right.channels:
         raise DimensionMismatch("coefficient sets must share dimension and channel count")
-    d = left.dim
-    eye = np.eye(d, dtype=complex)
-    gen = assemble_superoperator(dagger(left.K), eye) + assemble_superoperator(eye, right.K)
-    for i in range(left.channels):
-        gen += assemble_superoperator(dagger(left.L[i]), right.L[i])
-    return gen
+    return _superoperator(_sandwich_terms(left.K, left.L, right.K, right.L), left.dim)
 
 
 def build_generators(m: ScaledModel, e: EliminationResult, k: float) -> GeneratorPair:
@@ -178,31 +212,73 @@ def _distance_from_transported(T: np.ndarray, v: np.ndarray) -> tuple[float, flo
 def _validate_t_grid(t_grid) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float).ravel()
     if t_grid.size == 0:
-        raise ValueError("t_grid must be non-empty")
-    if t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be non-negative and non-decreasing")
+        raise InvalidArgument("t_grid must be non-empty")
+    if not np.all(np.isfinite(t_grid)) or t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
+        raise InvalidArgument("t_grid must be finite, non-negative and non-decreasing")
     return t_grid
 
 
-def _vacuum_curve(gen: np.ndarray, P0m: np.ndarray, v: np.ndarray, t_grid: np.ndarray):
-    """Distances along t_grid by stepwise propagation of vec(T_t(P0))."""
-    w = vec(P0m).astype(complex)
-    cache: dict[float, np.ndarray] = {}
+def _validate_couplings(ks, positive: bool) -> np.ndarray:
+    ks = np.asarray(ks, dtype=float).ravel()
+    bound = "positive" if positive else "non-negative"
+    if ks.size == 0 or not np.all(np.isfinite(ks)) or np.any((ks <= 0) if positive else (ks < 0)):
+        raise InvalidArgument(f"ks must be finite {bound} couplings, got {ks.tolist()}")
+    return ks
+
+
+def _segment_generators(
+    m: ScaledModel, e: EliminationResult, k: float, drive: StepDrive | None
+) -> list[np.ndarray]:
+    """Skew generator of each drive segment; the vacuum is one undisplaced segment."""
+    if drive is None:
+        return [pair_generator(e.limit, instantiate(m, k))]
+    return [
+        pair_generator(displace_limit(e.limit, alpha), instantiate(displace_scaled(m, alpha), k))
+        for alpha in drive.amplitudes
+    ]
+
+
+def _propagate(gens, breakpoints, P0m: np.ndarray, v: np.ndarray, t_grid: np.ndarray):
+    """Distances along t_grid and the largest clamp, one skew generator per segment.
+
+    With breakpoints t_0 = 0 < t_1 < ..., segment j runs from t_{j-1} to t_j
+    and carries gens[j - 1]; for t in it
+
+        vec(T_t(P0)) = M_1(D_1) ... M_{j-1}(D_{j-1}) M_j(t - t_{j-1}) vec(P0)
+
+    with M_i(s) = exp(s * gen_i) and D_i the full segment durations, so the
+    earliest segment acts outermost.  Within a segment vec(P0) is stepped from
+    the segment start by the grid differences, one expm per distinct float
+    step.  A time on a breakpoint belongs to the segment it ends; times past
+    the last breakpoint are clamped to it.
+    """
+    w0 = vec(P0m).astype(complex)
     out = np.empty(t_grid.size, dtype=float)
     max_clamp = 0.0
-    prev = 0.0
-    for idx, t in enumerate(t_grid):
-        dt = float(t - prev)
-        if dt > 0:
-            M = cache.get(dt)
-            if M is None:
-                M = expm(dt * gen)
-                cache[dt] = M
-            w = M @ w
-        dist, clamp = _distance_from_transported(unvec(w), v)
-        out[idx] = dist
-        max_clamp = max(max_clamp, clamp)
-        prev = float(t)
+    outer: list[np.ndarray] = []
+    idx = 0
+    last = len(gens) - 1
+    for j, gen in enumerate(gens):
+        start, end = float(breakpoints[j]), float(breakpoints[j + 1])
+        cache: dict[float, np.ndarray] = {}
+        w, prev = w0, start
+        while idx < t_grid.size and (j == last or t_grid[idx] <= end):
+            t = min(float(t_grid[idx]), end)
+            dt = t - prev
+            if dt > 0:
+                if dt not in cache:
+                    cache[dt] = expm(dt * gen)
+                w = cache[dt] @ w
+            x = w
+            for M in reversed(outer):
+                x = M @ x
+            out[idx], clamp = _distance_from_transported(unvec(x), v)
+            max_clamp = max(max_clamp, clamp)
+            prev = t
+            idx += 1
+        if idx == t_grid.size:
+            break
+        outer.append(expm((end - start) * gen))
     return out, max_clamp
 
 
@@ -215,58 +291,9 @@ def vacuum_distance(m: ScaledModel, e: EliminationResult, k: float, v, t_grid) -
     """
     t_grid = _validate_t_grid(t_grid)
     v = _require_ground_vector(v, e.decomposition.P1.matrix)
-    gen = build_generators(m, e, k).skew
-    dist, _ = _vacuum_curve(gen, e.decomposition.P0.matrix, v, t_grid)
+    gens = _segment_generators(m, e, k, None)
+    dist, _ = _propagate(gens, [0.0, t_grid[-1]], e.decomposition.P0.matrix, v, t_grid)
     return dist
-
-
-class _DrivenPropagator:
-    """Transported ground projector under a piecewise-constant drive.
-
-    One displaced skew generator per segment; the composition applies the
-    earliest segment as the outermost map, so for t inside segment j
-
-        vec(T(f)_t(P0)) = M_1(D1) ... M_{j-1}(D_{j-1}) M_j(t - t_{j-1}) vec(P0)
-
-    with M_i(s) = exp(s * gen_i) and D_i the full segment durations.
-    """
-
-    def __init__(self, m: ScaledModel, e: EliminationResult, k: float, drive: StepDrive):
-        limit = e.limit
-        self.gens = []
-        for alpha in drive.amplitudes:
-            md = displace_scaled(m, alpha)
-            cd = displace_limit(limit, alpha)
-            self.gens.append(pair_generator(cd, instantiate(md, k)))
-        self.bps = drive.breakpoints
-        self.w0 = vec(e.decomposition.P0.matrix).astype(complex)
-        self._cache: dict[tuple[int, float], np.ndarray] = {}
-
-    def _segment_matrix(self, j: int, duration: float) -> np.ndarray:
-        key = (j, float(duration))
-        M = self._cache.get(key)
-        if M is None:
-            M = expm(duration * self.gens[j])
-            self._cache[key] = M
-        return M
-
-    def transported(self, t: float) -> np.ndarray:
-        """vec(T(f)_t(P0)) for 0 <= t <= the last breakpoint."""
-        t = float(t)
-        if t < 0 or t > self.bps[-1] + 1e-12:
-            raise InvalidArgument(
-                f"t = {t} outside the drive window [0, {self.bps[-1]}]"
-            )
-        segs: list[tuple[int, float]] = []
-        for j in range(len(self.gens)):
-            t0, t1 = self.bps[j], self.bps[j + 1]
-            if t <= t0 + 1e-15:
-                break
-            segs.append((j, float(min(t, t1) - t0)))
-        w = self.w0
-        for j, dur in reversed(segs):
-            w = self._segment_matrix(j, dur) @ w
-        return w
 
 
 def coherent_distance(
@@ -278,10 +305,13 @@ def coherent_distance(
     outermost) and evaluates the same quadratic form as the vacuum distance.
     Requires t within the drive window.
     """
+    t = float(t)
+    if not 0.0 <= t <= drive.horizon + 1e-12:
+        raise InvalidArgument(f"t = {t} outside the drive window [0, {drive.horizon}]")
     v = _require_ground_vector(v, e.decomposition.P1.matrix)
-    prop = _DrivenPropagator(m, e, float(k), drive)
-    dist, _ = _distance_from_transported(unvec(prop.transported(t)), v)
-    return dist
+    gens = _segment_generators(m, e, k, drive)
+    dist, _ = _propagate(gens, drive.breakpoints, e.decomposition.P0.matrix, v, np.array([t]))
+    return float(dist[0])
 
 
 def kurtz_corrector(e: EliminationResult, m: ScaledModel, X) -> tuple[np.ndarray, np.ndarray]:
@@ -301,23 +331,11 @@ def kurtz_corrector(e: EliminationResult, m: ScaledModel, X) -> tuple[np.ndarray
         raise InvalidArgument("X must be supported on the ground sector (X = P0 X P0)")
 
     K, L = e.limit.K, e.limit.L
-    n = m.channels
-
-    def l0(Z):
-        acc = dagger(K) @ Z + Z @ m.B
-        for i in range(n):
-            acc += dagger(L[i]) @ Z @ m.G[i]
-        return acc
-
-    def l1(Z):
-        acc = Z @ m.A
-        for i in range(n):
-            acc += dagger(L[i]) @ Z @ m.F[i]
-        return acc
-
+    l0 = _sandwich_terms(K, L, m.B, m.G)
+    l1 = _sandwich_terms(None, L, m.A, m.F)
     YP = e.decomposition.Y1inv @ e.decomposition.P1.matrix
-    X1 = -l1(X) @ YP
-    X2 = -(l0(X) + l1(X1)) @ YP
+    X1 = -_apply_terms(l1, X) @ YP
+    X2 = -(_apply_terms(l0, X) + _apply_terms(l1, X1)) @ YP
     return X1, X2
 
 
@@ -337,13 +355,6 @@ class GeneratorResiduals:
         return float(np.polyfit(np.log10(self.ks), np.log10(self.corrected), 1)[0])
 
 
-def _apply_skew(limit: CoefficientSet, inst: CoefficientSet, Z: np.ndarray) -> np.ndarray:
-    acc = dagger(limit.K) @ Z + Z @ inst.K
-    for i in range(limit.channels):
-        acc += dagger(limit.L[i]) @ Z @ inst.L[i]
-    return acc
-
-
 def generator_convergence_check(
     m: ScaledModel, e: EliminationResult, X, ks
 ) -> GeneratorResiduals:
@@ -352,19 +363,18 @@ def generator_convergence_check(
     The corrected residual decays like 1/k when the structural identities
     hold; couplings must be positive.
     """
-    ks = np.asarray(ks, dtype=float).ravel()
-    if ks.size == 0 or np.any(ks <= 0):
-        raise ValueError("ks must be positive couplings")
+    ks = _validate_couplings(ks, positive=True)
     X = as_operator(X, "X")
     X1, X2 = kurtz_corrector(e, m, X)
-    limit = e.limit
-    LX = _apply_skew(limit, limit, X)
+    K, L = e.limit.K, e.limit.L
+    LX = _apply_terms(_sandwich_terms(K, L, K, L), X)
     corrected = np.empty(ks.size)
     uncorrected = np.empty(ks.size)
     for idx, k in enumerate(ks):
         inst = instantiate(m, k)
-        corrected[idx] = np.linalg.norm(_apply_skew(limit, inst, X + X1 / k + X2 / (k * k)) - LX)
-        uncorrected[idx] = np.linalg.norm(_apply_skew(limit, inst, X) - LX)
+        skew = _sandwich_terms(K, L, inst.K, inst.L)
+        corrected[idx] = np.linalg.norm(_apply_terms(skew, X + X1 / k + X2 / (k * k)) - LX)
+        uncorrected[idx] = np.linalg.norm(_apply_terms(skew, X) - LX)
     return GeneratorResiduals(ks=ks, corrected=corrected, uncorrected=uncorrected)
 
 
@@ -383,13 +393,13 @@ def k_sweep(
     window must cover the horizon).  Reports per-k suprema and the largest
     clamp applied anywhere in the sweep.
     """
-    ks = np.asarray(ks, dtype=float).ravel()
-    if ks.size == 0 or np.any(ks < 0):
-        raise ValueError("ks must be non-negative couplings")
+    ks = _validate_couplings(ks, positive=False)
     horizon = float(horizon)
     steps = int(steps)
-    if horizon <= 0 or steps < 2:
-        raise ValueError("need horizon > 0 and at least 2 grid points")
+    if not (np.isfinite(horizon) and horizon > 0) or steps < 2:
+        raise InvalidArgument(
+            f"need a finite horizon > 0 and at least 2 grid points, got {horizon} and {steps}"
+        )
     if drive is not None and drive.horizon < horizon - 1e-12:
         raise InvalidArgument(
             f"drive window ends at {drive.horizon}, before the horizon {horizon}"
@@ -397,21 +407,14 @@ def k_sweep(
     t_grid = np.linspace(0.0, horizon, steps)
     v = _require_ground_vector(v, e.decomposition.P1.matrix)
     P0m = e.decomposition.P0.matrix
+    breakpoints = [0.0, horizon] if drive is None else drive.breakpoints
 
     distances = np.empty((ks.size, steps))
     max_clamp = 0.0
     for i, k in enumerate(ks):
-        if drive is None:
-            gen = build_generators(m, e, k).skew
-            row, clamp = _vacuum_curve(gen, P0m, v, t_grid)
-            distances[i] = row
-            max_clamp = max(max_clamp, clamp)
-        else:
-            prop = _DrivenPropagator(m, e, k, drive)
-            for j, t in enumerate(t_grid):
-                dist, clamp = _distance_from_transported(unvec(prop.transported(t)), v)
-                distances[i, j] = dist
-                max_clamp = max(max_clamp, clamp)
+        gens = _segment_generators(m, e, k, drive)
+        distances[i], clamp = _propagate(gens, breakpoints, P0m, v, t_grid)
+        max_clamp = max(max_clamp, clamp)
     return ConvergenceReport(
         ks=ks,
         t_grid=t_grid,

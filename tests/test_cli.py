@@ -113,6 +113,24 @@ def test_bad_ks_flag(tmp_path, capsys):
     assert "--ks" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--ks", "-1"],
+        ["converge", "--steps", "1"],
+        ["converge", "--horizon", "0"],
+        ["kurtz", "--ks", "0"],
+        ["converge", "--ks", "nan"],
+    ],
+)
+def test_bad_sweep_arguments_are_input_errors(tmp_path, capsys, argv):
+    path = write_json(tmp_path / "m.json", two_level_doc())
+    code, _, err = run(capsys, argv + ["--model", path])
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "non-finite entries" not in err and "Traceback" not in err
+
+
 def test_config_unknown_key(tmp_path, capsys):
     mpath = write_json(tmp_path / "m.json", two_level_doc())
     cpath = write_json(tmp_path / "c.json", {"stepss": 11})

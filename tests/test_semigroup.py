@@ -17,15 +17,25 @@ from qsde_elim import (
     catalog,
     coherent_distance,
     default_ground_vector,
+    displace_limit,
+    displace_scaled,
     eliminate,
     evolve,
     generator_convergence_check,
+    instantiate,
     k_sweep,
     kurtz_corrector,
     pair_generator,
+    unvec,
     vacuum_distance,
+    vec,
 )
-from qsde_elim.semigroup import _distance_from_transported
+from qsde_elim.semigroup import (
+    _apply_terms,
+    _distance_from_transported,
+    _sandwich_terms,
+    _superoperator,
+)
 from factories import haar_unitary, random_valid_model
 
 
@@ -77,6 +87,30 @@ def test_scalar_balanced_coefficients_have_zero_generator():
     gen = pair_generator(c, c)
     np.testing.assert_array_equal(gen, [[0.0]])
     np.testing.assert_allclose(evolve(gen, [[1.0]], 5.0), [[1.0]], atol=1e-15)
+
+
+def random_coefficients(rng, d, n):
+    def op(*shape):
+        return rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+
+    return CoefficientSet(K=op(), L=op(n), S=op(n, n))
+
+
+def test_superoperator_and_operator_action_agree():
+    # both forms of the generator come from one term list; they must agree,
+    # with and without the K† term (the latter is the shape of Kurtz's L1)
+    rng = np.random.default_rng(11)
+    for d, n in ((1, 1), (3, 2), (4, 3)):
+        left, right = random_coefficients(rng, d, n), random_coefficients(rng, d, n)
+        X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        terms = _sandwich_terms(left.K, left.L, right.K, right.L)
+        np.testing.assert_allclose(
+            unvec(pair_generator(left, right) @ vec(X)), _apply_terms(terms, X), atol=1e-12
+        )
+        terms = _sandwich_terms(None, left.L, right.K, right.L)
+        np.testing.assert_allclose(
+            unvec(_superoperator(terms, d) @ vec(X)), _apply_terms(terms, X), atol=1e-12
+        )
 
 
 def test_pair_generator_dimension_check():
@@ -259,6 +293,11 @@ def test_k_sweep_argument_validation(two_level):
         k_sweep(m, e, v, [1.0], horizon=0.0)
     with pytest.raises(ValueError):
         k_sweep(m, e, v, [1.0], steps=1)
+    for ks in ([np.nan], [1.0, np.inf]):
+        with pytest.raises(InvalidArgument):
+            k_sweep(m, e, v, ks)
+    with pytest.raises(InvalidArgument):
+        k_sweep(m, e, v, [1.0], horizon=np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +362,28 @@ def test_driven_sweep_frozen_values(two_level):
     rep = k_sweep(m, e, v, [5.0, 100.0], horizon=1.0, steps=101, drive=drive)
     np.testing.assert_allclose(rep.sup_distance, [0.176480436, 0.008762663], atol=1e-8)
     assert rep.max_clamp == 0.0
+
+
+def test_driven_sweep_matches_pointwise_coherent_distance(two_level):
+    # the sweep steps along the grid; coherent_distance jumps from each
+    # segment start in one step.  The 0.73 breakpoint lies off the grid and
+    # 0.5 on it, so this covers stepping, segment switches and the order in
+    # which the segments compose.
+    m, e, v = two_level
+    drive = StepDrive(breakpoints=[0.0, 0.5, 0.73, 1.0], amplitudes=[[0.3], [-0.2j], [0.1]])
+    rep = k_sweep(m, e, v, [2.0, 20.0], horizon=1.0, steps=11, drive=drive)
+    for i, k in enumerate(rep.ks):
+        pointwise = [coherent_distance(m, e, k, v, drive, t) for t in rep.t_grid]
+        np.testing.assert_allclose(rep.distances[i], pointwise, atol=1e-10)
+    # composed by hand at t = 0.8, in the third segment: earliest outermost
+    g1, g2, g3 = (
+        pair_generator(displace_limit(e.limit, a), instantiate(displace_scaled(m, a), 20.0))
+        for a in drive.amplitudes
+    )
+    t = rep.t_grid[8]
+    T = evolve(g1, evolve(g2, evolve(g3, e.decomposition.P0.matrix, t - 0.73), 0.23), 0.5)
+    expected = np.sqrt(np.vdot(v, (2.0 * np.eye(2) - T - T.conj().T) @ v).real)
+    assert rep.distances[1, 8] == pytest.approx(expected, abs=1e-10)
 
 
 def test_driven_sweep_requires_covering_window(two_level):
@@ -424,3 +485,5 @@ def test_generator_convergence_rejects_bad_couplings(two_level):
         generator_convergence_check(m, e, e.decomposition.P0.matrix, [0.0, 1.0])
     with pytest.raises(ValueError):
         generator_convergence_check(m, e, e.decomposition.P0.matrix, [])
+    with pytest.raises(InvalidArgument):
+        generator_convergence_check(m, e, e.decomposition.P0.matrix, [np.nan])
