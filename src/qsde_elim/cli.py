@@ -27,10 +27,17 @@ bz), cavity_system (gamma, n_trunc, optional e00/e10/e11 with dim_h),
 lambda_system (gamma, g, alpha, n_trunc).  Complex scalars may be written as
 [re, im].  Unknown fields anywhere are rejected.
 
-Exit codes: 0 success / all identities pass, 1 parse or validation error
-(including out-of-range or non-finite sweep arguments), 2 structural
-(assumption) failure.  ``converge`` and ``kurtz`` exit 0 whenever the
-computation itself succeeds.
+Exit codes:
+
+    0  success; for ``check`` and ``eliminate``, every identity passes
+    1  parse or validation error, including out-of-range or non-finite sweep
+       arguments and tolerances (``--tol``, ``check_tol`` and ``rank_tol``
+       must be finite and positive)
+    2  structural (assumption) failure
+    3  numerical failure: a squared distance came out non-finite or negative
+       beyond roundoff (ClampExceeded)
+
+``converge`` and ``kurtz`` exit 0 whenever the computation itself succeeds.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import numpy as np
 
 from . import catalog
 from .eliminate import EliminationResult, eliminate
-from .errors import QsdeElimError, SingularRestriction
+from .errors import ClampExceeded, InvalidArgument, QsdeElimError, SingularRestriction
 from .linalg import DEFAULT_RANK_TOL, Projector
 from .model import DEFAULT_TOL, ScaledModel, check_hp_unitarity, check_scaling_consistency, instantiate
 from .semigroup import (
@@ -60,6 +67,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_ASSUMPTION = 2
+EXIT_NUMERICAL = 3
 
 
 class ModelFileError(QsdeElimError, ValueError):
@@ -345,14 +353,21 @@ def read_config_file(path: str | Path) -> dict:
     return doc
 
 
+def _tolerance(value, where: str) -> float:
+    value = _as_real_scalar(value, where)
+    if not (np.isfinite(value) and value > 0):
+        raise InvalidArgument(f"{where}: expected a finite positive tolerance, got {value!r}")
+    return value
+
+
 def build_config(args) -> RunConfig:
     cfg = RunConfig(ks=list(KURTZ_KS if args.command == "kurtz" else CONVERGE_KS))
     if args.config:
         doc = read_config_file(args.config)
         if "rank_tol" in doc:
-            cfg.rank_tol = _as_real_scalar(doc["rank_tol"], "config.rank_tol")
+            cfg.rank_tol = _tolerance(doc["rank_tol"], "config.rank_tol")
         if "check_tol" in doc:
-            cfg.check_tol = _as_real_scalar(doc["check_tol"], "config.check_tol")
+            cfg.check_tol = _tolerance(doc["check_tol"], "config.check_tol")
         if "ks" in doc:
             ks = doc["ks"]
             if not isinstance(ks, list) or not ks:
@@ -382,7 +397,7 @@ def build_config(args) -> RunConfig:
     if getattr(args, "steps", None) is not None:
         cfg.steps = args.steps
     if getattr(args, "tol", None) is not None:
-        cfg.check_tol = args.tol
+        cfg.check_tol = _tolerance(args.tol, "--tol")
     if getattr(args, "out", None):
         cfg.output = args.out
     if getattr(args, "format", None):
@@ -644,6 +659,9 @@ def main(argv=None) -> int:
             return _report_singular_restriction(args.command, mf, cfg, exc)
         _, command = COMMANDS[args.command]
         return command(mf, cfg, result)
+    except ClampExceeded as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NUMERICAL
     except QsdeElimError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidOperator
-from .linalg import DEFAULT_RANK_TOL, Projector, as_operator, kernel_projector, restricted_inverse
+from .linalg import DEFAULT_RANK_TOL, Projector, _kernel_split, as_operator, restricted_inverse
 from .model import (
     DEFAULT_TOL,
     CheckReport,
@@ -94,12 +94,11 @@ def decompose(
     Singular values of Y within a factor 10 of the rank threshold trigger a
     conditioning warning.  A trivial kernel (empty limit model) is flagged.
     """
-    P0 = kernel_projector(m.Y, rank_tol)
+    P0, s = _kernel_split(m.Y, rank_tol)
     d = m.dim
     P1 = Projector(np.eye(d, dtype=complex) - P0.matrix, d - P0.rank)
 
     warnings: list[str] = []
-    s = np.linalg.svd(m.Y, compute_uv=False)
     if s.size and s[0] > 0:
         borderline = int(np.sum((s > rank_tol * s[0]) & (s <= 10 * rank_tol * s[0])))
         if borderline:

@@ -43,4 +43,7 @@ class InvalidArgument(QsdeElimError, ValueError):
 
 
 class ClampExceeded(QsdeElimError, ArithmeticError):
-    """A quantity that should be non-negative came out negative beyond roundoff."""
+    """A squared distance came out negative beyond roundoff, or not finite.
+
+    A numerical failure of the propagation, not a fault in the input.
+    """

@@ -7,6 +7,9 @@ Conventions used throughout the package:
   map ``X -> L @ X @ R`` has matrix ``kron(R.T, L)`` acting on ``vec(X)``,
   which is what :func:`assemble_superoperator` returns.
 * Distances between operators are Frobenius norms.
+
+Only numpy is imported here; scipy is loaded by the first :func:`expm` call,
+so the certificate paths that need no matrix exponential never pay for it.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     InvalidOperator,
     InvalidProjector,
     SingularRestriction,
@@ -89,11 +92,16 @@ def kernel_projector(M, rank_tol: float = DEFAULT_RANK_TOL) -> Projector:
     """Orthogonal projector onto the numerical kernel of ``M``.
 
     Singular values sigma <= rank_tol * sigma_max count as zero; a zero matrix
-    yields the identity projector.
+    yields the identity projector.  ``rank_tol`` must be finite and positive.
     """
+    return _kernel_split(M, rank_tol)[0]
+
+
+def _kernel_split(M, rank_tol: float) -> tuple[Projector, np.ndarray]:
+    """:func:`kernel_projector` plus the singular values of ``M``, descending."""
     M = as_operator(M, "M")
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    if not (np.isfinite(rank_tol) and rank_tol > 0):
+        raise InvalidArgument(f"rank_tol must be finite and positive, got {rank_tol!r}")
     d = M.shape[0]
     _, s, vh = np.linalg.svd(M)
     if s.size and s[0] > 0:
@@ -103,7 +111,7 @@ def kernel_projector(M, rank_tol: float = DEFAULT_RANK_TOL) -> Projector:
     V = dagger(vh)[:, null_mask]
     P = V @ dagger(V)
     P = 0.5 * (P + dagger(P))
-    return Projector(P, int(null_mask.sum()))
+    return Projector(P, int(null_mask.sum())), s
 
 
 def restricted_inverse(M, P1: Projector, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -155,6 +163,8 @@ def restricted_inverse(M, P1: Projector, tol: float = DEFAULT_RANK_TOL) -> np.nd
 
 def expm(M) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with diagonal Pade approximant)."""
+    import scipy.linalg  # deferred: about two thirds of the package's import time
+
     M = as_operator(M, "M")
     return scipy.linalg.expm(M)
 

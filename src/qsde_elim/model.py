@@ -131,7 +131,11 @@ class CoefficientSet:
 
 @dataclass
 class CheckReport:
-    """Named residuals of a family of identities against one tolerance."""
+    """Named residuals of a family of identities against one tolerance.
+
+    A non-finite tolerance (the norm scale of the operators overflowed)
+    certifies nothing, so the report fails whatever the residuals.
+    """
 
     passed: bool
     residuals: list[tuple[str, float]]
@@ -140,7 +144,7 @@ class CheckReport:
     @classmethod
     def from_residuals(cls, residuals, tolerance: float) -> "CheckReport":
         residuals = [(name, float(r)) for name, r in residuals]
-        passed = all(r <= tolerance for _, r in residuals)
+        passed = bool(np.isfinite(tolerance)) and all(r <= tolerance for _, r in residuals)
         return cls(passed=passed, residuals=residuals, tolerance=float(tolerance))
 
     @property

@@ -29,6 +29,7 @@ observable X there are X1, X2 with Lk(X + X1/k + X2/k^2) -> L(X) at rate 1/k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -201,6 +202,8 @@ def _distance_from_transported(T: np.ndarray, v: np.ndarray) -> tuple[float, flo
     d = T.shape[0]
     q = 2.0 * np.eye(d, dtype=complex) - T - dagger(T)
     val = float(np.real(np.vdot(v, q @ v)))
+    if not math.isfinite(val):
+        raise ClampExceeded(f"squared distance came out {val}; propagation overflowed")
     clamp = max(0.0, -val)
     if clamp > CLAMP_ABORT:
         raise ClampExceeded(
@@ -287,7 +290,8 @@ def vacuum_distance(m: ScaledModel, e: EliminationResult, k: float, v, t_grid) -
 
     Returns sqrt(<v, (2I - T_t(P0) - T_t(P0)†) v>) per grid time, where T is
     the skew semigroup at coupling k; tiny negative values of the quadratic
-    form are clamped to zero, and a clamp beyond 1e-6 aborts.
+    form are clamped to zero; a clamp beyond 1e-6 or a non-finite value aborts
+    with ClampExceeded.
     """
     t_grid = _validate_t_grid(t_grid)
     v = _require_ground_vector(v, e.decomposition.P1.matrix)

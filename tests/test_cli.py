@@ -1,11 +1,16 @@
 """End-to-end tests of the command line interface (in-process via main)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qsde_elim import catalog
+import qsde_elim
+from qsde_elim import catalog, semigroup
 from qsde_elim.cli import main, model_to_document, parse_model_document, read_model_file
 
 
@@ -131,6 +136,29 @@ def test_bad_sweep_arguments_are_input_errors(tmp_path, capsys, argv):
     assert "non-finite entries" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["check", "--tol", "nan"], None),
+        (["check", "--tol", "inf"], None),
+        (["check", "--tol", "-1"], None),
+        (["check", "--tol", "0"], None),
+        (["check"], {"rank_tol": -1}),
+        (["check"], {"rank_tol": 0}),
+        (["check"], {"check_tol": float("nan")}),
+        (["eliminate"], {"check_tol": float("inf")}),
+    ],
+)
+def test_bad_tolerances_are_input_errors(tmp_path, capsys, argv, config):
+    path = write_json(tmp_path / "m.json", two_level_doc())
+    if config is not None:
+        argv = argv + ["--config", write_json(tmp_path / "c.json", config)]
+    code, out, err = run(capsys, argv + ["--model", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "finite positive tolerance" in err
+
+
 def test_config_unknown_key(tmp_path, capsys):
     mpath = write_json(tmp_path / "m.json", two_level_doc())
     cpath = write_json(tmp_path / "c.json", {"stepss": 11})
@@ -205,6 +233,23 @@ def test_check_structural_violation_exits_2(tmp_path, capsys):
     assert not inv["passed"]
     offending = [r for r in inv["residuals"] if "F_0" in r["identity"] and r["residual"] > 0.5]
     assert offending
+
+
+def test_check_with_overflowing_norms_fails(tmp_path, capsys):
+    # |alpha|^2 overflows, so every tolerance scaled by the operator norms is
+    # infinite; P0·A·P0 = inf must not pass against it
+    path = write_json(tmp_path / "m.json", {
+        "schema_version": 1,
+        "builtin": {"name": "two_level",
+                    "parameters": {"delta": 0.0, "gamma": 0.0, "alpha": 9.5e153}},
+    })
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run(capsys, ["check", "--model", path])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    inv = next(s for s in doc["sections"] if s["name"] == "inverse-structure")
+    assert inv["tolerance"] == float("inf") and not inv["passed"]
 
 
 def test_check_singular_restriction_suggests_override(tmp_path, capsys):
@@ -409,6 +454,27 @@ def test_converge_to_file_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_converge_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # exp(1e300 * G) overflows: the quadratic form is NaN, not a distance
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    code, out, err = run(
+        capsys, ["converge", "--model", mpath, "--horizon", "1e300", "--ks", "5", "--steps", "3"]
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "nan" in err
+
+
+def test_converge_clamp_beyond_abort_exits_3(tmp_path, capsys, monkeypatch):
+    # with a negative abort threshold even an exact zero clamp exceeds it
+    monkeypatch.setattr(semigroup, "CLAMP_ABORT", -1.0)
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    code, out, err = run(capsys, ["converge", "--model", mpath, "--ks", "5", "--steps", "3"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: squared distance came out")
+
+
 # ---------------------------------------------------------------------------
 # kurtz
 
@@ -466,3 +532,43 @@ def test_complex_scalar_forms():
     mf = parse_model_document(doc)
     expected = catalog.two_level_atom(1.0, 1.0, 0.3 - 0.7j)
     np.testing.assert_allclose(mf.model.A, expected.A, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# import graph
+
+
+IMPORT_PROBE = """
+import json, sys
+import qsde_elim
+from qsde_elim.cli import main
+seen = {"import": "scipy" in sys.modules}
+for command in ("check", "eliminate", "kurtz"):
+    main([command, "--model", sys.argv[1]])
+    seen[command] = "scipy" in sys.modules
+main(["converge", "--model", sys.argv[1], "--ks", "5", "--steps", "3"])
+seen["converge"] = "scipy" in sys.modules
+sys.stderr.write(json.dumps(seen))
+"""
+
+
+def test_scipy_loads_at_the_first_matrix_exponential(tmp_path):
+    """The certificate paths need no expm and must not import scipy."""
+    path = write_json(tmp_path / "m.json", two_level_doc())
+    src = str(Path(qsde_elim.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, path],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stderr)
+    assert seen == {
+        "import": False,
+        "check": False,
+        "eliminate": False,
+        "kurtz": False,
+        "converge": True,
+    }

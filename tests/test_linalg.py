@@ -5,6 +5,7 @@ import pytest
 
 from qsde_elim import (
     DimensionMismatch,
+    InvalidArgument,
     InvalidOperator,
     InvalidProjector,
     Projector,
@@ -98,6 +99,9 @@ def test_kernel_projector_rank_tol_threshold():
     assert kernel_projector(M, rank_tol=1e-15).rank == 0
     with pytest.raises(ValueError):
         kernel_projector(M, rank_tol=0.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgument):
+            kernel_projector(M, rank_tol=bad)
 
 
 def test_restricted_inverse_diagonal_oracle():

@@ -152,6 +152,10 @@ def test_check_report_logic():
         rep.residual("c")
     # boundary: residual equal to the tolerance still passes
     assert CheckReport.from_residuals([("a", 1e-9)], 1e-9).passed
+    # a non-finite tolerance certifies nothing
+    for tol in (np.inf, np.nan):
+        assert not CheckReport.from_residuals([("a", 0.0)], tol).passed
+        assert not CheckReport.from_residuals([("a", np.inf)], tol).passed
 
 
 def test_scaled_model_validation_errors():
