@@ -1,13 +1,15 @@
 """Command line interface.
 
-    qsde-elim check     --model m.json [--tol 1e-9] [--out report.json]
-    qsde-elim eliminate --model m.json --out limit.json
-    qsde-elim converge  --model m.json [--ks 1,2,5,10,20,50,100] [--horizon 1.0]
-                        [--steps 101] [--format csv|json] [--out sweep.csv]
-    qsde-elim kurtz     --model m.json [--ks 10,30,100,300] [--format csv|json]
+    qsde-elim check     --model m.json [--rank-tol 1e-9] [--tol 1e-9] [--out report.json]
+    qsde-elim eliminate --model m.json [--rank-tol 1e-9] [--tol 1e-9] [--out limit.json]
+    qsde-elim converge  --model m.json [--rank-tol 1e-9] [--ks 1,2,5,10,20,50,100]
+                        [--horizon 1.0] [--steps 101] [--drive d.json]
+                        [--format csv|json] [--out sweep.csv]
+    qsde-elim kurtz     --model m.json [--rank-tol 1e-9] [--ks 10,30,100,300]
+                        [--format csv|json] [--out residuals.csv]
 
-Model files are JSON with ``schema_version`` 1 and exactly one of ``builtin``
-or ``explicit``:
+Each subcommand takes only the flags it reads.  Model files are JSON with
+``schema_version`` 1 and exactly one of ``builtin`` or ``explicit``:
 
     {"schema_version": 1,
      "builtin": {"name": "two_level",
@@ -27,23 +29,32 @@ bz), cavity_system (gamma, n_trunc, optional e00/e10/e11 with dim_h),
 lambda_system (gamma, g, alpha, n_trunc).  Complex scalars may be written as
 [re, im].  Unknown fields anywhere are rejected.
 
+A drive file for ``converge --drive`` is a step drive: the field amplitudes,
+one row of channel amplitudes per segment between consecutive breakpoints
+(without it the field is the vacuum):
+
+    {"breakpoints": [0.0, 0.25, 0.5], "amplitudes": [[0.3], [[0.0, -0.2]]]}
+
 Exit codes:
 
     0  success; for ``check`` and ``eliminate``, every identity passes
-    1  parse or validation error, including out-of-range or non-finite sweep
-       arguments and tolerances (``--tol``, ``check_tol`` and ``rank_tol``
-       must be finite and positive)
+    1  usage, parse or validation error: an unknown flag (including one the
+       subcommand does not read) or a malformed value prints the usage and
+       exits 1, as do out-of-range or non-finite sweep arguments and
+       tolerances (``--tol`` and ``--rank-tol`` must be finite and positive)
     2  structural (assumption) failure
-    3  numerical failure: a squared distance came out non-finite or negative
-       beyond roundoff (ClampExceeded)
+    3  numerical failure: a limit coefficient overflowed, or a squared
+       distance came out non-finite or negative beyond roundoff
 
 ``converge`` and ``kurtz`` exit 0 whenever the computation itself succeeds.
+JSON output is strict: a non-finite residual or tolerance is written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,7 +63,7 @@ import numpy as np
 
 from . import catalog
 from .eliminate import EliminationResult, eliminate
-from .errors import ClampExceeded, InvalidArgument, QsdeElimError, SingularRestriction
+from .errors import InvalidArgument, NumericalFailure, QsdeElimError, SingularRestriction
 from .linalg import DEFAULT_RANK_TOL, Projector
 from .model import DEFAULT_TOL, ScaledModel, check_hp_unitarity, check_scaling_consistency, instantiate
 from .semigroup import (
@@ -71,7 +82,11 @@ EXIT_NUMERICAL = 3
 
 
 class ModelFileError(QsdeElimError, ValueError):
-    """Schema violation in a model or config file; message names the field."""
+    """Schema violation in a model or drive file; message names the field."""
+
+
+class UsageError(QsdeElimError, ValueError):
+    """A command line the parser rejects; the usage has already been printed."""
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +273,23 @@ def parse_model_document(doc) -> ModelFile:
     return ModelFile(model=model, y1inv_override=y1inv, label="explicit")
 
 
-def read_model_file(path: str | Path) -> ModelFile:
+def read_json_file(path: str | Path, kind: str):
+    """The JSON document in a model or drive file."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
+        raise ModelFileError(f"cannot read {kind} file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def read_model_file(path: str | Path) -> ModelFile:
+    doc = read_json_file(path, "model")
     try:
         return parse_model_document(doc)
     except QsdeElimError as exc:
@@ -307,13 +327,15 @@ KURTZ_KS = [10.0, 30.0, 100.0, 300.0]
 
 @dataclass
 class RunConfig:
+    """Run settings; a setting whose flag is not given keeps its default here."""
+
     rank_tol: float = DEFAULT_RANK_TOL
-    check_tol: float = DEFAULT_TOL
+    tol: float = DEFAULT_TOL
     ks: list[float] = field(default_factory=lambda: list(CONVERGE_KS))
     horizon: float = 1.0
     steps: int = DEFAULT_STEPS
     drive: StepDrive | None = None
-    output: str | None = None
+    out: str | None = None
     format: str = "csv"
 
 
@@ -338,96 +360,64 @@ def _parse_drive(spec, where: str) -> StepDrive:
         raise ModelFileError(f"{where}: {exc}") from exc
 
 
-def read_config_file(path: str | Path) -> dict:
-    path = Path(path)
+def _check_tolerance(value: float, flag: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidArgument(f"{flag}: expected a finite positive tolerance, got {value!r}")
+
+
+def _couplings(text: str) -> list[float]:
+    """The --ks list; a malformed one is a usage error."""
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ModelFileError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ModelFileError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    allowed = {"rank_tol", "check_tol", "ks", "horizon", "steps", "drive", "output", "format"}
-    _require_keys(doc, allowed, set(), "config")
-    return doc
-
-
-def _tolerance(value, where: str) -> float:
-    value = _as_real_scalar(value, where)
-    if not (np.isfinite(value) and value > 0):
-        raise InvalidArgument(f"{where}: expected a finite positive tolerance, got {value!r}")
-    return value
+        ks = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        ks = []
+    if not ks:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return ks
 
 
 def build_config(args) -> RunConfig:
-    cfg = RunConfig(ks=list(KURTZ_KS if args.command == "kurtz" else CONVERGE_KS))
-    if args.config:
-        doc = read_config_file(args.config)
-        if "rank_tol" in doc:
-            cfg.rank_tol = _tolerance(doc["rank_tol"], "config.rank_tol")
-        if "check_tol" in doc:
-            cfg.check_tol = _tolerance(doc["check_tol"], "config.check_tol")
-        if "ks" in doc:
-            ks = doc["ks"]
-            if not isinstance(ks, list) or not ks:
-                raise ModelFileError("config.ks: expected a non-empty list of numbers")
-            cfg.ks = [_as_real_scalar(k, "config.ks") for k in ks]
-        if "horizon" in doc:
-            cfg.horizon = _as_real_scalar(doc["horizon"], "config.horizon")
-        if "steps" in doc:
-            cfg.steps = _as_int(doc["steps"], "config.steps")
-        if "drive" in doc:
-            cfg.drive = _parse_drive(doc["drive"], "config.drive")
-        if "output" in doc:
-            cfg.output = str(doc["output"])
-        if "format" in doc:
-            if doc["format"] not in ("csv", "json"):
-                raise ModelFileError("config.format: expected 'csv' or 'json'")
-            cfg.format = doc["format"]
-    if getattr(args, "ks", None):
-        try:
-            cfg.ks = [float(tok) for tok in args.ks.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ModelFileError(f"--ks: {exc}") from exc
-        if not cfg.ks:
-            raise ModelFileError("--ks: expected a comma-separated list of numbers")
-    if getattr(args, "horizon", None) is not None:
-        cfg.horizon = args.horizon
-    if getattr(args, "steps", None) is not None:
-        cfg.steps = args.steps
-    if getattr(args, "tol", None) is not None:
-        cfg.check_tol = _tolerance(args.tol, "--tol")
-    if getattr(args, "out", None):
-        cfg.output = args.out
-    if getattr(args, "format", None):
-        cfg.format = args.format
-    return cfg
+    """Validate the flags given; the parser leaves every other setting out of args."""
+    given = {key: value for key, value in vars(args).items() if key not in ("command", "model")}
+    for key in ("rank_tol", "tol"):
+        if key in given:
+            _check_tolerance(given[key], "--" + key.replace("_", "-"))
+    if "drive" in given:
+        given["drive"] = _parse_drive(read_json_file(given["drive"], "drive"), "drive")
+    default_ks = KURTZ_KS if args.command == "kurtz" else CONVERGE_KS
+    return RunConfig(**{"ks": list(default_ks), **given})
 
 
 # ---------------------------------------------------------------------------
 # report helpers
 
+def _json_float(x) -> float | None:
+    """A JSON number, or null where float64 overflowed (strict JSON has no NaN)."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def _report_section(name: str, report) -> dict:
     return {
         "name": name,
         "passed": bool(report.passed),
-        "tolerance": float(report.tolerance),
+        "tolerance": _json_float(report.tolerance),
         "residuals": [
-            {"identity": ident, "residual": float(res)} for ident, res in report.residuals
+            {"identity": ident, "residual": _json_float(res)}
+            for ident, res in report.residuals
         ],
     }
 
 
-def _write_text(cfg_output: str | None, text: str) -> None:
-    if cfg_output:
-        Path(cfg_output).write_text(text)
+def _write_text(out: str | None, text: str) -> None:
+    if out:
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
 def _json_dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
 def _float_str(x: float) -> str:
@@ -441,8 +431,8 @@ def _float_str(x: float) -> str:
 def _model_sections(m: ScaledModel, cfg: RunConfig) -> list[dict]:
     """The check sections that do not need the elimination result."""
     return [
-        _report_section("unitarity (k=1)", check_hp_unitarity(instantiate(m, 1.0), cfg.check_tol)),
-        _report_section("scaling-consistency", check_scaling_consistency(m, cfg.check_tol)),
+        _report_section("unitarity (k=1)", check_hp_unitarity(instantiate(m, 1.0), cfg.tol)),
+        _report_section("scaling-consistency", check_scaling_consistency(m, cfg.tol)),
     ]
 
 
@@ -462,7 +452,7 @@ def cmd_check(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
         "sections": sections,
         "warnings": result.warnings,
     }
-    _write_text(cfg.output, _json_dumps(doc))
+    _write_text(cfg.out, _json_dumps(doc))
     return EXIT_OK if passed else EXIT_ASSUMPTION
 
 
@@ -477,14 +467,7 @@ def cmd_eliminate(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> i
     limit = result.limit
     d, n = limit.dim, limit.channels
     zero = np.zeros((d, d), dtype=complex)
-    limit_model = ScaledModel(
-        Y=zero,
-        A=zero,
-        B=limit.K,
-        F=[zero] * n,
-        G=[limit.L[i] for i in range(n)],
-        W=[[limit.S[i, j] for j in range(n)] for i in range(n)],
-    )
+    limit_model = ScaledModel(Y=zero, A=zero, B=limit.K, F=[zero] * n, G=limit.L, W=limit.S)
     model_doc = model_to_document(limit_model)
     report_doc = {
         "schema_version": SCHEMA_VERSION,
@@ -501,8 +484,8 @@ def cmd_eliminate(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> i
         "warnings": result.warnings,
         "passed": result.assumptions_pass and result.limit_unitarity.passed,
     }
-    if cfg.output:
-        out = Path(cfg.output)
+    if cfg.out:
+        out = Path(cfg.out)
         out.write_text(_json_dumps(model_doc))
         Path(str(out) + ".report.json").write_text(_json_dumps(report_doc))
     else:
@@ -527,7 +510,7 @@ def cmd_converge(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> in
     v = default_ground_vector(result.decomposition.P0)
     report = k_sweep(mf.model, result, v, cfg.ks, cfg.horizon, cfg.steps, cfg.drive)
     if cfg.format == "csv":
-        _write_text(cfg.output, _converge_csv(report))
+        _write_text(cfg.out, _converge_csv(report))
     else:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -539,7 +522,7 @@ def cmd_converge(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> in
             "sup_distance": report.sup_distance.tolist(),
             "max_clamp": float(report.max_clamp),
         }
-        _write_text(cfg.output, _json_dumps(doc))
+        _write_text(cfg.out, _json_dumps(doc))
     return EXIT_OK
 
 
@@ -571,7 +554,7 @@ def cmd_kurtz(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
         lines.append("label,slope")
         for label, slope in slopes:
             lines.append(f"{label},{_float_str(slope)}")
-        _write_text(cfg.output, "\n".join(lines) + "\n")
+        _write_text(cfg.out, "\n".join(lines) + "\n")
     else:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -579,23 +562,23 @@ def cmd_kurtz(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
             "model": mf.label,
             "ks": list(cfg.ks),
             "residuals": [
-                {"label": label, "k": k, "corrected": corr, "uncorrected": uncorr}
-                for label, k, corr, uncorr in rows
+                dict(label=label, k=k, corrected=_json_float(c), uncorrected=_json_float(u))
+                for label, k, c, u in rows
             ],
             "slopes": [
-                {"label": label, "slope": None if np.isnan(slope) else slope}
-                for label, slope in slopes
+                {"label": label, "slope": _json_float(slope)} for label, slope in slopes
             ],
         }
-        _write_text(cfg.output, _json_dumps(doc))
+        _write_text(cfg.out, _json_dumps(doc))
     return EXIT_OK
 
 
+# each command takes --model, --rank-tol and exactly the flags of the settings it reads
 COMMANDS = {
-    "check": ("verify every structural identity of a model", cmd_check),
-    "eliminate": ("compute the limit coefficients", cmd_eliminate),
-    "converge": ("sweep couplings and report convergence distances", cmd_converge),
-    "kurtz": ("corrected generator residuals over a coupling sweep", cmd_kurtz),
+    "check": (cmd_check, "--tol --out"),
+    "eliminate": (cmd_eliminate, "--tol --out"),
+    "converge": (cmd_converge, "--ks --horizon --steps --drive --format --out"),
+    "kurtz": (cmd_kurtz, "--ks --format --out"),
 }
 
 
@@ -615,7 +598,7 @@ def _report_singular_restriction(
                 "to bypass the automatic restricted inverse)"
             ),
         }
-        _write_text(cfg.output, _json_dumps(doc))
+        _write_text(cfg.out, _json_dumps(doc))
     elif command == "eliminate":
         sys.stderr.write(
             f"error: {exc}\n"
@@ -629,42 +612,56 @@ def _report_singular_restriction(
 # ---------------------------------------------------------------------------
 # argument parsing
 
+FLAGS = {
+    "--model": dict(required=True, help="path to a model JSON file"),
+    "--rank-tol": dict(type=float, help="relative singular-value cutoff for Ker(Y)"),
+    "--tol": dict(type=float, help="identity check tolerance"),
+    "--ks": dict(type=_couplings, help="comma-separated couplings, e.g. 1,2,5,10"),
+    "--horizon": dict(type=float, help="time horizon of the sweep"),
+    "--steps": dict(type=int, help="number of grid points on [0, horizon]"),
+    "--drive": dict(help="path to a step-drive JSON file (default: vacuum)"),
+    "--format": dict(choices=("csv", "json"), help="output format"),
+    "--out": dict(help="output path (default: stdout)"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other bad input; 2 means a failed assumption."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsde-elim",
         description="Adiabatic elimination of coupling-scaled quantum stochastic models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", required=True, help="path to a model JSON file")
-        p.add_argument("--config", help="path to a run-config JSON file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format where applicable")
-        p.add_argument("--ks", help="comma-separated couplings, e.g. 1,2,5,10")
-        p.add_argument("--horizon", type=float, help="time horizon for sweeps")
-        p.add_argument("--steps", type=int, help="number of grid points on [0, horizon]")
-        p.add_argument("--tol", type=float, help="identity check tolerance")
+    for name, (command, flags) in COMMANDS.items():
+        # flags not given stay out of args, so RunConfig holds every default
+        summary = command.__doc__.splitlines()[0]
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        for flag in ("--model", "--rank-tol", *flags.split()):
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = build_config(args)
         mf = read_model_file(args.model)
         try:
-            result = eliminate(mf.model, cfg.rank_tol, cfg.check_tol, mf.y1inv_override)
+            result = eliminate(mf.model, cfg.rank_tol, cfg.tol, mf.y1inv_override)
         except SingularRestriction as exc:
             return _report_singular_restriction(args.command, mf, cfg, exc)
-        _, command = COMMANDS[args.command]
+        command, _ = COMMANDS[args.command]
         return command(mf, cfg, result)
-    except ClampExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
     except QsdeElimError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
+        return EXIT_NUMERICAL if isinstance(exc, NumericalFailure) else EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidOperator
+from .errors import DimensionMismatch, InvalidOperator, NumericalFailure
 from .linalg import DEFAULT_RANK_TOL, Projector, _kernel_split, as_operator, restricted_inverse
 from .model import (
     DEFAULT_TOL,
@@ -202,18 +202,27 @@ def eliminate(
     tol: float = DEFAULT_TOL,
     y1inv_override: np.ndarray | None = None,
 ) -> EliminationResult:
-    """Compute the strong-coupling limit coefficients and all check reports."""
+    """Compute the strong-coupling limit coefficients and all check reports.
+
+    Raises NumericalFailure when a limit coefficient overflows float64.
+    """
     dec = decompose(m, rank_tol, y1inv_override)
     P0m, Yi = dec.P0.matrix, dec.Y1inv
     fdw, _ = _channel_sums(m)
     n, d = m.channels, m.dim
 
-    K = P0m @ (m.B - m.A @ Yi @ m.A) @ P0m
-    L = np.stack([(m.G[i] - m.F[i] @ Yi @ m.A) @ P0m for i in range(n)])
-    S = np.empty((n, n, d, d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            S[i, j] = (m.W[i, j] + m.F[i] @ Yi @ fdw[j]) @ P0m
+    # finite coefficients can still overflow in these products; the check
+    # below reports that, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = P0m @ (m.B - m.A @ Yi @ m.A) @ P0m
+        L = np.stack([(m.G[i] - m.F[i] @ Yi @ m.A) @ P0m for i in range(n)])
+        S = np.empty((n, n, d, d), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                S[i, j] = (m.W[i, j] + m.F[i] @ Yi @ fdw[j]) @ P0m
+    for name, X in (("K", K), ("L", L), ("S", S)):
+        if not np.all(np.isfinite(X)):
+            raise NumericalFailure(f"limit coefficient {name} overflowed to non-finite entries")
 
     limit = CoefficientSet(K=K, L=L, S=S, ground=dec.P0)
     inverse_structure = check_inverse_structure(m, dec, tol)

@@ -42,8 +42,12 @@ class InvalidArgument(QsdeElimError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class ClampExceeded(QsdeElimError, ArithmeticError):
-    """A squared distance came out negative beyond roundoff, or not finite.
+class NumericalFailure(QsdeElimError, ArithmeticError):
+    """A float64 result came out unusable, for example by overflow.
 
-    A numerical failure of the propagation, not a fault in the input.
+    A failure of the arithmetic, not a fault in the input.
     """
+
+
+class ClampExceeded(NumericalFailure):
+    """A squared distance came out negative beyond roundoff, or not finite."""

@@ -2,16 +2,23 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qsde_elim
-from qsde_elim import catalog, semigroup
+from qsde_elim import catalog, cli, semigroup
 from qsde_elim.cli import main, model_to_document, parse_model_document, read_model_file
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+FLAGS = {
+    "--model", "--rank-tol", "--tol", "--ks", "--horizon", "--steps", "--drive", "--format", "--out"
+}
 
 
 def write_json(path, doc):
@@ -33,6 +40,15 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """Parse JSON the way a strict parser does: NaN and Infinity are errors."""
+    return json.loads(text, parse_constant=reject_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +135,80 @@ def test_bad_ks_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--ks", "5"], "unrecognized arguments: --ks 5"),
+        (["converge", "--stepss", "11"], "unrecognized arguments: --stepss 11"),
+        (["check", "--config", "c.json"], "unrecognized arguments: --config c.json"),
+        (["converge", "--steps", "1.5"], "argument --steps: invalid int value: '1.5'"),
+        (["converge", "--ks", ""], "argument --ks: expected comma-separated numbers"),
+        (["kurtz", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    ],
+    ids=["unread-flag", "unknown-flag", "config-file", "non-integer", "empty-list", "bad-choice"],
+)
+def test_usage_errors_exit_1_with_the_usage(tmp_path, capsys, argv, message):
+    # 2 is the structural-assumption code, so a usage error must not use it
+    path = write_json(tmp_path / "m.json", two_level_doc())
+    code, out, err = run(capsys, argv + ["--model", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: qsde-elim")
+    assert err.splitlines()[-1].startswith("error: " + message)
+
+
+def test_missing_model_or_command_is_a_usage_error(capsys):
+    for argv in (["check"], []):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: qsde-elim")
+        assert "required" in err.splitlines()[-1]
+
+
+def parser_flags(capsys, command):
+    """The flags in the usage line that ``<command> -h`` prints before it exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert usage.startswith(f"usage: qsde-elim {command}")
+    return set(re.findall(r"--[a-z][a-z-]*", usage))
+
+
+def synopsis_flags(text):
+    """Flags per subcommand in the first synopsis block of a document."""
+    start = text.index("qsde-elim check")
+    block = re.split(r"\n\s*\n|```", text[start:], maxsplit=1)[0]
+    parts = re.split(r"qsde-elim (\w+)", block)[1:]
+    names, bodies = parts[::2], parts[1::2]
+    return {name: set(re.findall(r"--[a-z][a-z-]*", body)) for name, body in zip(names, bodies)}
+
+
+@pytest.mark.parametrize("doc", ["README", "cli docstring"])
+def test_synopsis_matches_the_parser(capsys, doc):
+    text = README.read_text() if doc == "README" else cli.__doc__
+    documented = synopsis_flags(text)
+    assert set(documented) == set(cli.COMMANDS)
+    for command, flags in documented.items():
+        assert flags == parser_flags(capsys, command), command
+
+
+def test_each_command_rejects_the_flags_it_does_not_read(tmp_path, capsys):
+    path = write_json(tmp_path / "m.json", two_level_doc())
+    settable = 0
+    for command in cli.COMMANDS:
+        accepted = parser_flags(capsys, command)
+        assert accepted < FLAGS
+        settable += len(accepted)
+        for flag in sorted(FLAGS - accepted):
+            code, out, err = run(capsys, [command, "--model", path, flag, "1"])
+            assert code == 1, (command, flag)
+            assert out == ""
+            assert f"unrecognized arguments: {flag} 1" in err
+    assert settable == 21  # one flag per setting a command reads
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["converge", "--ks", "-1"],
@@ -137,34 +227,36 @@ def test_bad_sweep_arguments_are_input_errors(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, rank_tol",
     [
         (["check", "--tol", "nan"], None),
         (["check", "--tol", "inf"], None),
         (["check", "--tol", "-1"], None),
         (["check", "--tol", "0"], None),
-        (["check"], {"rank_tol": -1}),
-        (["check"], {"rank_tol": 0}),
-        (["check"], {"check_tol": float("nan")}),
-        (["eliminate"], {"check_tol": float("inf")}),
+        (["check"], "-1"),
+        (["check"], "0"),
+        (["converge"], "nan"),
+        (["eliminate", "--tol", "inf"], None),
+        (["kurtz"], "inf"),
     ],
 )
-def test_bad_tolerances_are_input_errors(tmp_path, capsys, argv, config):
+def test_bad_tolerances_are_input_errors(tmp_path, capsys, argv, rank_tol):
     path = write_json(tmp_path / "m.json", two_level_doc())
-    if config is not None:
-        argv = argv + ["--config", write_json(tmp_path / "c.json", config)]
+    if rank_tol is not None:
+        argv = argv + ["--rank-tol", rank_tol]
     code, out, err = run(capsys, argv + ["--model", path])
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "finite positive tolerance" in err
 
 
-def test_config_unknown_key(tmp_path, capsys):
-    mpath = write_json(tmp_path / "m.json", two_level_doc())
-    cpath = write_json(tmp_path / "c.json", {"stepss": 11})
-    code, _, err = run(capsys, ["converge", "--model", mpath, "--config", cpath])
-    assert code == 1
-    assert "config" in err and "stepss" in err
+def test_rank_tol_reaches_the_kernel_cutoff(tmp_path, capsys):
+    # Y = diag(-0.5 - i, 0): a relative cutoff of 2 puts both states in Ker(Y)
+    path = write_json(tmp_path / "m.json", two_level_doc())
+    code, out, _ = run(capsys, ["check", "--model", path])
+    assert json.loads(out)["ground_rank"] == 1
+    code, out, _ = run(capsys, ["check", "--model", path, "--rank-tol", "2"])
+    assert json.loads(out)["ground_rank"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +341,50 @@ def test_check_with_overflowing_norms_fails(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["passed"] is False
     inv = next(s for s in doc["sections"] if s["name"] == "inverse-structure")
-    assert inv["tolerance"] == float("inf") and not inv["passed"]
+    assert inv["tolerance"] is None and not inv["passed"]  # null: the tolerance overflowed
+
+
+OVERFLOWING_NORMS = {
+    "schema_version": 1,
+    "builtin": {"name": "two_level", "parameters": {"delta": 0.0, "gamma": 0.0, "alpha": 9.5e153}},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["check"], 2), (["eliminate"], 2), (["kurtz", "--format", "json", "--ks", "10,100"], 0)],
+)
+def test_json_is_strict_when_numbers_overflow(tmp_path, capsys, argv, expected):
+    path = write_json(tmp_path / "m.json", OVERFLOWING_NORMS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run(capsys, argv + ["--model", path])
+    assert code == expected
+    assert "Warning" not in out
+    doc = strict_json(out)
+    assert "null" in out  # the overflowed numbers, written as strict JSON can
+    if argv[0] == "kurtz":
+        assert any(row["corrected"] is None for row in doc["residuals"])
+
+
+LIMIT_OVERFLOW = {
+    "schema_version": 1,
+    "builtin": {
+        "name": "lambda_system",
+        "parameters": {"gamma": 1.0, "g": -1.2e-29, "alpha": [1e300, -1]},
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["check", "eliminate", "converge", "kurtz"])
+def test_limit_coefficient_overflow_is_a_numerical_failure(tmp_path, capsys, command):
+    # the coefficients are finite, but A·Y1inv·A in K = P0(B - A·Y1inv·A)P0 is not
+    path = write_json(tmp_path / "m.json", LIMIT_OVERFLOW)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        code, out, err = run(capsys, [command, "--model", path])
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: limit coefficient K overflowed to non-finite entries"]
 
 
 def test_check_singular_restriction_suggests_override(tmp_path, capsys):
@@ -426,24 +561,50 @@ def test_converge_zero_coupling_allowed(tmp_path, capsys):
     assert out.splitlines()[0] == "k,t,distance"
 
 
-def test_converge_config_drive_and_flag_override(tmp_path, capsys):
+DRIVE = {"breakpoints": [0.0, 0.25, 0.5], "amplitudes": [[0.3], [[0.0, -0.2]]]}
+
+
+def test_converge_drive_file(tmp_path, capsys):
     mpath = write_json(tmp_path / "m.json", two_level_doc())
-    cfg = {
-        "ks": [3.0, 7.0],
-        "steps": 21,
-        "horizon": 0.5,
-        "drive": {"breakpoints": [0.0, 0.25, 0.5], "amplitudes": [[0.3], [[0.0, -0.2]]]},
-    }
-    cpath = write_json(tmp_path / "c.json", cfg)
-    code, out, _ = run(
-        capsys, ["converge", "--model", mpath, "--config", cpath, "--ks", "5"]
-    )
+    dpath = write_json(tmp_path / "d.json", DRIVE)
+    argv = ["converge", "--model", mpath, "--ks", "5", "--steps", "21", "--horizon", "0.5"]
+    code, out, _ = run(capsys, argv + ["--drive", dpath])
     assert code == 0
     lines = out.split("\n\n")[0].splitlines()
     rows = [line.split(",") for line in lines[1:]]
-    assert {r[0] for r in rows} == {"5.0"}  # --ks wins over the config list
-    assert len(rows) == 21  # config steps respected
-    assert max(float(r[1]) for r in rows) == pytest.approx(0.5)  # config horizon
+    assert {r[0] for r in rows} == {"5.0"}
+    assert len(rows) == 21
+    assert max(float(r[1]) for r in rows) == pytest.approx(0.5)
+    # the drive displaces the field: the distances differ from the vacuum's
+    code, vacuum, _ = run(capsys, argv)
+    assert code == 0 and vacuum != out
+
+
+@pytest.mark.parametrize(
+    "drive, message",
+    [
+        ({"breakpoints": [0.0, 0.25], "amplitudes": [[0.3]]}, "before the horizon"),
+        ({"breakpoints": [0.0, 0.5], "amplitudes": [[0.3]], "phase": 1}, "drive: unknown field"),
+        ({"breakpoints": [0.0, 0.5], "amplitudes": [["x"]]}, "drive.amplitudes[0][0]"),
+        ({"breakpoints": [0.5, 1.0], "amplitudes": [[0.3]]}, "breakpoints must start at 0"),
+    ],
+    ids=["short-window", "unknown-field", "bad-amplitude", "late-start"],
+)
+def test_bad_drive_file_is_an_input_error(tmp_path, capsys, drive, message):
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    dpath = write_json(tmp_path / "d.json", drive)
+    argv = ["converge", "--model", mpath, "--drive", dpath, "--horizon", "0.5"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_missing_drive_file(tmp_path, capsys):
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    code, _, err = run(capsys, ["converge", "--model", mpath, "--drive", str(tmp_path / "no.json")])
+    assert code == 1
+    assert err.startswith("error: cannot read drive file")
 
 
 def test_converge_to_file_is_deterministic(tmp_path, capsys):
