@@ -218,8 +218,12 @@ def cavity_system(
     dh = e00.shape[0]
     if e10.shape[0] != dh or e11.shape[0] != dh:
         raise InvalidParameters("interaction blocks must act on one system dimension")
-    herm_tol = 1e-12 * max(1.0, np.linalg.norm(e00), np.linalg.norm(e11))
-    if np.linalg.norm(e00 - dagger(e00)) > herm_tol or np.linalg.norm(e11 - dagger(e11)) > herm_tol:
+    # compared in units of the largest real or imaginary part (at least 1), so
+    # that no Frobenius norm of finite entries overflows
+    scale = max(1.0, *(np.max(np.abs(x), initial=0.0) for e in (e00, e11) for x in (e.real, e.imag)))
+    h00, h11 = e00 / scale, e11 / scale
+    herm_tol = 1e-12 * max(1.0 / scale, np.linalg.norm(h00), np.linalg.norm(h11))
+    if np.linalg.norm(h00 - dagger(h00)) > herm_tol or np.linalg.norm(h11 - dagger(h11)) > herm_tol:
         raise InvalidParameters("e00 and e11 must be Hermitian")
     if np.linalg.norm(e11, 2) >= gamma / 2.0:
         raise InvalidParameters(

@@ -41,12 +41,16 @@ Exit codes:
     1  usage, parse or validation error: an unknown flag (including one the
        subcommand does not read) or a malformed value prints the usage and
        exits 1, as do out-of-range or non-finite sweep arguments and
-       tolerances (``--tol`` and ``--rank-tol`` must be finite and positive)
+       tolerances (``--tol`` and ``--rank-tol`` must be finite and positive),
+       and a model whose propagation generator would exceed the memory
+       budget (``ResourceLimit``, refused before it is allocated)
     2  structural (assumption) failure
-    3  numerical failure: a limit coefficient overflowed, or a squared
-       distance came out non-finite or negative beyond roundoff
+    3  numerical failure: the restricted inverse or a limit coefficient
+       overflowed, a squared distance came out non-finite or negative beyond
+       roundoff, or every ``kurtz`` residual overflowed
 
 ``converge`` and ``kurtz`` exit 0 whenever the computation itself succeeds.
+``kurtz`` writes its report even when no residual is finite, then exits 3.
 JSON output is strict: a non-finite residual or tolerance is written as null.
 """
 
@@ -430,10 +434,12 @@ def _float_str(x: float) -> str:
 
 def _model_sections(m: ScaledModel, cfg: RunConfig) -> list[dict]:
     """The check sections that do not need the elimination result."""
-    return [
-        _report_section("unitarity (k=1)", check_hp_unitarity(instantiate(m, 1.0), cfg.tol)),
-        _report_section("scaling-consistency", check_scaling_consistency(m, cfg.tol)),
-    ]
+    # a residual or norm scale that overflows fails its section, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [
+            _report_section("unitarity (k=1)", check_hp_unitarity(instantiate(m, 1.0), cfg.tol)),
+            _report_section("scaling-consistency", check_scaling_consistency(m, cfg.tol)),
+        ]
 
 
 def cmd_check(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
@@ -529,8 +535,7 @@ def cmd_converge(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> in
 def _ground_basis_labels(P0: Projector) -> list[tuple[str, np.ndarray]]:
     """P0 itself plus a rank-one operator basis u_a u_b† of the ground sector."""
     labeled = [("P0", P0.matrix.copy())]
-    evals, evecs = np.linalg.eigh(P0.matrix)
-    cols = [evecs[:, i] for i in range(P0.dim) if evals[i] > 0.5]
+    cols = P0.basis().T
     for a, ua in enumerate(cols):
         for b, ub in enumerate(cols):
             labeled.append((f"E[{a}][{b}]", np.outer(ua, ub.conj())))
@@ -538,7 +543,11 @@ def _ground_basis_labels(P0: Projector) -> list[tuple[str, np.ndarray]]:
 
 
 def cmd_kurtz(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
-    """Corrected vs uncorrected generator residuals for ground observables."""
+    """Corrected vs uncorrected generator residuals for ground observables.
+
+    The report is written even when every residual overflowed; that run then
+    fails as a numerical failure.
+    """
     rows = []
     slopes = []
     for label, X in _ground_basis_labels(result.decomposition.P0):
@@ -570,6 +579,8 @@ def cmd_kurtz(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
             ],
         }
         _write_text(cfg.out, _json_dumps(doc))
+    if not any(math.isfinite(c) or math.isfinite(u) for _, _, c, u in rows):
+        raise NumericalFailure("every generator residual overflowed to a non-finite value")
     return EXIT_OK
 
 

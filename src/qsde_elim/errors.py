@@ -51,3 +51,7 @@ class NumericalFailure(QsdeElimError, ArithmeticError):
 
 class ClampExceeded(NumericalFailure):
     """A squared distance came out negative beyond roundoff, or not finite."""
+
+
+class ResourceLimit(QsdeElimError):
+    """An array would exceed the package's memory budget; refused before allocation."""

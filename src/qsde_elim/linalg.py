@@ -23,6 +23,7 @@ from .errors import (
     InvalidArgument,
     InvalidOperator,
     InvalidProjector,
+    NumericalFailure,
     SingularRestriction,
 )
 
@@ -87,6 +88,17 @@ class Projector:
                 f"trace {np.trace(P).real:.6g} does not match declared rank {self.rank}"
             )
 
+    def basis(self) -> np.ndarray:
+        """Orthonormal basis of the range: the eigenvectors of eigenvalue > 1/2.
+
+        Raises InvalidProjector when their count is not the declared rank.
+        """
+        evals, evecs = np.linalg.eigh(self.matrix)
+        basis = evecs[:, evals > 0.5]
+        if basis.shape[1] != self.rank:
+            raise InvalidProjector(f"projector eigenvalues do not match declared rank {self.rank}")
+        return basis
+
 
 def kernel_projector(M, rank_tol: float = DEFAULT_RANK_TOL) -> Projector:
     """Orthogonal projector onto the numerical kernel of ``M``.
@@ -121,7 +133,8 @@ def restricted_inverse(M, P1: Projector, tol: float = DEFAULT_RANK_TOL) -> np.nd
     squares, then certifies that P1·M·R·P1 and P1·R·M·P1 reproduce P1.  Raises
     SingularRestriction (carrying the offending singular value) when the
     restricted block is numerically singular, i.e. its smallest singular value
-    is <= tol times its largest.
+    is <= tol times its largest, and NumericalFailure when the inverse of a
+    nonsingular but tiny block (a subnormal one, say) overflows float64.
     """
     M = as_operator(M, "M")
     if M.shape[0] != P1.dim:
@@ -130,13 +143,7 @@ def restricted_inverse(M, P1: Projector, tol: float = DEFAULT_RANK_TOL) -> np.nd
     if P1.rank == 0:
         return np.zeros((d, d), dtype=complex)
 
-    evals, evecs = np.linalg.eigh(P1.matrix)
-    basis = evecs[:, evals > 0.5]
-    if basis.shape[1] != P1.rank:
-        raise InvalidProjector(
-            f"projector eigenvalues do not match declared rank {P1.rank}"
-        )
-
+    basis = P1.basis()
     Mr = dagger(basis) @ M @ basis
     s = np.linalg.svd(Mr, compute_uv=False)
     if s[0] == 0 or s[-1] <= tol * s[0]:
@@ -145,8 +152,15 @@ def restricted_inverse(M, P1: Projector, tol: float = DEFAULT_RANK_TOL) -> np.nd
             f"(smallest singular value {s[-1]:.3e})",
             sigma=float(s[-1]),
         )
-    Rr, *_ = np.linalg.lstsq(Mr, np.eye(P1.rank, dtype=complex), rcond=None)
-    R = basis @ Rr @ dagger(basis)
+    # the inverse can overflow; the check below reports that, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        Rr, *_ = np.linalg.lstsq(Mr, np.eye(P1.rank, dtype=complex), rcond=None)
+        R = basis @ Rr @ dagger(basis)
+    if not np.all(np.isfinite(R)):
+        raise NumericalFailure(
+            "restricted inverse overflowed to non-finite entries "
+            f"(smallest singular value of the restricted block {s[-1]:.3e})"
+        )
 
     P1m = P1.matrix
     scale = max(1.0, float(np.linalg.norm(M)))

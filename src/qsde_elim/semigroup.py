@@ -21,7 +21,17 @@ Coherent states enter through Weyl displacement: a piecewise-constant drive
 gives one displaced generator per segment, composed with the earliest segment
 outermost:  T(f)_t = T(a_1)_{t1-t0} o ... o T(a_m)_{t-t_{m-1}}.  One stepper
 propagates every distance: the vacuum is one undisplaced segment, and within
-a segment vec(P0) is stepped along the time grid by its differences.
+a segment the state is stepped along the time grid by its differences.
+
+The state never leaves the ground rows.  Every left factor of the skew
+generator, K† and L_i† of the limit (displaced or not), maps into range(P0),
+because K = P0(...)P0 and L_i = (...)P0 by construction and displacement
+keeps K'P1 = L'_iP1 = 0.  So T_t(P0) = P0 T_t(P0) exactly, and with V0 an
+orthonormal d x d0 basis of range(P0) the stepper carries Z = V0† X from
+Z0 = V0†: each left factor l becomes V0† l V0 and T = V0 Z.  The generator
+then has (d0 d)^2 entries instead of d^4.  Models of dimension at most
+FULL_STATE_MAX_DIM keep the full d x d state.  A generator over
+GENERATOR_BUDGET_BYTES is refused with ResourceLimit before it is assembled.
 
 The Kurtz corrector makes the generator convergence explicit: for a ground
 observable X there are X1, X2 with Lk(X + X1/k + X2/k^2) -> L(X) at rate 1/k.
@@ -40,14 +50,23 @@ from .errors import (
     DimensionMismatch,
     InvalidArgument,
     InvalidGroundVector,
+    ResourceLimit,
 )
 from .eliminate import EliminationResult, displace_limit, displace_scaled
-from .linalg import Projector, as_operator, assemble_superoperator, dagger, expm, unvec, vec
+from .linalg import Projector, as_operator, dagger, expm, unvec, vec
 from .model import CoefficientSet, ScaledModel, instantiate
 
 CLAMP_ABORT = 1e-6
 GROUND_VECTOR_TOL = 1e-9
 DEFAULT_STEPS = 101
+# Models up to this dimension propagate the full d x d state in exact
+# arithmetic (no product with a basis, which can flip signed zeros): the
+# benchmark's recorded CLI outputs (bench/data/reference.json) pin their
+# sweeps byte for byte, and the ground rows would save at most a 64 x 64 expm.
+FULL_STATE_MAX_DIM = 8
+# Largest generator matrix assembled: 32 MiB, a 1448 x 1448 complex matrix.
+# expm needs about 8.5 times its input, so one expm peaks near 272 MiB.
+GENERATOR_BUDGET_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -121,10 +140,24 @@ def _sandwich_terms(K_left, L_left, K_right, L_right) -> Terms:
     return terms
 
 
-def _superoperator(terms: Terms, d: int) -> np.ndarray:
-    """Matrix of the terms acting on vec(X)."""
-    eye = np.eye(d, dtype=complex)
-    mats = (assemble_superoperator(eye if l is None else l, eye if r is None else r) for l, r in terms)
+def _superoperator(terms: Terms, d: int, rows: int | None = None) -> np.ndarray:
+    """Matrix of the terms acting on vec(X), X of shape rows x d (square by default).
+
+    Raises ResourceLimit, before anything is assembled, when the matrix would
+    take more than GENERATOR_BUDGET_BYTES.
+    """
+    rows = d if rows is None else rows
+    n = rows * d
+    if 16 * n * n > GENERATOR_BUDGET_BYTES:
+        raise ResourceLimit(
+            f"a {n} x {n} generator needs {16 * n * n:,} bytes, "
+            f"over the budget of {GENERATOR_BUDGET_BYTES:,} bytes"
+        )
+    eye_left, eye_right = np.eye(rows, dtype=complex), np.eye(d, dtype=complex)
+    # X -> l X r has matrix kron(r.T, l) on vec(X), as in assemble_superoperator
+    mats = (
+        np.kron((eye_right if r is None else r).T, eye_left if l is None else l) for l, r in terms
+    )
     return reduce(np.add, mats)
 
 
@@ -229,33 +262,53 @@ def _validate_couplings(ks, positive: bool) -> np.ndarray:
     return ks
 
 
+def _ground_rows(P0: Projector) -> np.ndarray | None:
+    """V0, the basis of range(P0) whose rows the stepper keeps; None keeps the full state."""
+    return None if P0.dim <= FULL_STATE_MAX_DIM else P0.basis()
+
+
 def _segment_generators(
-    m: ScaledModel, e: EliminationResult, k: float, drive: StepDrive | None
+    m: ScaledModel, e: EliminationResult, k: float, drive: StepDrive | None, V0: np.ndarray | None
 ) -> list[np.ndarray]:
-    """Skew generator of each drive segment; the vacuum is one undisplaced segment."""
-    if drive is None:
-        return [pair_generator(e.limit, instantiate(m, k))]
-    return [
-        pair_generator(displace_limit(e.limit, alpha), instantiate(displace_scaled(m, alpha), k))
-        for alpha in drive.amplitudes
+    """Skew generator of each drive segment on the stepped state.
+
+    The vacuum is one undisplaced segment.  With a ground basis V0 the state
+    is Z = V0† X, so the limit coefficients, the left factors, are compressed
+    to V0† · V0.
+    """
+    segments = [(e.limit, m)] if drive is None else [
+        (displace_limit(e.limit, alpha), displace_scaled(m, alpha)) for alpha in drive.amplitudes
     ]
+    gens = []
+    for limit, scaled in segments:
+        K, L, right = limit.K, limit.L, instantiate(scaled, k)
+        rows = None
+        if V0 is not None:
+            Vh = dagger(V0)
+            K, L, rows = Vh @ K @ V0, Vh @ L @ V0, V0.shape[1]
+        gens.append(_superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim, rows))
+    return gens
 
 
-def _propagate(gens, breakpoints, P0m: np.ndarray, v: np.ndarray, t_grid: np.ndarray):
+def _propagate(
+    gens, breakpoints, P0m: np.ndarray, V0: np.ndarray | None, v: np.ndarray, t_grid: np.ndarray
+):
     """Distances along t_grid and the largest clamp, one skew generator per segment.
 
-    With breakpoints t_0 = 0 < t_1 < ..., segment j runs from t_{j-1} to t_j
-    and carries gens[j - 1]; for t in it
+    The state is Z = V0† X from Z0 = V0†, lifted back by T = V0 Z, or the
+    full X from P0 when V0 is None.  With breakpoints t_0 = 0 < t_1 < ...,
+    segment j runs from t_{j-1} to t_j and carries gens[j - 1]; for t in it
 
-        vec(T_t(P0)) = M_1(D_1) ... M_{j-1}(D_{j-1}) M_j(t - t_{j-1}) vec(P0)
+        vec(Z_t) = M_1(D_1) ... M_{j-1}(D_{j-1}) M_j(t - t_{j-1}) vec(Z0)
 
     with M_i(s) = exp(s * gen_i) and D_i the full segment durations, so the
-    earliest segment acts outermost.  Within a segment vec(P0) is stepped from
+    earliest segment acts outermost.  Within a segment vec(Z0) is stepped from
     the segment start by the grid differences, one expm per distinct float
     step.  A time on a breakpoint belongs to the segment it ends; times past
     the last breakpoint are clamped to it.
     """
-    w0 = vec(P0m).astype(complex)
+    Z0 = P0m if V0 is None else dagger(V0)
+    w0 = vec(Z0).astype(complex)
     out = np.empty(t_grid.size, dtype=float)
     max_clamp = 0.0
     outer: list[np.ndarray] = []
@@ -275,7 +328,8 @@ def _propagate(gens, breakpoints, P0m: np.ndarray, v: np.ndarray, t_grid: np.nda
             x = w
             for M in reversed(outer):
                 x = M @ x
-            out[idx], clamp = _distance_from_transported(unvec(x), v)
+            Z = x.reshape(Z0.shape, order="F")
+            out[idx], clamp = _distance_from_transported(Z if V0 is None else V0 @ Z, v)
             max_clamp = max(max_clamp, clamp)
             prev = t
             idx += 1
@@ -295,8 +349,10 @@ def vacuum_distance(m: ScaledModel, e: EliminationResult, k: float, v, t_grid) -
     """
     t_grid = _validate_t_grid(t_grid)
     v = _require_ground_vector(v, e.decomposition.P1.matrix)
-    gens = _segment_generators(m, e, k, None)
-    dist, _ = _propagate(gens, [0.0, t_grid[-1]], e.decomposition.P0.matrix, v, t_grid)
+    P0 = e.decomposition.P0
+    V0 = _ground_rows(P0)
+    gens = _segment_generators(m, e, k, None, V0)
+    dist, _ = _propagate(gens, [0.0, t_grid[-1]], P0.matrix, V0, v, t_grid)
     return dist
 
 
@@ -313,8 +369,10 @@ def coherent_distance(
     if not 0.0 <= t <= drive.horizon + 1e-12:
         raise InvalidArgument(f"t = {t} outside the drive window [0, {drive.horizon}]")
     v = _require_ground_vector(v, e.decomposition.P1.matrix)
-    gens = _segment_generators(m, e, k, drive)
-    dist, _ = _propagate(gens, drive.breakpoints, e.decomposition.P0.matrix, v, np.array([t]))
+    P0 = e.decomposition.P0
+    V0 = _ground_rows(P0)
+    gens = _segment_generators(m, e, k, drive, V0)
+    dist, _ = _propagate(gens, drive.breakpoints, P0.matrix, V0, v, np.array([t]))
     return float(dist[0])
 
 
@@ -365,20 +423,22 @@ def generator_convergence_check(
     """Residuals ||Lk(X + X1/k + X2/k^2) - L(X)|| and ||Lk(X) - L(X)|| per k.
 
     The corrected residual decays like 1/k when the structural identities
-    hold; couplings must be positive.
+    hold; couplings must be positive.  A residual that overflows float64
+    comes out infinite or NaN, without a numpy warning.
     """
     ks = _validate_couplings(ks, positive=True)
     X = as_operator(X, "X")
-    X1, X2 = kurtz_corrector(e, m, X)
-    K, L = e.limit.K, e.limit.L
-    LX = _apply_terms(_sandwich_terms(K, L, K, L), X)
     corrected = np.empty(ks.size)
     uncorrected = np.empty(ks.size)
-    for idx, k in enumerate(ks):
-        inst = instantiate(m, k)
-        skew = _sandwich_terms(K, L, inst.K, inst.L)
-        corrected[idx] = np.linalg.norm(_apply_terms(skew, X + X1 / k + X2 / (k * k)) - LX)
-        uncorrected[idx] = np.linalg.norm(_apply_terms(skew, X) - LX)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X1, X2 = kurtz_corrector(e, m, X)
+        K, L = e.limit.K, e.limit.L
+        LX = _apply_terms(_sandwich_terms(K, L, K, L), X)
+        for idx, k in enumerate(ks):
+            inst = instantiate(m, k)
+            skew = _sandwich_terms(K, L, inst.K, inst.L)
+            corrected[idx] = np.linalg.norm(_apply_terms(skew, X + X1 / k + X2 / (k * k)) - LX)
+            uncorrected[idx] = np.linalg.norm(_apply_terms(skew, X) - LX)
     return GeneratorResiduals(ks=ks, corrected=corrected, uncorrected=uncorrected)
 
 
@@ -410,14 +470,15 @@ def k_sweep(
         )
     t_grid = np.linspace(0.0, horizon, steps)
     v = _require_ground_vector(v, e.decomposition.P1.matrix)
-    P0m = e.decomposition.P0.matrix
+    P0 = e.decomposition.P0
+    V0 = _ground_rows(P0)
     breakpoints = [0.0, horizon] if drive is None else drive.breakpoints
 
     distances = np.empty((ks.size, steps))
     max_clamp = 0.0
     for i, k in enumerate(ks):
-        gens = _segment_generators(m, e, k, drive)
-        distances[i], clamp = _propagate(gens, breakpoints, P0m, v, t_grid)
+        gens = _segment_generators(m, e, k, drive, V0)
+        distances[i], clamp = _propagate(gens, breakpoints, P0.matrix, V0, v, t_grid)
         max_clamp = max(max_clamp, clamp)
     return ConvergenceReport(
         ks=ks,

@@ -139,6 +139,19 @@ def test_cavity_parameter_validation():
         catalog.cavity_system(1.0, np.zeros((3, 3)), e10, e11)
 
 
+def test_cavity_hermiticity_check_does_not_overflow():
+    # |1e300|^2 overflows a plain Frobenius norm; the check must still run
+    # (RuntimeWarnings are errors in this suite) and reject the block
+    zero = np.zeros((1, 1))
+    with pytest.raises(InvalidParameters, match="Hermitian"):
+        catalog.cavity_system(1.0, zero, zero, np.array([[1e300j]]))
+    with pytest.raises(InvalidParameters, match="Hermitian"):
+        catalog.cavity_system(1.0, np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]), np.zeros((2, 2)),
+                              np.zeros((2, 2)))
+    with pytest.raises(InvalidParameters, match="gamma/2"):
+        catalog.cavity_system(1.0, zero, zero, np.array([[1e300]]))
+
+
 def test_default_cavity_matches_closed_form():
     e00, e10, e11 = catalog.default_cavity_blocks()
     for gamma in (1.0, 2.5):

@@ -352,18 +352,21 @@ OVERFLOWING_NORMS = {
 
 @pytest.mark.parametrize(
     "argv, expected",
-    [(["check"], 2), (["eliminate"], 2), (["kurtz", "--format", "json", "--ks", "10,100"], 0)],
+    [(["check"], 2), (["eliminate"], 2), (["kurtz", "--format", "json", "--ks", "10,100"], 3)],
 )
 def test_json_is_strict_when_numbers_overflow(tmp_path, capsys, argv, expected):
     path = write_json(tmp_path / "m.json", OVERFLOWING_NORMS)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, _ = run(capsys, argv + ["--model", path])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported, not warned about
+        code, out, err = run(capsys, argv + ["--model", path])
     assert code == expected
     assert "Warning" not in out
     doc = strict_json(out)
     assert "null" in out  # the overflowed numbers, written as strict JSON can
     if argv[0] == "kurtz":
+        # no residual is finite: the report is still written, and the run fails
         assert any(row["corrected"] is None for row in doc["residuals"])
+        assert err.splitlines() == ["error: every generator residual overflowed to a non-finite value"]
 
 
 LIMIT_OVERFLOW = {
@@ -385,6 +388,50 @@ def test_limit_coefficient_overflow_is_a_numerical_failure(tmp_path, capsys, com
     assert code == 3
     assert out == ""
     assert err.splitlines() == ["error: limit coefficient K overflowed to non-finite entries"]
+
+
+SUBNORMAL_EXCITED_BLOCK = {
+    "schema_version": 1,
+    "explicit": {
+        "dim": 2,
+        "channels": 1,
+        "Y": [[-1e-310, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        "A": [[0.0, 0.0]] * 4,
+        "B": [[0.0, 0.0]] * 4,
+        "F": [[[0.0, 0.0]] * 4],
+        "G": [[[0.0, 0.0]] * 4],
+        "W": [[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["check", "converge", "kurtz"])
+def test_subnormal_excited_block_is_a_numerical_failure(tmp_path, capsys, command):
+    # Y's excited block is -1e-310: invertible, but its inverse overflows float64
+    path = write_json(tmp_path / "m.json", SUBNORMAL_EXCITED_BLOCK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        code, out, err = run(capsys, [command, "--model", path])
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: restricted inverse overflowed to non-finite entries")
+
+
+def test_generator_over_budget_exits_1(tmp_path, capsys, monkeypatch):
+    # the n_trunc 16 cavity's generator is 64 x 64 (65536 bytes); refused
+    # against a smaller budget before anything is assembled
+    monkeypatch.setattr(semigroup, "GENERATOR_BUDGET_BYTES", 16 * 64 * 64 - 1)
+    path = write_json(tmp_path / "m.json", {
+        "schema_version": 1,
+        "builtin": {"name": "cavity_system", "parameters": {"n_trunc": 16}},
+    })
+    code, out, err = run(capsys, ["converge", "--model", path, "--ks", "5", "--steps", "3"])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: a 64 x 64 generator needs 65,536 bytes, over the budget of 65,535 bytes"
+    ]
 
 
 def test_check_singular_restriction_suggests_override(tmp_path, capsys):

@@ -122,7 +122,8 @@ def test_check_exits_with_a_documented_code(doc, tol):
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code == 1 or code == 3:
-        # numpy may warn about an overflow first; the last line names the error
+        # RuntimeWarnings are errors in this suite, so no numpy warning gets
+        # this far; the last line names the error
         assert err.getvalue().splitlines()[-1].startswith("error: ")
     else:
         report = json.loads(out.getvalue())

@@ -8,6 +8,7 @@ from qsde_elim import (
     InvalidArgument,
     InvalidOperator,
     InvalidProjector,
+    NumericalFailure,
     Projector,
     SingularRestriction,
     assemble_superoperator,
@@ -138,6 +139,27 @@ def test_restricted_inverse_singular_block_raises_with_sigma():
     with pytest.raises(SingularRestriction) as exc:
         restricted_inverse(M, P1)
     assert exc.value.sigma == pytest.approx(0.0, abs=1e-15)
+
+
+def test_restricted_inverse_of_a_subnormal_block_is_a_numerical_failure():
+    # the block is nonsingular relative to itself, but 1 / 1e-310 overflows
+    M = np.diag([-1e-310, 0.0])
+    P1 = Projector(np.diag([1.0, 0.0]), 1)
+    with pytest.raises(NumericalFailure, match="overflowed"):
+        restricted_inverse(M, P1)
+
+
+def test_projector_basis_spans_the_range():
+    rng = np.random.default_rng(12)
+    U = haar_unitary(rng, 4)
+    P = Projector(U @ np.diag([1.0, 0.0, 1.0, 0.0]) @ dagger(U), 2)
+    V = P.basis()
+    assert V.shape == (4, 2)
+    np.testing.assert_allclose(dagger(V) @ V, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(V @ dagger(V), P.matrix, atol=1e-12)
+    assert Projector(np.zeros((3, 3)), 0).basis().shape == (3, 0)
+    with pytest.raises(InvalidProjector):
+        Projector(np.diag([1.0, 0.0]), 2).basis()
 
 
 def test_restricted_inverse_dimension_mismatch():

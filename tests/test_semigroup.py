@@ -11,6 +11,7 @@ from qsde_elim import (
     InvalidArgument,
     InvalidGroundVector,
     Projector,
+    ResourceLimit,
     ScaledModel,
     StepDrive,
     build_generators,
@@ -30,6 +31,7 @@ from qsde_elim import (
     vacuum_distance,
     vec,
 )
+from qsde_elim import semigroup
 from qsde_elim.semigroup import (
     _apply_terms,
     _distance_from_transported,
@@ -487,3 +489,122 @@ def test_generator_convergence_rejects_bad_couplings(two_level):
         generator_convergence_check(m, e, e.decomposition.P0.matrix, [])
     with pytest.raises(InvalidArgument):
         generator_convergence_check(m, e, e.decomposition.P0.matrix, [np.nan])
+
+
+# ---------------------------------------------------------------------------
+# ground-row state and the generator budget
+
+
+def dense_squared_distances(m, e, k, v, drive, t_grid):
+    """<v, (2I - T - T†) v> from the dense d^2 x d^2 generators, composed by
+    hand per segment with the earliest segment outermost."""
+    if drive is None:
+        drive = StepDrive(breakpoints=[0.0, t_grid[-1]], amplitudes=[np.zeros(m.channels)])
+    gens = [
+        pair_generator(displace_limit(e.limit, a), instantiate(displace_scaled(m, a), k))
+        for a in drive.amplitudes
+    ]
+    bps = drive.breakpoints
+    out = []
+    for t in t_grid:
+        # the segment t lies in; a time on a breakpoint belongs to the segment it ends
+        j = min(max(int(np.searchsorted(bps, t)) - 1, 0), len(gens) - 1)
+        T = evolve(gens[j], e.decomposition.P0.matrix, t - bps[j])
+        for i in range(j - 1, -1, -1):
+            T = evolve(gens[i], T, bps[i + 1] - bps[i])
+        q = 2.0 * np.eye(m.dim) - T - T.conj().T
+        out.append(np.vdot(v, q @ v).real)
+    return np.array(out)
+
+
+GROUND_ROW_MODELS = {
+    "lambda-d12": lambda: catalog.lambda_system(1.0, 2.0, 0.4, 4),
+    "cavity-d16": lambda: catalog.default_cavity_system(n_trunc=8),
+    "random-d16": lambda: random_valid_model(np.random.default_rng(7), 4, 12, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUND_ROW_MODELS))
+@pytest.mark.parametrize("driven", [False, True], ids=["vacuum", "driven"])
+def test_ground_row_sweep_matches_dense_oracle(name, driven):
+    # models above FULL_STATE_MAX_DIM step only the ground rows V0† X; the
+    # dense superoperator on the full d x d state is the oracle
+    m = GROUND_ROW_MODELS[name]()
+    assert m.dim > semigroup.FULL_STATE_MAX_DIM
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    drive = None
+    if driven:
+        amps = [[0.3] * m.channels, [-0.2j] * m.channels]
+        drive = StepDrive(breakpoints=[0.0, 0.45, 1.0], amplitudes=amps)
+    rep = k_sweep(m, e, v, [5.0, 100.0], horizon=1.0, steps=6, drive=drive)
+    for i, k in enumerate(rep.ks):
+        q = dense_squared_distances(m, e, k, v, drive, rep.t_grid)
+        np.testing.assert_allclose(rep.distances[i] ** 2, np.maximum(q, 0.0), rtol=0, atol=1e-10)
+        assert rep.sup_distance[i] == pytest.approx(np.sqrt(np.maximum(q, 0.0)).max(), abs=1e-9)
+
+
+def record_expm_shapes(monkeypatch):
+    shapes = []
+    real_expm = semigroup.expm
+
+    def recording_expm(M):
+        shapes.append(np.shape(M))
+        return real_expm(M)
+
+    monkeypatch.setattr(semigroup, "expm", recording_expm)
+    return shapes
+
+
+def test_ground_rows_shrink_the_exponentials(monkeypatch):
+    # the n_trunc 16 cavity (d = 32, ground rank 2) steps a 2 x 32 state, so
+    # every exponential is 64 x 64 where the full state needs 1024 x 1024
+    m = catalog.default_cavity_system(n_trunc=16)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    shapes = record_expm_shapes(monkeypatch)
+    k_sweep(m, e, v, [1e4], horizon=1.0, steps=6)
+    assert shapes and set(shapes) == {(64, 64)}
+    # two_level (d = 2) keeps its full 2 x 2 state and its 4 x 4 exponentials
+    shapes.clear()
+    m = catalog.two_level_atom(1.0, 1.0, 0.5)
+    e = eliminate(m)
+    k_sweep(m, e, default_ground_vector(e.decomposition.P0), [1e4], horizon=1.0, steps=6)
+    assert shapes and set(shapes) == {(4, 4)}
+
+
+def test_ground_rows_reach_d64(monkeypatch):
+    # the n_trunc 32 cavity: d = 64, where the full superoperator would take
+    # 268 MB per matrix; its 100 * sup distance is that of n_trunc 8 and 16
+    m = catalog.default_cavity_system(n_trunc=32)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    shapes = record_expm_shapes(monkeypatch)
+    rep = k_sweep(m, e, v, [100.0], horizon=1.0, steps=6)
+    assert set(shapes) == {(128, 128)}
+    assert 100.0 * rep.sup_distance[0] == pytest.approx(0.54868, abs=5e-6)
+    assert rep.max_clamp == 0.0
+
+
+def fail_at_kron(*args, **kwargs):
+    raise AssertionError("np.kron reached: the generator was being assembled")
+
+
+def test_oversized_generator_is_refused_before_assembly(monkeypatch):
+    # the dense d = 40 oracle needs 16 * 40**4 bytes = 39 MiB, over the 32 MiB budget
+    assert 16 * 40**4 > semigroup.GENERATOR_BUDGET_BYTES >= 16 * 32**4
+    c = CoefficientSet(K=np.zeros((40, 40)), L=np.zeros((1, 40, 40)), S=np.zeros((1, 1, 40, 40)))
+    monkeypatch.setattr(np, "kron", fail_at_kron)
+    with pytest.raises(ResourceLimit, match="1600 x 1600 generator needs 40,960,000 bytes"):
+        pair_generator(c, c)
+
+
+def test_sweep_checks_the_budget_before_assembly(monkeypatch):
+    # the n_trunc 16 cavity's ground-row generator is 64 x 64: 65536 bytes
+    m = catalog.default_cavity_system(n_trunc=16)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    monkeypatch.setattr(semigroup, "GENERATOR_BUDGET_BYTES", 16 * 64 * 64 - 1)
+    monkeypatch.setattr(np, "kron", fail_at_kron)
+    with pytest.raises(ResourceLimit):
+        k_sweep(m, e, v, [5.0], horizon=1.0, steps=6)
