@@ -30,7 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidOperator, NumericalFailure
-from .linalg import DEFAULT_RANK_TOL, Projector, _kernel_split, as_operator, restricted_inverse
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    Projector,
+    _kernel_split,
+    as_operator,
+    contract,
+    restricted_inverse,
+)
 from .model import (
     DEFAULT_TOL,
     CheckReport,
@@ -120,9 +127,27 @@ def decompose(
 
 def _channel_sums(m: ScaledModel):
     """(F†W)_j = sum_i F_i† W_ij and (G†W)_j = sum_i G_i† W_ij."""
-    fdw = np.einsum("iba,ijbc->jac", m.F.conj(), m.W)
-    gdw = np.einsum("iba,ijbc->jac", m.G.conj(), m.W)
+    fdw = contract("iba,ijbc->jac", m.F.conj(), m.W)
+    gdw = contract("iba,ijbc->jac", m.G.conj(), m.W)
     return fdw, gdw
+
+
+class _Products:
+    """Products shared by the limit formulas and the inverse-structure check.
+
+    Each is computed once, left to right as the formulas parse, so every
+    coefficient and residual built from them has the bits of the formula
+    written out: A·Y1inv·A is (A·Y1inv)·A.
+    """
+
+    def __init__(self, m: ScaledModel, Yi: np.ndarray):
+        self.fdw, self.gdw = _channel_sums(m)
+        self.AYi = m.A @ Yi
+        self.FYi = [F @ Yi for F in m.F]
+        self.AYiA = self.AYi @ m.A
+        self.FYiA = [FYi_i @ m.A for FYi_i in self.FYi]
+        # F_i·Y1inv·(F†W)_j, indexed [i][j]
+        self.FYiFdW = [[FYi_i @ fdw_j for fdw_j in self.fdw] for FYi_i in self.FYi]
 
 
 def check_inverse_structure(
@@ -139,14 +164,18 @@ def check_inverse_structure(
     * zero:  P0·Y·P1 = 0, P0·A·P0 = 0, F_i·P0 = 0, and
       P0·(W_ij + F_i·Y1inv·(F†W)_j)·P1 = 0 (no scattering into the fast sector).
     """
+    return _inverse_structure(m, dec, tol, _Products(m, dec.Y1inv))
+
+
+def _inverse_structure(m: ScaledModel, dec: Decomposition, tol: float, p: _Products) -> CheckReport:
+    """:func:`check_inverse_structure` on a precomputed product table."""
     P0m, P1m, Yi = dec.P0.matrix, dec.P1.matrix, dec.Y1inv
     Y, A, B, F, G, W = m.Y, m.A, m.B, m.F, m.G, m.W
     n = m.channels
-    fdw, gdw = _channel_sums(m)
 
     residuals: list[tuple[str, float]] = []
 
-    left_terms = [("A", A)] + [(f"(F†W)_{j}", fdw[j]) for j in range(n)]
+    left_terms = [("A", A)] + [(f"(F†W)_{j}", p.fdw[j]) for j in range(n)]
     for name, Z in left_terms:
         block = P1m @ Z @ P0m
         residuals.append((f"left: Y·Y1inv·P1·{name}·P0", float(np.linalg.norm(Y @ Yi @ block - block))))
@@ -155,15 +184,15 @@ def check_inverse_structure(
     right_terms += [(f"F_{i}", F[i]) for i in range(n)]
     right_terms += [(f"G_{i}", G[i]) for i in range(n)]
     right_terms += [(f"W_{i}{j}", W[i, j]) for i in range(n) for j in range(n)]
-    right_terms += [(f"(G†W)_{j}", gdw[j]) for j in range(n)]
-    right_terms += [(f"F_{i}·Y1inv·F_{j}", F[i] @ Yi @ F[j]) for i in range(n) for j in range(n)]
-    right_terms += [(f"F_{i}·Y1inv·A", F[i] @ Yi @ A) for i in range(n)]
+    right_terms += [(f"(G†W)_{j}", p.gdw[j]) for j in range(n)]
+    right_terms += [(f"F_{i}·Y1inv·F_{j}", p.FYi[i] @ F[j]) for i in range(n) for j in range(n)]
+    right_terms += [(f"F_{i}·Y1inv·A", p.FYiA[i]) for i in range(n)]
     right_terms += [
-        (f"F_{i}·Y1inv·(F†W)_{j}", F[i] @ Yi @ fdw[j]) for i in range(n) for j in range(n)
+        (f"F_{i}·Y1inv·(F†W)_{j}", p.FYiFdW[i][j]) for i in range(n) for j in range(n)
     ]
-    right_terms += [("A·Y1inv·A", A @ Yi @ A)]
-    right_terms += [(f"A·Y1inv·F_{i}", A @ Yi @ F[i]) for i in range(n)]
-    right_terms += [(f"A·Y1inv·(F†W)_{j}", A @ Yi @ fdw[j]) for j in range(n)]
+    right_terms += [("A·Y1inv·A", p.AYiA)]
+    right_terms += [(f"A·Y1inv·F_{i}", p.AYi @ F[i]) for i in range(n)]
+    right_terms += [(f"A·Y1inv·(F†W)_{j}", p.AYi @ p.fdw[j]) for j in range(n)]
     for name, X in right_terms:
         block = P0m @ X @ P1m
         residuals.append((f"right: P0·{name}·P1·Y1inv·Y", float(np.linalg.norm(block @ Yi @ Y - block))))
@@ -174,7 +203,7 @@ def check_inverse_structure(
         residuals.append((f"zero: F_{i}·P0", float(np.linalg.norm(F[i] @ P0m))))
     for i in range(n):
         for j in range(n):
-            scatter = W[i, j] + F[i] @ Yi @ fdw[j]
+            scatter = W[i, j] + p.FYiFdW[i][j]
             residuals.append(
                 (f"zero: P0·((δ+F·Y1inv·F†)W)_{i}{j}·P1", float(np.linalg.norm(P0m @ scatter @ P1m)))
             )
@@ -207,19 +236,19 @@ def eliminate(
     Raises NumericalFailure when a limit coefficient overflows float64.
     """
     dec = decompose(m, rank_tol, y1inv_override)
-    P0m, Yi = dec.P0.matrix, dec.Y1inv
-    fdw, _ = _channel_sums(m)
+    P0m = dec.P0.matrix
     n, d = m.channels, m.dim
 
     # finite coefficients can still overflow in these products; the check
     # below reports that, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        K = P0m @ (m.B - m.A @ Yi @ m.A) @ P0m
-        L = np.stack([(m.G[i] - m.F[i] @ Yi @ m.A) @ P0m for i in range(n)])
+        p = _Products(m, dec.Y1inv)
+        K = P0m @ (m.B - p.AYiA) @ P0m
+        L = np.stack([(m.G[i] - p.FYiA[i]) @ P0m for i in range(n)])
         S = np.empty((n, n, d, d), dtype=complex)
         for i in range(n):
             for j in range(n):
-                S[i, j] = (m.W[i, j] + m.F[i] @ Yi @ fdw[j]) @ P0m
+                S[i, j] = (m.W[i, j] + p.FYiFdW[i][j]) @ P0m
     for name, X in (("K", K), ("L", L), ("S", S)):
         if not np.all(np.isfinite(X)):
             raise NumericalFailure(f"limit coefficient {name} overflowed to non-finite entries")
@@ -227,7 +256,7 @@ def eliminate(
     limit = CoefficientSet(K=K, L=L, S=S, ground=dec.P0)
     # a residual or norm scale that overflows fails its report, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
-        inverse_structure = check_inverse_structure(m, dec, tol)
+        inverse_structure = _inverse_structure(m, dec, tol, p)
         ground_support = check_ground_support(limit, dec.P1, tol)
         limit_unitarity = check_limit_unitarity(limit, tol)
     return EliminationResult(
@@ -259,15 +288,15 @@ def displace_scaled(m: ScaledModel, alpha) -> ScaledModel:
     d = m.dim
     eye = np.eye(d, dtype=complex)
 
-    F_abar = np.einsum("i,iab->ab", a.conj(), m.F)
-    G_abar = np.einsum("i,iab->ab", a.conj(), m.G)
-    fdw_a = np.einsum("j,jab->ab", a, fdw)
-    gdw_a = np.einsum("j,jab->ab", a, gdw)
-    quad = np.einsum("i,ijab,j->ab", a.conj(), m.W, a) - np.vdot(a, a).real * eye
+    F_abar = contract("i,iab->ab", a.conj(), m.F)
+    G_abar = contract("i,iab->ab", a.conj(), m.G)
+    fdw_a = contract("i,iab->ab", a, fdw)
+    gdw_a = contract("i,iab->ab", a, gdw)
+    quad = contract("i,ijab,j->ab", a.conj(), m.W, a) - np.vdot(a, a).real * eye
 
     A2 = m.A + F_abar - fdw_a
     B2 = m.B + quad + G_abar - gdw_a
-    G2 = m.G + np.einsum("j,ijab->iab", a, m.W) - a[:, None, None] * eye
+    G2 = m.G + contract("j,ijab->iab", a, m.W) - a[:, None, None] * eye
     return ScaledModel(Y=m.Y, A=A2, B=B2, F=m.F.copy(), G=G2, W=m.W.copy())
 
 
@@ -288,11 +317,11 @@ def displace_limit(c: CoefficientSet, alpha) -> CoefficientSet:
     d = c.dim
     closure = c.ground.matrix if c.ground is not None else np.eye(d, dtype=complex)
 
-    quad = np.einsum("i,ijab,j->ab", a.conj(), c.S, a) - np.vdot(a, a).real * closure
-    L_abar = np.einsum("i,iab->ab", a.conj(), c.L)
-    lds = np.einsum("iba,ijbc->jac", c.L.conj(), c.S)
-    lds_a = np.einsum("j,jab->ab", a, lds)
+    quad = contract("i,ijab,j->ab", a.conj(), c.S, a) - np.vdot(a, a).real * closure
+    L_abar = contract("i,iab->ab", a.conj(), c.L)
+    lds = contract("iba,ijbc->jac", c.L.conj(), c.S)
+    lds_a = contract("i,iab->ab", a, lds)
 
     K2 = c.K + quad + L_abar - lds_a
-    L2 = c.L + np.einsum("j,ijab->iab", a, c.S) - a[:, None, None] * closure
+    L2 = c.L + contract("j,ijab->iab", a, c.S) - a[:, None, None] * closure
     return CoefficientSet(K=K2, L=L2, S=c.S.copy(), ground=c.ground)

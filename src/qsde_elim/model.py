@@ -20,16 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidOperator, InvalidProjector
-from .linalg import Projector, as_operator, dagger
+from .linalg import Projector, as_operator, contract, dagger
 
 DEFAULT_TOL = 1e-9
 
 
 def _as_operator_stack(arr, name: str, dim: int | None) -> np.ndarray:
-    """Coerce to shape (n, d, d) complex with finite entries."""
+    """Coerce to shape (n, d, d) complex with finite entries, n and d positive."""
     arr = np.asarray(arr, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimensionMismatch(f"{name} must be a sequence of square matrices, got shape {arr.shape}")
+    if arr.shape[0] == 0 or arr.shape[1] == 0:
+        raise DimensionMismatch(f"dim and channels must be positive, {name} has shape {arr.shape}")
     if dim is not None and arr.shape[1] != dim:
         raise DimensionMismatch(f"{name} has dimension {arr.shape[1]}, expected {dim}")
     if not np.all(np.isfinite(arr)):
@@ -174,10 +176,10 @@ def instantiate(m: ScaledModel, k: float) -> CoefficientSet:
 def _unitarity_residuals(c: CoefficientSet, closure: np.ndarray, label: str):
     """Residuals of the three unitarity identities with the given delta-closure."""
     n = c.channels
-    r_drift = np.linalg.norm(c.K + dagger(c.K) + np.einsum("iba,ibc->ac", c.L.conj(), c.L))
+    r_drift = np.linalg.norm(c.K + dagger(c.K) + contract("iba,ibc->ac", c.L.conj(), c.L))
     # S_il S_jl† and S_li† S_lj, worst case over (i, j)
-    ssd = np.einsum("ilab,jlcb->ijac", c.S, c.S.conj())
-    sds = np.einsum("liba,ljbc->ijac", c.S.conj(), c.S)
+    ssd = contract("ilab,jlcb->ijac", c.S, c.S.conj())
+    sds = contract("liba,ljbc->ijac", c.S.conj(), c.S)
     r_right = 0.0
     r_left = 0.0
     for i in range(n):
@@ -224,10 +226,10 @@ def check_scaling_consistency(m: ScaledModel, tol: float = DEFAULT_TOL) -> Check
     each as a full-space identity.  Together they make every instantiation
     satisfy the unitarity drift relation, at any k.
     """
-    r1 = np.linalg.norm(m.Y + dagger(m.Y) + np.einsum("iba,ibc->ac", m.F.conj(), m.F))
-    cross = np.einsum("iba,ibc->ac", m.F.conj(), m.G)
+    r1 = np.linalg.norm(m.Y + dagger(m.Y) + contract("iba,ibc->ac", m.F.conj(), m.F))
+    cross = contract("iba,ibc->ac", m.F.conj(), m.G)
     r2 = np.linalg.norm(m.A + dagger(m.A) + cross + dagger(cross))
-    r3 = np.linalg.norm(m.B + dagger(m.B) + np.einsum("iba,ibc->ac", m.G.conj(), m.G))
+    r3 = np.linalg.norm(m.B + dagger(m.B) + contract("iba,ibc->ac", m.G.conj(), m.G))
     residuals = [
         ("Y+Y† = -ΣF†F", float(r1)),
         ("A+A† = -Σ(F†G+G†F)", float(r2)),

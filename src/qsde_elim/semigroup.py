@@ -30,7 +30,7 @@ keeps K'P1 = L'_iP1 = 0.  So T_t(P0) = P0 T_t(P0) exactly, and with V0 an
 orthonormal d x d0 basis of range(P0) the stepper carries Z = V0† X from
 Z0 = V0†: each left factor l becomes V0† l V0 and T = V0 Z.  The generator
 then has (d0 d)^2 entries instead of d^4.  Models of dimension at most
-FULL_STATE_MAX_DIM keep the full d x d state.  A generator over
+RECORDED_ARITHMETIC_MAX_DIM keep the full d x d state.  A generator over
 GENERATOR_BUDGET_BYTES is refused with ResourceLimit before it is assembled.
 
 The Kurtz corrector makes the generator convergence explicit: for a ground
@@ -53,17 +53,12 @@ from .errors import (
     ResourceLimit,
 )
 from .eliminate import EliminationResult, displace_limit, displace_scaled
-from .linalg import Projector, as_operator, dagger, expm, unvec, vec
+from .linalg import RECORDED_ARITHMETIC_MAX_DIM, Projector, as_operator, dagger, expm, unvec, vec
 from .model import CoefficientSet, ScaledModel, instantiate
 
 CLAMP_ABORT = 1e-6
 GROUND_VECTOR_TOL = 1e-9
 DEFAULT_STEPS = 101
-# Models up to this dimension propagate the full d x d state in exact
-# arithmetic (no product with a basis, which can flip signed zeros): the
-# benchmark's recorded CLI outputs (bench/data/reference.json) pin their
-# sweeps byte for byte, and the ground rows would save at most a 64 x 64 expm.
-FULL_STATE_MAX_DIM = 8
 # Largest generator matrix assembled: 32 MiB, a 1448 x 1448 complex matrix.
 # expm needs about 8.5 times its input, so one expm peaks near 272 MiB.
 GENERATOR_BUDGET_BYTES = 32 * 2**20
@@ -264,7 +259,7 @@ def _validate_couplings(ks, positive: bool) -> np.ndarray:
 
 def _ground_rows(P0: Projector) -> np.ndarray | None:
     """V0, the basis of range(P0) whose rows the stepper keeps; None keeps the full state."""
-    return None if P0.dim <= FULL_STATE_MAX_DIM else P0.basis()
+    return None if P0.dim <= RECORDED_ARITHMETIC_MAX_DIM else P0.basis()
 
 
 def _segment_generators(

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface (in-process via main)."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -780,3 +782,33 @@ def test_scipy_loads_at_the_first_matrix_exponential(tmp_path):
         "kurtz": False,
         "converge": True,
     }
+
+
+# ---------------------------------------------------------------------------
+# recorded CLI bytes: the benchmark's cli-cold calls, run in process
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CLI_COLD = _load_bench_module("cli_cold")  # standard library only
+CLI_REFERENCE = json.loads((BENCH / "data" / "reference.json").read_text())["cli-cold"]
+
+
+@pytest.mark.parametrize("item", list(CLI_REFERENCE))
+def test_cli_bytes_match_recorded_reference(item, tmp_path, capsys):
+    # every cli-cold call prints the bytes recorded in bench/data/reference.json
+    command, model = item.split(":")
+    path = tmp_path / f"{model}.json"
+    path.write_text(json.dumps({"schema_version": 1, "builtin": CLI_COLD.MODELS[model]}))
+    code, out, _ = run(capsys, [command, "--model", str(path)])
+    want = CLI_REFERENCE[item]
+    assert code == want["exit_code"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want["stdout_sha256"]

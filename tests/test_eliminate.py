@@ -257,3 +257,32 @@ def test_displacement_commutes_with_instantiation():
         route_a = instantiate(displace_scaled(m, a), k)
         route_b = displace_limit(instantiate(m, k), a)
         assert coefficient_gap(route_a, route_b) < 1e-12
+
+
+def test_large_models_contract_channels_without_einsum(monkeypatch):
+    # above the recorded-arithmetic dimension every channel contraction is a
+    # BLAS product of channel-block matrices
+    m = random_valid_model(np.random.default_rng(16), 4, 12, 3)
+
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("einsum called on a d = 16 model")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    e = eliminate(m)
+    assert e.assumptions_pass and e.limit_unitarity.passed
+    assert check_hp_unitarity(instantiate(m, 1.0)).passed
+    assert check_scaling_consistency(m).passed
+    alpha = [0.3, -0.2j, 0.1 + 0.1j]
+    ed = eliminate(displace_scaled(m, alpha))
+    assert coefficient_gap(ed.limit, displace_limit(e.limit, alpha)) < 1e-9
+
+
+@pytest.mark.parametrize("d", [16, 32])
+def test_eliminate_checks_inverse_structure_on_its_own_products(d):
+    # eliminate shares its product table with the check; the standalone check
+    # computes the same table, so every residual has the same bits
+    m = random_valid_model(np.random.default_rng(d), d // 4, d - d // 4, 3)
+    e = eliminate(m)
+    alone = check_inverse_structure(m, e.decomposition)
+    assert e.inverse_structure.residuals == alone.residuals
+    assert e.inverse_structure.tolerance == alone.tolerance

@@ -15,11 +15,11 @@ from qsde_elim import (
     dagger,
     expm,
     kernel_projector,
-    op_distance,
     restricted_inverse,
     unvec,
     vec,
 )
+from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM, _BLAS_FORMS, blocks, contract
 from factories import haar_unitary
 
 
@@ -189,7 +189,38 @@ def test_assemble_superoperator_shape_mismatch():
         assemble_superoperator(np.eye(2), np.eye(3))
 
 
-def test_op_distance_oracle():
-    assert op_distance(np.diag([3.0, 0.0]), np.diag([0.0, -4.0])) == pytest.approx(5.0)
-    with pytest.raises(DimensionMismatch):
-        op_distance(np.eye(2), np.eye(3))
+def test_blocks_layout():
+    rng = np.random.default_rng(3)
+    W = rng.normal(size=(2, 2, 3, 3))
+    B = blocks(W)
+    for i in range(2):
+        for j in range(2):
+            np.testing.assert_array_equal(B[3 * i:3 * i + 3, 3 * j:3 * j + 3], W[i, j])
+
+
+def _contraction_operands(rng, spec, n, d):
+    """Random complex operands of the shapes the einsum spec names."""
+    shapes = {"i": n, "j": n, "l": n, "a": d, "b": d, "c": d}
+    operands = []
+    for labels in spec.split("->")[0].split(","):
+        shape = [shapes[x] for x in labels]
+        operands.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return operands
+
+
+@pytest.mark.parametrize("spec", sorted(_BLAS_FORMS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 8, 9, 16, 32])
+def test_contract_matches_einsum(spec, n, d, monkeypatch):
+    # the BLAS forms sum in another order, so above the recorded-arithmetic
+    # dimension they agree to rounding; at or below it they are einsum itself
+    rng = np.random.default_rng(1000 * d + 10 * n + len(spec))
+    operands = _contraction_operands(rng, spec, n, d)
+    want = np.einsum(spec, *operands)
+    if d <= RECORDED_ARITHMETIC_MAX_DIM:
+        assert np.array_equal(contract(spec, *operands), want)
+        return
+    monkeypatch.setattr(np, "einsum", None)  # the BLAS form must not fall back
+    got = contract(spec, *operands)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -170,6 +170,22 @@ def test_scaled_model_validation_errors():
         ScaledModel(Y=[[np.inf]], A=ok.A, B=ok.B, F=ok.F, G=ok.G, W=ok.W)
 
 
+def test_zero_channels_or_dimension_rejected():
+    # the rule the CLI applies to explicit models holds for the classes too;
+    # the channel-block reshapes and the norm scale need n >= 1 and d >= 1
+    none = np.zeros((0, 0))
+    with pytest.raises(DimensionMismatch, match="dim and channels must be positive"):
+        ScaledModel(Y=np.eye(2), A=np.eye(2), B=np.eye(2), F=np.zeros((0, 2, 2)),
+                    G=np.zeros((0, 2, 2)), W=np.zeros((0, 0, 2, 2)))
+    with pytest.raises(DimensionMismatch, match="dim and channels must be positive"):
+        ScaledModel(Y=none, A=none, B=none, F=np.zeros((1, 0, 0)),
+                    G=np.zeros((1, 0, 0)), W=np.zeros((1, 1, 0, 0)))
+    with pytest.raises(DimensionMismatch, match="dim and channels must be positive"):
+        CoefficientSet(K=np.eye(2), L=np.zeros((0, 2, 2)), S=np.zeros((0, 0, 2, 2)))
+    with pytest.raises(DimensionMismatch, match="dim and channels must be positive"):
+        CoefficientSet(K=none, L=np.zeros((1, 0, 0)), S=np.zeros((1, 1, 0, 0)))
+
+
 def test_coefficient_set_validation_errors():
     with pytest.raises(DimensionMismatch):
         CoefficientSet(K=np.eye(2), L=np.zeros((1, 2, 2)), S=np.zeros((2, 2, 2, 2)))

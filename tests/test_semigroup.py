@@ -32,6 +32,7 @@ from qsde_elim import (
     vec,
 )
 from qsde_elim import semigroup
+from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM
 from qsde_elim.semigroup import (
     _apply_terms,
     _distance_from_transported,
@@ -527,10 +528,10 @@ GROUND_ROW_MODELS = {
 @pytest.mark.parametrize("name", sorted(GROUND_ROW_MODELS))
 @pytest.mark.parametrize("driven", [False, True], ids=["vacuum", "driven"])
 def test_ground_row_sweep_matches_dense_oracle(name, driven):
-    # models above FULL_STATE_MAX_DIM step only the ground rows V0† X; the
+    # models above RECORDED_ARITHMETIC_MAX_DIM step only the ground rows V0† X; the
     # dense superoperator on the full d x d state is the oracle
     m = GROUND_ROW_MODELS[name]()
-    assert m.dim > semigroup.FULL_STATE_MAX_DIM
+    assert m.dim > RECORDED_ARITHMETIC_MAX_DIM
     e = eliminate(m)
     v = default_ground_vector(e.decomposition.P0)
     drive = None
