@@ -40,8 +40,9 @@ Exit codes:
     0  success; for ``check`` and ``eliminate``, every identity passes
     1  usage, parse or validation error: an unknown flag (including one the
        subcommand does not read) or a malformed value prints the usage and
-       exits 1, as do out-of-range or non-finite sweep arguments and
-       tolerances (``--tol`` and ``--rank-tol`` must be finite and positive),
+       exits 1, as do out-of-range or non-finite sweep arguments, a
+       coupling at which K or L overflows float64, and tolerances
+       (``--tol`` and ``--rank-tol`` must be finite and positive),
        and a model whose propagation generator would exceed the memory
        budget (``ResourceLimit``, refused before it is allocated)
     2  structural (assumption) failure

@@ -32,10 +32,14 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidOperator, NumericalFailure
 from .linalg import (
     DEFAULT_RANK_TOL,
+    RECORDED_ARITHMETIC_MAX_DIM,
     Projector,
+    _inverse_on,
     _kernel_split,
     as_operator,
     contract,
+    dagger,
+    frobenius_norms,
     restricted_inverse,
 )
 from .model import (
@@ -50,17 +54,28 @@ from .model import (
 
 @dataclass
 class Decomposition:
-    """Ground/excited split of a scaled model: P0, P1 = I - P0, and Y1inv."""
+    """Ground/excited split of a scaled model: P0, P1 = I - P0, and Y1inv.
+
+    ``V0`` is an orthonormal basis of range(P0), kept from the SVD that found
+    the kernel; a decomposition built without it computes one on demand.
+    """
 
     P0: Projector
     P1: Projector
     Y1inv: np.ndarray
     warnings: list[str] = field(default_factory=list)
+    V0: np.ndarray | None = None
 
     def __post_init__(self):
         self.Y1inv = as_operator(self.Y1inv, "Y1inv")
         if not (self.P0.dim == self.P1.dim == self.Y1inv.shape[0]):
             raise DimensionMismatch("P0, P1 and Y1inv must share one dimension")
+        if self.V0 is not None and self.V0.shape != (self.P0.dim, self.P0.rank):
+            raise DimensionMismatch(f"V0 has shape {self.V0.shape}, P0 has rank {self.P0.rank}")
+
+    def ground_basis(self) -> np.ndarray:
+        """V0, the d x d0 orthonormal basis of range(P0)."""
+        return self.P0.basis() if self.V0 is None else self.V0
 
 
 @dataclass
@@ -100,8 +115,11 @@ def decompose(
     inverse; it is still subject to the structural checks downstream.
     Singular values of Y within a factor 10 of the rank threshold trigger a
     conditioning warning.  A trivial kernel (empty limit model) is flagged.
+    Above :data:`RECORDED_ARITHMETIC_MAX_DIM` the inverse is solved on the
+    excited right singular vectors of Y; smaller models solve it on the
+    eigenvectors of P1, the arithmetic their outputs were recorded with.
     """
-    P0, s = _kernel_split(m.Y, rank_tol)
+    P0, s, V = _kernel_split(m.Y, rank_tol)
     d = m.dim
     P1 = Projector(np.eye(d, dtype=complex) - P0.matrix, d - P0.rank)
 
@@ -120,9 +138,11 @@ def decompose(
         Y1inv = as_operator(y1inv_override, "y1inv_override")
         if Y1inv.shape[0] != d:
             raise DimensionMismatch("y1inv_override dimension does not match the model")
-    else:
+    elif d <= RECORDED_ARITHMETIC_MAX_DIM:
         Y1inv = restricted_inverse(m.Y, P1, rank_tol)
-    return Decomposition(P0=P0, P1=P1, Y1inv=Y1inv, warnings=warnings)
+    else:
+        Y1inv = _inverse_on(m.Y, V[:, : P1.rank], rank_tol)
+    return Decomposition(P0=P0, P1=P1, Y1inv=Y1inv, warnings=warnings, V0=V[:, P1.rank :])
 
 
 def _channel_sums(m: ScaledModel):
@@ -135,19 +155,34 @@ def _channel_sums(m: ScaledModel):
 class _Products:
     """Products shared by the limit formulas and the inverse-structure check.
 
-    Each is computed once, left to right as the formulas parse, so every
-    coefficient and residual built from them has the bits of the formula
-    written out: A·Y1inv·A is (A·Y1inv)·A.
+    The stacks a = (A, F_1..F_n) and b = (A, F_1..F_n, (F†W)_1..(F†W)_n)
+    index every product a·Y1inv·b that either needs, and ``aYi`` holds the
+    a·Y1inv.  Products are taken left to right as the formulas parse,
+    (a·Y1inv)·b, and a stacked matmul has the bits of its 2-d products.
     """
 
     def __init__(self, m: ScaledModel, Yi: np.ndarray):
         self.fdw, self.gdw = _channel_sums(m)
-        self.AYi = m.A @ Yi
-        self.FYi = [F @ Yi for F in m.F]
-        self.AYiA = self.AYi @ m.A
-        self.FYiA = [FYi_i @ m.A for FYi_i in self.FYi]
-        # F_i·Y1inv·(F†W)_j, indexed [i][j]
-        self.FYiFdW = [[FYi_i @ fdw_j for fdw_j in self.fdw] for FYi_i in self.FYi]
+        self.b = np.concatenate([m.A[None], m.F, self.fdw])
+        self.aYi = np.concatenate([m.A[None], m.F]) @ Yi
+
+
+def _inverse_structure_names(n: int) -> list[str]:
+    """Residual names of :func:`check_inverse_structure` for n channels, in order."""
+    r, c = range(n), [(i, j) for i in range(n) for j in range(n)]
+    left = ["A"] + [f"(F†W)_{j}" for j in r]
+    right = ["A", "B"] + [f"F_{i}" for i in r] + [f"G_{i}" for i in r]
+    right += [f"W_{i}{j}" for i, j in c] + [f"(G†W)_{j}" for j in r]
+    right += [f"F_{i}·Y1inv·F_{j}" for i, j in c] + [f"F_{i}·Y1inv·A" for i in r]
+    right += [f"F_{i}·Y1inv·(F†W)_{j}" for i, j in c] + ["A·Y1inv·A"]
+    right += [f"A·Y1inv·F_{i}" for i in r] + [f"A·Y1inv·(F†W)_{j}" for j in r]
+    return (
+        [f"left: Y·Y1inv·P1·{z}·P0" for z in left]
+        + [f"right: P0·{x}·P1·Y1inv·Y" for x in right]
+        + ["zero: P0·Y·P1", "zero: P0·A·P0"]
+        + [f"zero: F_{i}·P0" for i in r]
+        + [f"zero: P0·((δ+F·Y1inv·F†)W)_{i}{j}·P1" for i, j in c]
+    )
 
 
 def check_inverse_structure(
@@ -168,61 +203,67 @@ def check_inverse_structure(
 
 
 def _inverse_structure(m: ScaledModel, dec: Decomposition, tol: float, p: _Products) -> CheckReport:
-    """:func:`check_inverse_structure` on a precomputed product table."""
+    """:func:`check_inverse_structure` on a precomputed product table.
+
+    Each family is a few stacked products on a ground factor G, G† on the
+    left and G on the right.  Up to RECORDED_ARITHMETIC_MAX_DIM, G = P0 and
+    every residual keeps the association written above.  Above, G = V0, the
+    basis of range(P0): ||P0·M|| = ||V0†·M|| and ||M·P0|| = ||M·V0||, so every
+    residual is a norm of d0 rows or columns.  There the grid is
+    (V0†·a·Y1inv)·b, and each of the left and right families is one factor,
+    (Y·Y1inv - I)·P1 or P1·(Y1inv·Y - I), times the stack of its terms.
+    """
     P0m, P1m, Yi = dec.P0.matrix, dec.P1.matrix, dec.Y1inv
     Y, A, B, F, G, W = m.Y, m.A, m.B, m.F, m.G, m.W
-    n = m.channels
+    n, d = m.channels, m.dim
+    Z = np.concatenate([A[None], p.fdw])
+    X = np.concatenate([A[None], B[None], F, G, W.reshape(n * n, d, d), p.gdw])
 
-    residuals: list[tuple[str, float]] = []
+    if d <= RECORDED_ARITHMETIC_MAX_DIM:
+        left = right = P0m
+        full = p.aYi[:, None] @ p.b[None]
+        blocks = P1m @ Z @ P0m
+        left_res = frobenius_norms(Y @ Yi @ blocks - blocks)
+        blocks = np.concatenate([P0m @ X, *(P0m @ full)]) @ P1m
+        right_res = frobenius_norms(blocks @ Yi @ Y - blocks)
+        scatter = P0m @ (W + full[1:, n + 1 :])
+    else:
+        right = dec.ground_basis()
+        left = dagger(right)
+        eye = np.eye(d)
+        grid = (left @ p.aYi)[:, None] @ p.b[None]
+        left_res = frobenius_norms((Y @ Yi - eye) @ P1m @ (Z @ right))
+        rows = np.concatenate([left @ X, *grid])
+        right_res = frobenius_norms(rows @ (P1m @ (Yi @ Y - eye)))
+        scatter = left @ W + grid[1:, n + 1 :]
 
-    left_terms = [("A", A)] + [(f"(F†W)_{j}", p.fdw[j]) for j in range(n)]
-    for name, Z in left_terms:
-        block = P1m @ Z @ P0m
-        residuals.append((f"left: Y·Y1inv·P1·{name}·P0", float(np.linalg.norm(Y @ Yi @ block - block))))
-
-    right_terms = [("A", A), ("B", B)]
-    right_terms += [(f"F_{i}", F[i]) for i in range(n)]
-    right_terms += [(f"G_{i}", G[i]) for i in range(n)]
-    right_terms += [(f"W_{i}{j}", W[i, j]) for i in range(n) for j in range(n)]
-    right_terms += [(f"(G†W)_{j}", p.gdw[j]) for j in range(n)]
-    right_terms += [(f"F_{i}·Y1inv·F_{j}", p.FYi[i] @ F[j]) for i in range(n) for j in range(n)]
-    right_terms += [(f"F_{i}·Y1inv·A", p.FYiA[i]) for i in range(n)]
-    right_terms += [
-        (f"F_{i}·Y1inv·(F†W)_{j}", p.FYiFdW[i][j]) for i in range(n) for j in range(n)
+    # the right family's grid part, (n + 1) x (2n + 1), in the order of the names
+    g = right_res[len(X) :].reshape(n + 1, 2 * n + 1)
+    values = [
+        left_res,
+        right_res[: len(X)],
+        g[1:, 1 : n + 1].ravel(),
+        g[1:, 0],
+        g[1:, n + 1 :].ravel(),
+        g[0],
+        frobenius_norms(left @ Y @ P1m)[None],
+        frobenius_norms(left @ A @ right)[None],
+        frobenius_norms(F @ right),
+        frobenius_norms(scatter @ P1m).ravel(),
     ]
-    right_terms += [("A·Y1inv·A", p.AYiA)]
-    right_terms += [(f"A·Y1inv·F_{i}", p.AYi @ F[i]) for i in range(n)]
-    right_terms += [(f"A·Y1inv·(F†W)_{j}", p.AYi @ p.fdw[j]) for j in range(n)]
-    for name, X in right_terms:
-        block = P0m @ X @ P1m
-        residuals.append((f"right: P0·{name}·P1·Y1inv·Y", float(np.linalg.norm(block @ Yi @ Y - block))))
-
-    residuals.append(("zero: P0·Y·P1", float(np.linalg.norm(P0m @ Y @ P1m))))
-    residuals.append(("zero: P0·A·P0", float(np.linalg.norm(P0m @ A @ P0m))))
-    for i in range(n):
-        residuals.append((f"zero: F_{i}·P0", float(np.linalg.norm(F[i] @ P0m))))
-    for i in range(n):
-        for j in range(n):
-            scatter = W[i, j] + p.FYiFdW[i][j]
-            residuals.append(
-                (f"zero: P0·((δ+F·Y1inv·F†)W)_{i}{j}·P1", float(np.linalg.norm(P0m @ scatter @ P1m)))
-            )
-
     scale = norm_scale(Y, A, B, F, G, W, Yi)
-    return CheckReport.from_residuals(residuals, tol * scale)
+    return CheckReport.from_residuals(
+        zip(_inverse_structure_names(n), np.concatenate(values)), tol * scale
+    )
 
 
 def check_ground_support(c: CoefficientSet, P1: Projector, tol: float = DEFAULT_TOL) -> CheckReport:
     """Limit coefficients must vanish on the fast sector: P1·L_i = P1·S_ij = 0."""
     P1m = P1.matrix
-    n = c.channels
-    residuals = [(f"ground: P1·L_{i}", float(np.linalg.norm(P1m @ c.L[i]))) for i in range(n)]
-    residuals += [
-        (f"ground: P1·S_{i}{j}", float(np.linalg.norm(P1m @ c.S[i, j])))
-        for i in range(n)
-        for j in range(n)
-    ]
-    return CheckReport.from_residuals(residuals, tol * norm_scale(c.K, c.L, c.S))
+    r, cells = range(c.channels), [(i, j) for i in range(c.channels) for j in range(c.channels)]
+    names = [f"ground: P1·L_{i}" for i in r] + [f"ground: P1·S_{i}{j}" for i, j in cells]
+    values = np.concatenate([frobenius_norms(P1m @ c.L), frobenius_norms(P1m @ c.S).ravel()])
+    return CheckReport.from_residuals(zip(names, values), tol * norm_scale(c.K, c.L, c.S))
 
 
 def eliminate(
@@ -237,18 +278,17 @@ def eliminate(
     """
     dec = decompose(m, rank_tol, y1inv_override)
     P0m = dec.P0.matrix
-    n, d = m.channels, m.dim
 
     # finite coefficients can still overflow in these products; the check
     # below reports that, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
         p = _Products(m, dec.Y1inv)
-        K = P0m @ (m.B - p.AYiA) @ P0m
-        L = np.stack([(m.G[i] - p.FYiA[i]) @ P0m for i in range(n)])
-        S = np.empty((n, n, d, d), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                S[i, j] = (m.W[i, j] + p.FYiFdW[i][j]) @ P0m
+        # a·Y1inv·b for b in (A, (F†W)_j): [0, 0] is A·Y1inv·A, [1+i, 0] is
+        # F_i·Y1inv·A and [1+i, 1+j] is F_i·Y1inv·(F†W)_j
+        lim = p.aYi[:, None] @ np.concatenate([m.A[None], p.fdw])[None]
+        K = P0m @ (m.B - lim[0, 0]) @ P0m
+        L = (m.G - lim[1:, 0]) @ P0m
+        S = (m.W + lim[1:, 1:]) @ P0m
     for name, X in (("K", K), ("L", L), ("S", S)):
         if not np.all(np.isfinite(X)):
             raise NumericalFailure(f"limit coefficient {name} overflowed to non-finite entries")

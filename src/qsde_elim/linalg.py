@@ -6,7 +6,9 @@ Conventions used throughout the package:
 * ``vec`` stacks columns: ``vec(X)[i + d*j] = X[i, j]``.  With that choice the
   map ``X -> L @ X @ R`` has matrix ``kron(R.T, L)`` acting on ``vec(X)``,
   which is what :func:`assemble_superoperator` returns.
-* Distances between operators are Frobenius norms.
+* Distances between operators are Frobenius norms; :func:`frobenius_norms`
+  takes those of a whole stack in one batched product, with the bits of
+  ``np.linalg.norm`` on each matrix.
 * A channel-indexed stack of operators has shape (n, d, d), a channel-indexed
   grid (n, n, d, d).  A contraction over the channel index runs as one BLAS
   product: ``blocks`` reshapes a grid to the nd x nd matrix whose (i, j) block
@@ -16,9 +18,14 @@ Conventions used throughout the package:
 
 One exactness rule holds for every dimension-dependent kernel: models of
 dimension at most :data:`RECORDED_ARITHMETIC_MAX_DIM` keep numpy's einsum loop
-for channel contractions and the full d x d state in propagation.  A BLAS
-product sums in another order, with fused multiply-adds, and moves the last
-bits of results whose recorded bytes must not move (see the constant).
+for channel contractions, the full d x d state in propagation, the
+association of every inverse-structure residual (P0·X·P1 on both sides, as
+written in ``eliminate.check_inverse_structure``), and the restricted inverse
+on the eigenvectors of P1.  A BLAS product sums in another order, with fused
+multiply-adds, and a product by a ground basis V0 instead of by P0 rounds
+differently: either moves the last bits of results whose recorded bytes must
+not move (see the constant).  A stacked matmul does not: each of its matrices
+has the bits of the 2-d product.
 
 Only numpy is imported here; scipy is loaded by the first :func:`expm` call,
 so the certificate paths that need no matrix exponential never pay for it.
@@ -41,9 +48,10 @@ from .errors import (
 
 DEFAULT_RANK_TOL = 1e-9
 # Models up to this dimension keep the arithmetic their outputs were recorded
-# with: numpy's einsum loop for channel contractions (below), and the full
-# d x d state in propagation (semigroup), with no product by a ground basis,
-# which can flip signed zeros.  The benchmark's recorded CLI outputs
+# with: numpy's einsum loop for channel contractions (below), the full d x d
+# state in propagation (semigroup), and P0 rather than a ground basis in the
+# inverse-structure check (eliminate); a product by a ground basis can flip
+# signed zeros and rounds differently.  The benchmark's recorded CLI outputs
 # (bench/data/reference.json) pin the bytes of the catalog models, all of
 # dimension at most 8, and a BLAS product sums in another order: for the
 # two-level limit with phase 0.6+0.8i it gives, with fused multiply-adds, a
@@ -132,8 +140,10 @@ def kernel_projector(M, rank_tol: float = DEFAULT_RANK_TOL) -> Projector:
     return _kernel_split(M, rank_tol)[0]
 
 
-def _kernel_split(M, rank_tol: float) -> tuple[Projector, np.ndarray]:
-    """:func:`kernel_projector` plus the singular values of ``M``, descending."""
+def _kernel_split(M, rank_tol: float) -> tuple[Projector, np.ndarray, np.ndarray]:
+    """:func:`kernel_projector`, the singular values of ``M``, descending, and
+    the right singular vectors as columns: the last ``rank`` of them span the
+    kernel, the others its complement."""
     M = as_operator(M, "M")
     if not (np.isfinite(rank_tol) and rank_tol > 0):
         raise InvalidArgument(f"rank_tol must be finite and positive, got {rank_tol!r}")
@@ -143,10 +153,11 @@ def _kernel_split(M, rank_tol: float) -> tuple[Projector, np.ndarray]:
         null_mask = s <= rank_tol * s[0]
     else:
         null_mask = np.ones(d, dtype=bool)
-    V = dagger(vh)[:, null_mask]
-    P = V @ dagger(V)
+    V = dagger(vh)
+    V0 = V[:, null_mask]
+    P = V0 @ dagger(V0)
     P = 0.5 * (P + dagger(P))
-    return Projector(P, int(null_mask.sum())), s
+    return Projector(P, int(null_mask.sum())), s, V
 
 
 def restricted_inverse(M, P1: Projector, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -162,11 +173,19 @@ def restricted_inverse(M, P1: Projector, tol: float = DEFAULT_RANK_TOL) -> np.nd
     M = as_operator(M, "M")
     if M.shape[0] != P1.dim:
         raise DimensionMismatch(f"M is {M.shape[0]}x{M.shape[0]} but projector dim is {P1.dim}")
-    d = M.shape[0]
-    if P1.rank == 0:
-        return np.zeros((d, d), dtype=complex)
+    return _inverse_on(M, P1.basis(), tol)
 
-    basis = P1.basis()
+
+def _inverse_on(M: np.ndarray, basis: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`restricted_inverse` on the span of the orthonormal columns of ``basis``.
+
+    The certification runs in the basis coordinates: with P1 = basis·basis†
+    and R = basis·Rr·basis†, P1·M·R·P1 - P1 is basis·(Mr·Rr - I)·basis†,
+    whose norm is that of Mr·Rr - I, and likewise for R·M.
+    """
+    d, rank = basis.shape
+    if rank == 0:
+        return np.zeros((d, d), dtype=complex)
     Mr = dagger(basis) @ M @ basis
     s = np.linalg.svd(Mr, compute_uv=False)
     if s[0] == 0 or s[-1] <= tol * s[0]:
@@ -175,9 +194,10 @@ def restricted_inverse(M, P1: Projector, tol: float = DEFAULT_RANK_TOL) -> np.nd
             f"(smallest singular value {s[-1]:.3e})",
             sigma=float(s[-1]),
         )
+    eye = np.eye(rank, dtype=complex)
     # the inverse can overflow; the check below reports that, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        Rr, *_ = np.linalg.lstsq(Mr, np.eye(P1.rank, dtype=complex), rcond=None)
+        Rr, *_ = np.linalg.lstsq(Mr, eye, rcond=None)
         R = basis @ Rr @ dagger(basis)
     if not np.all(np.isfinite(R)):
         raise NumericalFailure(
@@ -185,10 +205,9 @@ def restricted_inverse(M, P1: Projector, tol: float = DEFAULT_RANK_TOL) -> np.nd
             f"(smallest singular value of the restricted block {s[-1]:.3e})"
         )
 
-    P1m = P1.matrix
     scale = max(1.0, float(np.linalg.norm(M)))
-    res_right = np.linalg.norm(P1m @ M @ R @ P1m - P1m)
-    res_left = np.linalg.norm(P1m @ R @ M @ P1m - P1m)
+    res_right = np.linalg.norm(Mr @ Rr - eye)
+    res_left = np.linalg.norm(Rr @ Mr - eye)
     if max(res_right, res_left) > tol * scale:
         raise SingularRestriction(
             f"restricted inverse failed certification "
@@ -215,6 +234,21 @@ def assemble_superoperator(left, right) -> np.ndarray:
             f"left {left.shape} and right {right.shape} factors must share a dimension"
         )
     return np.kron(right.T, left)
+
+
+def frobenius_norms(X: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, in one batched product.
+
+    Each equals ``np.linalg.norm`` of its matrix bit for bit: that norm is the
+    square root of the BLAS dot of the real parts with themselves plus that of
+    the imaginary parts, taken in memory order, and a stacked (1 x m)·(m x 1)
+    matmul makes the same dot call, over the same strides, for every matrix.
+    """
+    if X.strides[-2] < X.strides[-1]:  # column-major matrices: read them in memory order
+        X = X.swapaxes(-1, -2)
+    flat = X.reshape(*X.shape[:-2], 1, X.shape[-2] * X.shape[-1])
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
 
 
 def blocks(W: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidOperator, InvalidProjector
-from .linalg import Projector, as_operator, contract, dagger
+from .errors import DimensionMismatch, InvalidArgument, InvalidOperator, InvalidProjector
+from .linalg import Projector, as_operator, contract, dagger, frobenius_norms
 
 DEFAULT_TOL = 1e-9
 
@@ -40,15 +40,11 @@ def _as_operator_stack(arr, name: str, dim: int | None) -> np.ndarray:
 
 
 def norm_scale(*arrays) -> float:
-    """max(1, largest Frobenius norm) used to scale check tolerances."""
-    worst = 1.0
-    for a in arrays:
-        a = np.asarray(a)
-        if a.ndim == 2:
-            worst = max(worst, float(np.linalg.norm(a)))
-        else:
-            worst = max(worst, float(max(np.linalg.norm(m) for m in a.reshape(-1, *a.shape[-2:]))))
-    return worst
+    """max(1, largest Frobenius norm of an operator or of one matrix of a stack)
+    used to scale check tolerances."""
+    d = np.shape(arrays[0])[-1]
+    stack = np.concatenate([np.reshape(a, (-1, d, d)) for a in arrays])
+    return max(1.0, float(frobenius_norms(stack).max()))
 
 
 @dataclass
@@ -161,36 +157,37 @@ class CheckReport:
 
 
 def instantiate(m: ScaledModel, k: float) -> CoefficientSet:
-    """Evaluate the scaled family at coupling k >= 0."""
+    """Evaluate the scaled family at coupling k >= 0.
+
+    Raises InvalidArgument when K or L overflows float64 at this coupling.
+    """
     k = float(k)
     if k < 0:
         raise ValueError(f"coupling must be non-negative, got {k}")
-    return CoefficientSet(
-        K=k * k * m.Y + k * m.A + m.B,
-        L=k * m.F + m.G,
-        S=m.W.copy(),
-        ground=None,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = k * k * m.Y + k * m.A + m.B
+        L = k * m.F + m.G
+    try:
+        return CoefficientSet(K=K, L=L, S=m.W.copy(), ground=None)
+    except InvalidOperator as exc:  # K or L is not finite: W is
+        raise InvalidArgument(
+            f"coupling k = {k:g} overflows the coefficients K = k²Y + kA + B, L = kF + G"
+        ) from exc
 
 
 def _unitarity_residuals(c: CoefficientSet, closure: np.ndarray, label: str):
     """Residuals of the three unitarity identities with the given delta-closure."""
-    n = c.channels
+    diag = np.arange(c.channels)
     r_drift = np.linalg.norm(c.K + dagger(c.K) + contract("iba,ibc->ac", c.L.conj(), c.L))
-    # S_il S_jl† and S_li† S_lj, worst case over (i, j)
+    # S_il S_jl† and S_li† S_lj less δ_ij·closure, worst case over (i, j)
     ssd = contract("ilab,jlcb->ijac", c.S, c.S.conj())
     sds = contract("liba,ljbc->ijac", c.S.conj(), c.S)
-    r_right = 0.0
-    r_left = 0.0
-    for i in range(n):
-        for j in range(n):
-            target = closure if i == j else np.zeros_like(closure)
-            r_right = max(r_right, float(np.linalg.norm(ssd[i, j] - target)))
-            r_left = max(r_left, float(np.linalg.norm(sds[i, j] - target)))
+    ssd[diag, diag] -= closure
+    sds[diag, diag] -= closure
     return [
         ("K+K† = -ΣL†L", float(r_drift)),
-        (f"Σ S·S† = δ·{label}", r_right),
-        (f"Σ S†·S = δ·{label}", r_left),
+        (f"Σ S·S† = δ·{label}", float(frobenius_norms(ssd).max())),
+        (f"Σ S†·S = δ·{label}", float(frobenius_norms(sds).max())),
     ]
 
 

@@ -406,8 +406,9 @@ class GeneratorResiduals:
 
     def corrected_slope(self) -> float:
         """Log-log slope of the corrected residuals in k; NaN if any residual
-        sits at the numerical floor (nothing left to fit)."""
-        if np.any(self.corrected <= 1e-300):
+        sits at the numerical floor, or if fewer than two distinct couplings
+        were swept (nothing left to fit)."""
+        if np.unique(self.ks).size < 2 or np.any(self.corrected <= 1e-300):
             return float("nan")
         return float(np.polyfit(np.log10(self.ks), np.log10(self.corrected), 1)[0])
 

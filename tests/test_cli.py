@@ -812,3 +812,45 @@ def test_cli_bytes_match_recorded_reference(item, tmp_path, capsys):
     want = CLI_REFERENCE[item]
     assert code == want["exit_code"]
     assert hashlib.sha256(out.encode()).hexdigest() == want["stdout_sha256"]
+
+
+@pytest.mark.parametrize("ks, fmt", [("100", "json"), ("100,100", "json"), ("100", "csv")])
+def test_kurtz_with_one_distinct_coupling_reports_no_slope(tmp_path, capsys, ks, fmt):
+    # a line through one point has no slope: null in JSON, nan in CSV, and no
+    # warning from the fit
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    code, out, err = run(capsys, ["kurtz", "--model", mpath, "--ks", ks, "--format", fmt])
+    assert code == 0
+    assert err == ""
+    if fmt == "json":
+        assert all(s["slope"] is None for s in strict_json(out)["slopes"])
+    else:
+        slope_lines = out.split("\n\n")[1].splitlines()[1:]
+        assert slope_lines and all(line.endswith(",nan") for line in slope_lines)
+
+
+@pytest.mark.parametrize("argv", [["converge", "--ks", "1e160"], ["kurtz", "--ks", "1e200"]])
+def test_an_overflowing_coupling_is_a_bad_argument(tmp_path, capsys, argv):
+    # k²·Y overflows float64 at this coupling: exit 1, naming the coupling
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    code, out, err = run(capsys, argv + ["--model", mpath])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: coupling k = {argv[2].replace('e', 'e+')} overflows")
+
+
+@pytest.mark.parametrize(
+    "args, stderr",
+    [(["kurtz", "--ks", "100"], ""), (["converge", "--ks", "1e160"], "error: coupling k = 1e+160 overflows")],
+)
+def test_cold_cli_stderr_carries_no_warning(tmp_path, args, stderr):
+    # the warning filter of the suite does not reach a child process
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    env = dict(os.environ, PYTHONPATH=str(Path(qsde_elim.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsde_elim.cli", *args, "--model", mpath],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.stderr.startswith(stderr)
+    assert len(proc.stderr.splitlines()) == (1 if stderr else 0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qsde_elim import (
+    CheckReport,
     CoefficientSet,
     Decomposition,
     DimensionMismatch,
@@ -22,9 +23,11 @@ from qsde_elim import (
     displace_scaled,
     eliminate,
     instantiate,
+    restricted_inverse,
 )
-from qsde_elim.eliminate import as_amplitude
-from factories import coefficient_gap, model_gap, random_valid_model
+from qsde_elim.eliminate import _channel_sums, as_amplitude
+from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM, dagger
+from factories import coefficient_gap, haar_unitary, model_gap, random_valid_model
 
 
 def test_decompose_two_level_oracle():
@@ -286,3 +289,219 @@ def test_eliminate_checks_inverse_structure_on_its_own_products(d):
     alone = check_inverse_structure(m, e.decomposition)
     assert e.inverse_structure.residuals == alone.residuals
     assert e.inverse_structure.tolerance == alone.tolerance
+
+
+# ---------------------------------------------------------------------------
+# the inverse-structure check against the per-residual loop it replaced
+
+
+def inverse_structure_oracle(m, dec, tol=1e-9):
+    """check_inverse_structure as one chain of 2-d products on P0 and P1 and
+    one np.linalg.norm per identity, each product left to right as written."""
+    P0m, P1m, Yi = dec.P0.matrix, dec.P1.matrix, dec.Y1inv
+    Y, A, B, F, G, W = m.Y, m.A, m.B, m.F, m.G, m.W
+    n = m.channels
+    fdw, gdw = _channel_sums(m)
+    AYi, FYi = A @ Yi, [f @ Yi for f in F]
+    r, cells = range(n), [(i, j) for i in range(n) for j in range(n)]
+
+    residuals = []
+    for name, Z in [("A", A)] + [(f"(F†W)_{j}", fdw[j]) for j in r]:
+        block = P1m @ Z @ P0m
+        residuals.append((f"left: Y·Y1inv·P1·{name}·P0", np.linalg.norm(Y @ Yi @ block - block)))
+    right = [("A", A), ("B", B)] + [(f"F_{i}", F[i]) for i in r] + [(f"G_{i}", G[i]) for i in r]
+    right += [(f"W_{i}{j}", W[i, j]) for i, j in cells] + [(f"(G†W)_{j}", gdw[j]) for j in r]
+    right += [(f"F_{i}·Y1inv·F_{j}", FYi[i] @ F[j]) for i, j in cells]
+    right += [(f"F_{i}·Y1inv·A", FYi[i] @ A) for i in r]
+    right += [(f"F_{i}·Y1inv·(F†W)_{j}", FYi[i] @ fdw[j]) for i, j in cells]
+    right += [("A·Y1inv·A", AYi @ A)] + [(f"A·Y1inv·F_{i}", AYi @ F[i]) for i in r]
+    right += [(f"A·Y1inv·(F†W)_{j}", AYi @ fdw[j]) for j in r]
+    for name, X in right:
+        block = P0m @ X @ P1m
+        residuals.append((f"right: P0·{name}·P1·Y1inv·Y", np.linalg.norm(block @ Yi @ Y - block)))
+    residuals.append(("zero: P0·Y·P1", np.linalg.norm(P0m @ Y @ P1m)))
+    residuals.append(("zero: P0·A·P0", np.linalg.norm(P0m @ A @ P0m)))
+    residuals += [(f"zero: F_{i}·P0", np.linalg.norm(F[i] @ P0m)) for i in r]
+    residuals += [
+        (f"zero: P0·((δ+F·Y1inv·F†)W)_{i}{j}·P1", np.linalg.norm(P0m @ (W[i, j] + FYi[i] @ fdw[j]) @ P1m))
+        for i, j in cells
+    ]
+    ops = [Y, A, B, *F, *G, *W.reshape(-1, m.dim, m.dim), Yi]
+    scale = max([1.0] + [float(np.linalg.norm(op)) for op in ops])
+    return CheckReport.from_residuals(residuals, tol * scale)
+
+
+def small_models():
+    """The catalog fixtures of dimension at most 8 and random models of d = 3..8."""
+    models = {
+        "two_level": catalog.two_level_atom(1.0, 1.0, 0.5),
+        "two_level_phase": catalog.two_level_atom(1.0, 1.0, 0.6 + 0.8j),
+        "alkali": catalog.alkali_atom(1.0, 1.0, 0.2, 0.0, 0.4),
+        "cavity": catalog.default_cavity_system(n_trunc=4),
+        "lambda": catalog.lambda_system(1.0, 2.0, 0.4, 2),
+    }
+    rng = np.random.default_rng(41)
+    for d in (3, 4, 6, 8):
+        for n in (1, 2, 3):
+            models[f"random-d{d}-n{n}"] = random_valid_model(rng, max(1, d // 3), d - max(1, d // 3), n)
+    return models
+
+
+SMALL_MODELS = small_models()
+
+
+@pytest.mark.parametrize("name", list(SMALL_MODELS))
+def test_inverse_structure_equals_the_per_residual_loop_up_to_d8(name):
+    # at or below the recorded-arithmetic dimension the stacked products keep
+    # every association, so names, order and values are those of the loop
+    m = SMALL_MODELS[name]
+    assert m.dim <= RECORDED_ARITHMETIC_MAX_DIM
+    e = eliminate(m)
+    oracle = inverse_structure_oracle(m, e.decomposition)
+    for report in (e.inverse_structure, check_inverse_structure(m, e.decomposition)):
+        assert report.residuals == oracle.residuals
+        assert report.tolerance == oracle.tolerance
+        assert report.passed == oracle.passed
+    assert len(oracle.residuals) == 6 + 8 * m.channels + 4 * m.channels**2
+
+
+def large_model(d, n, seed):
+    return random_valid_model(np.random.default_rng(seed), d // 4, d - d // 4, n)
+
+
+def assert_close_to_oracle(report, oracle):
+    scale = oracle.tolerance / 1e-9
+    assert [name for name, _ in report.residuals] == [name for name, _ in oracle.residuals]
+    gaps = [abs(a - b) for (_, a), (_, b) in zip(report.residuals, oracle.residuals)]
+    assert max(gaps) <= 1e-13 * scale
+    assert report.tolerance == pytest.approx(oracle.tolerance, rel=1e-14)
+    assert report.passed == oracle.passed
+
+
+@pytest.mark.parametrize("d", [12, 16, 32])
+@pytest.mark.parametrize("n", [1, 3])
+def test_inverse_structure_on_the_ground_basis_above_d8(d, n):
+    # above it, the residuals are norms of V0† rows and V0 columns, which
+    # agree with the P0 products to rounding
+    m = large_model(d, n, seed=d + n)
+    e = eliminate(m)
+    oracle = inverse_structure_oracle(m, e.decomposition)
+    assert oracle.passed
+    assert_close_to_oracle(e.inverse_structure, oracle)
+    assert_close_to_oracle(check_inverse_structure(m, e.decomposition), oracle)
+
+
+def planted_violation(plant, m, dec):
+    """A model and decomposition that break identities by about 1e-3."""
+    rng = np.random.default_rng(7)
+    R = rng.normal(size=(m.dim, m.dim)) + 1j * rng.normal(size=(m.dim, m.dim))
+    P0m, P1m = dec.P0.matrix, dec.P1.matrix
+    if plant == "y1inv":
+        # Y1inv off the inverse of Y on the excited sector
+        wrong = Decomposition(P0=dec.P0, P1=dec.P1, Y1inv=dec.Y1inv + 1e-3 * P1m @ R @ P1m, V0=dec.V0)
+        return m, wrong
+    if plant == "drive":
+        # the drive has a ground-ground block
+        bad = ScaledModel(Y=m.Y, A=m.A + 1e-3 * P0m @ R @ P0m, B=m.B, F=m.F, G=m.G, W=m.W)
+        return bad, dec
+    # the coupling has ground rows, so F·Y1inv·F†W scatters into the fast sector
+    F = m.F + 1e-3 * P0m @ R @ P1m
+    return ScaledModel(Y=m.Y, A=m.A, B=m.B, F=F, G=m.G, W=m.W), dec
+
+
+@pytest.mark.parametrize(
+    "family, plant", [("left", "y1inv"), ("right", "y1inv"), ("zero", "drive"), ("zero", "coupling")]
+)
+def test_planted_violation_fails_under_both_checks(family, plant):
+    m = large_model(16, 2, seed=5)
+    bad, dec = planted_violation(plant, m, decompose(m))
+    oracle = inverse_structure_oracle(bad, dec)
+    report = check_inverse_structure(bad, dec)
+    for rep in (oracle, report):
+        assert not rep.passed
+        worst = max(r for name, r in rep.residuals if name.startswith(family + ":"))
+        assert worst > 1e3 * rep.tolerance
+    assert_close_to_oracle(report, oracle)
+
+
+def test_trivial_kernel_above_d8():
+    # P0 has rank 0: no ground rows, so every residual is exactly 0
+    m = random_valid_model(np.random.default_rng(3), 0, 12, 2)
+    e = eliminate(m)
+    assert e.decomposition.P0.rank == 0 and e.decomposition.V0.shape == (12, 0)
+    assert any("trivial kernel" in w for w in e.warnings)
+    oracle = inverse_structure_oracle(m, e.decomposition)
+    assert e.inverse_structure.residuals == oracle.residuals
+    assert e.inverse_structure.max_residual == 0.0 and e.assumptions_pass
+
+
+def test_vanishing_fast_part_above_d8():
+    # Y = 0: P1 has rank 0, Y1inv = 0, and the limit is the slow data itself
+    rng = np.random.default_rng(4)
+    d = 12
+    G = rng.normal(size=(1, d, d)) + 1j * rng.normal(size=(1, d, d))
+    H = rng.normal(size=(d, d))
+    B = -0.5 * np.einsum("iba,ibc->ac", G.conj(), G) + 1j * (H + H.T)
+    W = haar_unitary(rng, d)[None, None]
+    m = ScaledModel(Y=np.zeros((d, d)), A=np.zeros((d, d)), B=B, F=np.zeros((1, d, d)), G=G, W=W)
+    e = eliminate(m)
+    assert e.decomposition.P1.rank == 0
+    np.testing.assert_array_equal(e.decomposition.Y1inv, np.zeros((d, d)))
+    assert_close_to_oracle(e.inverse_structure, inverse_structure_oracle(m, e.decomposition))
+    assert e.assumptions_pass
+    np.testing.assert_allclose(e.limit.K, B, atol=1e-12)
+
+
+def test_y1inv_override_above_d8():
+    m = large_model(16, 2, seed=6)
+    Yi = decompose(m).Y1inv
+    good = eliminate(m, y1inv_override=Yi)
+    bad = eliminate(m, y1inv_override=2 * Yi)
+    assert good.assumptions_pass and not bad.inverse_structure.passed
+    for e in (good, bad):
+        assert_close_to_oracle(e.inverse_structure, inverse_structure_oracle(m, e.decomposition))
+
+
+def test_hand_built_decomposition_finds_its_ground_basis():
+    # without V0 the check takes the eigenvectors of P0
+    m = large_model(16, 3, seed=8)
+    dec = decompose(m)
+    bare = Decomposition(P0=dec.P0, P1=dec.P1, Y1inv=dec.Y1inv)
+    assert bare.V0 is None
+    V0 = bare.ground_basis()
+    np.testing.assert_allclose(V0 @ dagger(V0), dec.P0.matrix, atol=1e-12)
+    oracle = inverse_structure_oracle(m, dec)
+    assert_close_to_oracle(check_inverse_structure(m, bare), oracle)
+    assert_close_to_oracle(check_inverse_structure(m, dec), oracle)
+
+
+def test_decomposition_rejects_a_ground_basis_of_the_wrong_shape():
+    P0 = Projector(np.diag([1.0, 0.0]), 1)
+    P1 = Projector(np.diag([0.0, 1.0]), 1)
+    with pytest.raises(DimensionMismatch):
+        Decomposition(P0=P0, P1=P1, Y1inv=np.zeros((2, 2)), V0=np.eye(2))
+
+
+def test_decompose_above_d8_solves_on_the_singular_vectors(monkeypatch):
+    # the excited right singular vectors of Y carry the restricted inverse,
+    # so neither P1 nor P0 is diagonalised
+    m = large_model(16, 2, seed=9)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called on a d = 16 model")
+
+    expected = restricted_inverse(m.Y, decompose(m).P1)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    e = eliminate(m)
+    assert e.assumptions_pass
+    np.testing.assert_allclose(e.decomposition.Y1inv, expected, atol=1e-12)
+    V0 = e.decomposition.V0
+    np.testing.assert_allclose(dagger(V0) @ V0, np.eye(V0.shape[1]), atol=1e-12)
+    np.testing.assert_allclose(V0 @ dagger(V0), e.decomposition.P0.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["two_level", "cavity", "random-d8-n3"])
+def test_decompose_up_to_d8_keeps_the_restricted_inverse(name):
+    m = SMALL_MODELS[name]
+    dec = decompose(m)
+    np.testing.assert_array_equal(dec.Y1inv, restricted_inverse(m.Y, dec.P1))

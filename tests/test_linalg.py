@@ -19,7 +19,7 @@ from qsde_elim import (
     unvec,
     vec,
 )
-from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM, _BLAS_FORMS, blocks, contract
+from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM, _BLAS_FORMS, blocks, contract, frobenius_norms
 from factories import haar_unitary
 
 
@@ -224,3 +224,30 @@ def test_contract_matches_einsum(spec, n, d, monkeypatch):
     got = contract(spec, *operands)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 9, 16, 32])
+def test_frobenius_norms_have_the_bits_of_numpy_norm(d):
+    # one batched product per stack, each value equal to np.linalg.norm of its
+    # matrix: stacks, grids, rectangular ground rows, strided views, no rows
+    rng = np.random.default_rng(d)
+    for shape in [(d, d), (3, d, d), (2, 4, d, d), (5, max(1, d // 3), d), (4, 0, d)]:
+        for scale in (1.0, 1e-150, 1e100):
+            X = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            for view in (X, X[..., ::2, :], X.swapaxes(-1, -2)):
+                mats = view.reshape(int(np.prod(view.shape[:-2])), *view.shape[-2:])
+                want = np.array([np.linalg.norm(x) for x in mats]).reshape(view.shape[:-2])
+                got = frobenius_norms(view)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
+def test_restricted_inverse_of_an_ill_conditioned_block():
+    # condition number 5e8: the block passes the singular-value test and the
+    # certification of Mr·Rr and Rr·Mr, and its inverse is exact
+    M = np.diag([1.0, 2e-9 + 0j, 0.0])
+    P1 = Projector(np.diag([1.0, 1.0, 0.0]), 2)
+    R = restricted_inverse(M, P1)
+    np.testing.assert_allclose(R, np.diag([1.0, 5e8, 0.0]), rtol=1e-12)
+    with pytest.raises(SingularRestriction):
+        restricted_inverse(M, P1, tol=1e-8)

@@ -7,6 +7,7 @@ from qsde_elim import (
     CheckReport,
     CoefficientSet,
     DimensionMismatch,
+    InvalidArgument,
     InvalidOperator,
     InvalidProjector,
     Projector,
@@ -203,3 +204,11 @@ def test_norm_scale():
     assert norm_scale(3.0 * np.eye(2)) == pytest.approx(3.0 * np.sqrt(2.0))
     stack = np.stack([np.eye(2), 5.0 * np.eye(2)])
     assert norm_scale(np.zeros((2, 2)), stack) == pytest.approx(5.0 * np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("k", [1e160, 1e200, float("inf")])
+def test_instantiate_names_a_coupling_that_overflows(k):
+    # k²·Y overflows float64; the coupling is the bad argument, not K
+    m = catalog.two_level_atom(1.0, 1.0, 0.5)
+    with pytest.raises(InvalidArgument, match=r"coupling k = (1e\+\d+|inf) overflows"):
+        instantiate(m, k)

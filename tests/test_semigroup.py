@@ -609,3 +609,15 @@ def test_sweep_checks_the_budget_before_assembly(monkeypatch):
     monkeypatch.setattr(np, "kron", fail_at_kron)
     with pytest.raises(ResourceLimit):
         k_sweep(m, e, v, [5.0], horizon=1.0, steps=6)
+
+
+@pytest.mark.parametrize("ks", [[100.0], [100.0, 100.0]])
+def test_corrected_slope_needs_two_distinct_couplings(ks):
+    # one coupling, swept once or twice, leaves no slope to fit: NaN, unwarned
+    ks = np.array(ks)
+    res = semigroup.GeneratorResiduals(ks=ks, corrected=0.01 / ks, uncorrected=np.ones_like(ks))
+    assert np.isnan(res.corrected_slope())
+    two = semigroup.GeneratorResiduals(
+        ks=np.array([10.0, 100.0]), corrected=np.array([0.1, 0.01]), uncorrected=np.ones(2)
+    )
+    assert two.corrected_slope() == pytest.approx(-1.0, abs=1e-12)
