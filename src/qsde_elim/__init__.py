@@ -23,12 +23,10 @@ from .errors import (
 from .linalg import (
     DEFAULT_RANK_TOL,
     Projector,
-    assemble_superoperator,
     dagger,
     expm,
     kernel_projector,
     restricted_inverse,
-    unvec,
     vec,
 )
 from .model import (
@@ -58,14 +56,10 @@ from .semigroup import (
     GeneratorResiduals,
     StepDrive,
     build_generators,
-    coherent_distance,
     default_ground_vector,
-    evolve,
     generator_convergence_check,
     k_sweep,
     kurtz_corrector,
-    pair_generator,
-    vacuum_distance,
 )
 from . import catalog
 
@@ -88,11 +82,9 @@ __all__ = [
     "Projector",
     "dagger",
     "vec",
-    "unvec",
     "kernel_projector",
     "restricted_inverse",
     "expm",
-    "assemble_superoperator",
     "ScaledModel",
     "CoefficientSet",
     "CheckReport",
@@ -113,12 +105,8 @@ __all__ = [
     "StepDrive",
     "ConvergenceReport",
     "GeneratorResiduals",
-    "pair_generator",
     "build_generators",
-    "evolve",
     "default_ground_vector",
-    "vacuum_distance",
-    "coherent_distance",
     "kurtz_corrector",
     "generator_convergence_check",
     "k_sweep",

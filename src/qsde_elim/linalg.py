@@ -4,8 +4,7 @@ Conventions used throughout the package:
 
 * Operators are square complex ``numpy`` arrays.
 * ``vec`` stacks columns: ``vec(X)[i + d*j] = X[i, j]``.  With that choice the
-  map ``X -> L @ X @ R`` has matrix ``kron(R.T, L)`` acting on ``vec(X)``,
-  which is what :func:`assemble_superoperator` returns.
+  map ``X -> L @ X @ R`` has matrix ``kron(R.T, L)`` acting on ``vec(X)``.
 * Distances between operators are Frobenius norms; :func:`frobenius_norms`
   takes those of a whole stack in one batched product, with the bits of
   ``np.linalg.norm`` on each matrix.
@@ -17,15 +16,17 @@ Conventions used throughout the package:
   and the scattering Gram sums are B·B† and B†·B with B = blocks(S).
 
 One exactness rule holds for every dimension-dependent kernel: models of
-dimension at most :data:`RECORDED_ARITHMETIC_MAX_DIM` keep numpy's einsum loop
-for channel contractions, the full d x d state in propagation, the
-association of every inverse-structure residual (P0·X·P1 on both sides, as
-written in ``eliminate.check_inverse_structure``), and the restricted inverse
-on the eigenvectors of P1.  A BLAS product sums in another order, with fused
-multiply-adds, and a product by a ground basis V0 instead of by P0 rounds
-differently: either moves the last bits of results whose recorded bytes must
-not move (see the constant).  A stacked matmul does not: each of its matrices
-has the bits of the 2-d product.
+dimension at most :data:`RECORDED_ARITHMETIC_MAX_DIM` keep the arithmetic the
+benchmark's recorded CLI outputs (``bench/data/reference.json``) were made
+with.  That is numpy's einsum loop for channel contractions, the restricted
+inverse on the eigenvectors of P1, P0 as the ground factor of every
+inverse-structure residual in its written association (P0·X·P1, see
+``eliminate.check_inverse_structure``), and the full d x d state in
+propagation.  A BLAS product sums in another order, with fused multiply-adds,
+and a product by a ground basis V0 instead of by P0 rounds differently:
+either moves the last bits of recorded outputs.  The comment on the constant
+names the outputs each of the four kernels pins.  A stacked matmul keeps the
+bits: each of its matrices equals the 2-d product.
 
 Only numpy is imported here; scipy is loaded by the first :func:`expm` call,
 so the certificate paths that need no matrix exponential never pay for it.
@@ -47,17 +48,25 @@ from .errors import (
 )
 
 DEFAULT_RANK_TOL = 1e-9
-# Models up to this dimension keep the arithmetic their outputs were recorded
-# with: numpy's einsum loop for channel contractions (below), the full d x d
-# state in propagation (semigroup), and P0 rather than a ground basis in the
-# inverse-structure check (eliminate); a product by a ground basis can flip
-# signed zeros and rounds differently.  The benchmark's recorded CLI outputs
-# (bench/data/reference.json) pin the bytes of the catalog models, all of
-# dimension at most 8, and a BLAS product sums in another order: for the
-# two-level limit with phase 0.6+0.8i it gives, with fused multiply-adds, a
-# limit-unitarity residual of 6.7e-18 where einsum gives exactly 0, and
-# without this rule 4 of the 16 recorded outputs change.  At this size einsum
-# costs nothing, and the ground rows would save at most a 64 x 64 expm.
+# Models up to this dimension keep the arithmetic the benchmark's 16 recorded
+# CLI outputs (bench/data/reference.json, four commands on four catalog
+# models, all of dimension at most 8) were made with.  Each kernel's d <= 8
+# branch pins its own outputs; switched to the d > 8 arithmetic, it moves the
+# bytes of
+#   contract, the einsum loop (below): check and eliminate on two_level and
+#     alkali;
+#   decompose, Y1inv on the eigenvectors of P1 (eliminate): all four lambda
+#     calls;
+#   the inverse-structure check, P0 rather than V0 (eliminate): check and
+#     eliminate on cavity and lambda;
+#   propagation, the full d x d state (semigroup): converge on two_level,
+#     cavity and lambda.
+# That is 12 of the 16; converge on alkali and kurtz on two_level, alkali and
+# cavity move under none of the four.  For the two-level limit with phase
+# 0.6+0.8i, for example, a BLAS product with fused multiply-adds gives a
+# limit-unitarity residual of 6.7e-18 where einsum gives exactly 0.  Removing
+# any branch, or the constant, needs a change to the benchmark that
+# re-records reference.json.
 RECORDED_ARITHMETIC_MAX_DIM = 8
 
 
@@ -79,15 +88,6 @@ def dagger(M: np.ndarray) -> np.ndarray:
 def vec(X: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(X).reshape(-1, order="F")
-
-
-def unvec(w: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for square operators."""
-    w = np.asarray(w)
-    d = int(round(np.sqrt(w.size)))
-    if d * d != w.size:
-        raise DimensionMismatch(f"vector of length {w.size} is not a vectorized square matrix")
-    return w.reshape((d, d), order="F")
 
 
 @dataclass
@@ -187,18 +187,19 @@ def _inverse_on(M: np.ndarray, basis: np.ndarray, tol: float) -> np.ndarray:
     if rank == 0:
         return np.zeros((d, d), dtype=complex)
     Mr = dagger(basis) @ M @ basis
-    s = np.linalg.svd(Mr, compute_uv=False)
+    eye = np.eye(rank, dtype=complex)
+    # the inverse can overflow; the checks below report that, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        # lstsq (LAPACK gelsd) factorises Mr by an SVD and returns its singular
+        # values, descending: one factorisation gives the test and the inverse
+        Rr, _, _, s = np.linalg.lstsq(Mr, eye, rcond=None)
+        R = basis @ Rr @ dagger(basis)
     if s[0] == 0 or s[-1] <= tol * s[0]:
         raise SingularRestriction(
             f"restriction of M to range(P1) is numerically singular "
             f"(smallest singular value {s[-1]:.3e})",
             sigma=float(s[-1]),
         )
-    eye = np.eye(rank, dtype=complex)
-    # the inverse can overflow; the check below reports that, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        Rr, *_ = np.linalg.lstsq(Mr, eye, rcond=None)
-        R = basis @ Rr @ dagger(basis)
     if not np.all(np.isfinite(R)):
         raise NumericalFailure(
             "restricted inverse overflowed to non-finite entries "
@@ -223,17 +224,6 @@ def expm(M) -> np.ndarray:
 
     M = as_operator(M, "M")
     return scipy.linalg.expm(M)
-
-
-def assemble_superoperator(left, right) -> np.ndarray:
-    """Matrix of ``X -> left @ X @ right`` acting on vec(X) (column stacking)."""
-    left = as_operator(left, "left")
-    right = as_operator(right, "right")
-    if left.shape != right.shape:
-        raise DimensionMismatch(
-            f"left {left.shape} and right {right.shape} factors must share a dimension"
-        )
-    return np.kron(right.T, left)
 
 
 def frobenius_norms(X: np.ndarray) -> np.ndarray:

@@ -20,18 +20,21 @@ both derived from that list.
 Coherent states enter through Weyl displacement: a piecewise-constant drive
 gives one displaced generator per segment, composed with the earliest segment
 outermost:  T(f)_t = T(a_1)_{t1-t0} o ... o T(a_m)_{t-t_{m-1}}.  One stepper
-propagates every distance: the vacuum is one undisplaced segment, and within
-a segment the state is stepped along the time grid by its differences.
+propagates every distance, and k_sweep is its one entry: the vacuum is one
+undisplaced segment, and within a segment the state is stepped along the time
+grid by its differences.  build_generators gives the dense d^2 x d^2 pair from
+the same terms; no distance goes through it.
 
 The state never leaves the ground rows.  Every left factor of the skew
 generator, K† and L_i† of the limit (displaced or not), maps into range(P0),
 because K = P0(...)P0 and L_i = (...)P0 by construction and displacement
-keeps K'P1 = L'_iP1 = 0.  So T_t(P0) = P0 T_t(P0) exactly, and with V0 an
-orthonormal d x d0 basis of range(P0) the stepper carries Z = V0† X from
-Z0 = V0†: each left factor l becomes V0† l V0 and T = V0 Z.  The generator
-then has (d0 d)^2 entries instead of d^4.  Models of dimension at most
-RECORDED_ARITHMETIC_MAX_DIM keep the full d x d state.  A generator over
-GENERATOR_BUDGET_BYTES is refused with ResourceLimit before it is assembled.
+keeps K'P1 = L'_iP1 = 0.  So T_t(P0) = P0 T_t(P0) exactly, and with V0 the
+orthonormal d x d0 basis of range(P0) that the decomposition kept from the
+SVD of Y, the stepper carries Z = V0† X from Z0 = V0†: each left factor l
+becomes V0† l V0 and T = V0 Z.  The generator then has (d0 d)^2 entries
+instead of d^4.  Models of dimension at most RECORDED_ARITHMETIC_MAX_DIM keep
+the full d x d state.  A generator over GENERATOR_BUDGET_BYTES is refused
+with ResourceLimit before it is assembled.
 
 The Kurtz corrector makes the generator convergence explicit: for a ground
 observable X there are X1, X2 with Lk(X + X1/k + X2/k^2) -> L(X) at rate 1/k.
@@ -52,9 +55,9 @@ from .errors import (
     InvalidGroundVector,
     ResourceLimit,
 )
-from .eliminate import EliminationResult, displace_limit, displace_scaled
-from .linalg import RECORDED_ARITHMETIC_MAX_DIM, Projector, as_operator, dagger, expm, unvec, vec
-from .model import CoefficientSet, ScaledModel, instantiate
+from .eliminate import Decomposition, EliminationResult, displace_limit, displace_scaled
+from .linalg import RECORDED_ARITHMETIC_MAX_DIM, Projector, as_operator, dagger, expm, vec
+from .model import ScaledModel, instantiate
 
 CLAMP_ABORT = 1e-6
 GROUND_VECTOR_TOL = 1e-9
@@ -149,7 +152,7 @@ def _superoperator(terms: Terms, d: int, rows: int | None = None) -> np.ndarray:
             f"over the budget of {GENERATOR_BUDGET_BYTES:,} bytes"
         )
     eye_left, eye_right = np.eye(rows, dtype=complex), np.eye(d, dtype=complex)
-    # X -> l X r has matrix kron(r.T, l) on vec(X), as in assemble_superoperator
+    # X -> l X r has matrix kron(r.T, l) on vec(X)
     mats = (
         np.kron((eye_right if r is None else r).T, eye_left if l is None else l) for l, r in terms
     )
@@ -166,38 +169,17 @@ def _apply_terms(terms: Terms, X: np.ndarray) -> np.ndarray:
     return reduce(np.add, (sandwich(l, r) for l, r in terms))
 
 
-def pair_generator(left: CoefficientSet, right: CoefficientSet) -> np.ndarray:
-    """Superoperator matrix of X -> left.K† X + X right.K + sum_i left.L_i† X right.L_i."""
-    if left.dim != right.dim or left.channels != right.channels:
-        raise DimensionMismatch("coefficient sets must share dimension and channel count")
-    return _superoperator(_sandwich_terms(left.K, left.L, right.K, right.L), left.dim)
-
-
 def build_generators(m: ScaledModel, e: EliminationResult, k: float) -> GeneratorPair:
-    """Skew generator at coupling k and the limit generator, as matrices."""
+    """Skew generator at coupling k and the limit generator, as dense d^2 x d^2 matrices."""
     k = float(k)
     if k < 0:
         raise ValueError(f"coupling must be non-negative, got {k}")
-    limit = e.limit
+    K, L, right = e.limit.K, e.limit.L, instantiate(m, k)
     return GeneratorPair(
-        skew=pair_generator(limit, instantiate(m, k)),
-        limit=pair_generator(limit, limit),
+        skew=_superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim),
+        limit=_superoperator(_sandwich_terms(K, L, K, L), m.dim),
         k=k,
     )
-
-
-def evolve(generator: np.ndarray, X0, t: float) -> np.ndarray:
-    """Apply exp(t * generator) to the operator X0."""
-    generator = as_operator(generator, "generator")
-    X0 = as_operator(X0, "X0")
-    if X0.shape[0] ** 2 != generator.shape[0]:
-        raise DimensionMismatch("generator dimension is not the square of the operator dimension")
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    if t == 0:
-        return X0.copy()
-    return unvec(expm(t * generator) @ vec(X0))
 
 
 def default_ground_vector(P0: Projector) -> np.ndarray:
@@ -240,15 +222,6 @@ def _distance_from_transported(T: np.ndarray, v: np.ndarray) -> tuple[float, flo
     return float(np.sqrt(max(val, 0.0))), clamp
 
 
-def _validate_t_grid(t_grid) -> np.ndarray:
-    t_grid = np.asarray(t_grid, dtype=float).ravel()
-    if t_grid.size == 0:
-        raise InvalidArgument("t_grid must be non-empty")
-    if not np.all(np.isfinite(t_grid)) or t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
-        raise InvalidArgument("t_grid must be finite, non-negative and non-decreasing")
-    return t_grid
-
-
 def _validate_couplings(ks, positive: bool) -> np.ndarray:
     ks = np.asarray(ks, dtype=float).ravel()
     bound = "positive" if positive else "non-negative"
@@ -257,9 +230,9 @@ def _validate_couplings(ks, positive: bool) -> np.ndarray:
     return ks
 
 
-def _ground_rows(P0: Projector) -> np.ndarray | None:
+def _ground_rows(dec: Decomposition) -> np.ndarray | None:
     """V0, the basis of range(P0) whose rows the stepper keeps; None keeps the full state."""
-    return None if P0.dim <= RECORDED_ARITHMETIC_MAX_DIM else P0.basis()
+    return None if dec.P0.dim <= RECORDED_ARITHMETIC_MAX_DIM else dec.ground_basis()
 
 
 def _segment_generators(
@@ -332,43 +305,6 @@ def _propagate(
             break
         outer.append(expm((end - start) * gen))
     return out, max_clamp
-
-
-def vacuum_distance(m: ScaledModel, e: EliminationResult, k: float, v, t_grid) -> np.ndarray:
-    """Vacuum-field strong-convergence distance along t_grid.
-
-    Returns sqrt(<v, (2I - T_t(P0) - T_t(P0)†) v>) per grid time, where T is
-    the skew semigroup at coupling k; tiny negative values of the quadratic
-    form are clamped to zero; a clamp beyond 1e-6 or a non-finite value aborts
-    with ClampExceeded.
-    """
-    t_grid = _validate_t_grid(t_grid)
-    v = _require_ground_vector(v, e.decomposition.P1.matrix)
-    P0 = e.decomposition.P0
-    V0 = _ground_rows(P0)
-    gens = _segment_generators(m, e, k, None, V0)
-    dist, _ = _propagate(gens, [0.0, t_grid[-1]], P0.matrix, V0, v, t_grid)
-    return dist
-
-
-def coherent_distance(
-    m: ScaledModel, e: EliminationResult, k: float, v, drive: StepDrive, t: float
-) -> float:
-    """Strong-convergence distance against a coherent (step-driven) field state.
-
-    Composes the per-segment displaced skew semigroups (earliest segment
-    outermost) and evaluates the same quadratic form as the vacuum distance.
-    Requires t within the drive window.
-    """
-    t = float(t)
-    if not 0.0 <= t <= drive.horizon + 1e-12:
-        raise InvalidArgument(f"t = {t} outside the drive window [0, {drive.horizon}]")
-    v = _require_ground_vector(v, e.decomposition.P1.matrix)
-    P0 = e.decomposition.P0
-    V0 = _ground_rows(P0)
-    gens = _segment_generators(m, e, k, drive, V0)
-    dist, _ = _propagate(gens, drive.breakpoints, P0.matrix, V0, v, np.array([t]))
-    return float(dist[0])
 
 
 def kurtz_corrector(e: EliminationResult, m: ScaledModel, X) -> tuple[np.ndarray, np.ndarray]:
@@ -449,9 +385,12 @@ def k_sweep(
 ) -> ConvergenceReport:
     """Convergence distances over couplings ks and a uniform grid on [0, horizon].
 
-    Vacuum distances by default; with a drive, coherent distances (the drive
-    window must cover the horizon).  Reports per-k suprema and the largest
-    clamp applied anywhere in the sweep.
+    Each distance is sqrt(<v, (2I - T_t(P0) - T_t(P0)†) v>) for the ground
+    vector v: vacuum by default; with a drive, coherent (the drive window must
+    cover the horizon).  Tiny negative values of the quadratic form are
+    clamped to zero; a clamp beyond CLAMP_ABORT or a non-finite value aborts
+    with ClampExceeded.  Reports per-k suprema and the largest clamp applied
+    anywhere in the sweep.
     """
     ks = _validate_couplings(ks, positive=False)
     horizon = float(horizon)
@@ -467,7 +406,7 @@ def k_sweep(
     t_grid = np.linspace(0.0, horizon, steps)
     v = _require_ground_vector(v, e.decomposition.P1.matrix)
     P0 = e.decomposition.P0
-    V0 = _ground_rows(P0)
+    V0 = _ground_rows(e.decomposition)
     breakpoints = [0.0, horizon] if drive is None else drive.breakpoints
 
     distances = np.empty((ks.size, steps))

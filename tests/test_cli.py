@@ -802,6 +802,19 @@ CLI_COLD = _load_bench_module("cli_cold")  # standard library only
 CLI_REFERENCE = json.loads((BENCH / "data" / "reference.json").read_text())["cli-cold"]
 
 
+def test_benchmark_modules_import(monkeypatch):
+    # the workloads import public names of the package and of tests/factories.py;
+    # losing one must fail here, not first in a benchmark run
+    monkeypatch.setitem(sys.modules, "common", _load_bench_module("common"))
+    for name in ("driven_catalog", "vacuum_ladder", "certify_batch", "cli_cold"):
+        assert hasattr(_load_bench_module(name), "Workload")
+
+
+def test_every_public_name_resolves():
+    assert [name for name in qsde_elim.__all__ if not hasattr(qsde_elim, name)] == []
+    assert len(set(qsde_elim.__all__)) == len(qsde_elim.__all__)
+
+
 @pytest.mark.parametrize("item", list(CLI_REFERENCE))
 def test_cli_bytes_match_recorded_reference(item, tmp_path, capsys):
     # every cli-cold call prints the bytes recorded in bench/data/reference.json

@@ -11,15 +11,14 @@ from qsde_elim import (
     NumericalFailure,
     Projector,
     SingularRestriction,
-    assemble_superoperator,
     dagger,
     expm,
     kernel_projector,
     restricted_inverse,
-    unvec,
     vec,
 )
 from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM, _BLAS_FORMS, blocks, contract, frobenius_norms
+from qsde_elim.semigroup import _superoperator
 from factories import haar_unitary
 
 
@@ -28,15 +27,13 @@ def test_vec_column_stacking():
     np.testing.assert_array_equal(vec(X), [1.0, 3.0, 2.0, 4.0])
 
 
-def test_unvec_roundtrip():
+def test_vec_roundtrip():
+    # the stepper lifts its state back by the column-major reshape, square
+    # or d0 x d ground rows
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_array_equal(unvec(vec(X)), X)
-
-
-def test_unvec_rejects_non_square_length():
-    with pytest.raises(DimensionMismatch):
-        unvec(np.arange(6))
+    for shape in ((3, 3), (2, 5)):
+        X = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        np.testing.assert_array_equal(vec(X).reshape(shape, order="F"), X)
 
 
 def test_dagger():
@@ -174,19 +171,18 @@ def test_expm_rotation_quarter_turn():
 
 
 def test_assemble_superoperator_matches_sandwich():
+    # X -> L X R has matrix kron(R.T, L) on vec(X), X square or ground rows
     rng = np.random.default_rng(3)
     for _ in range(20):
-        d = rng.integers(1, 5)
-        L = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        d = int(rng.integers(1, 5))
+        rows = int(rng.integers(1, d + 1))
+        L = rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows))
         R = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        S = assemble_superoperator(L, R)
-        np.testing.assert_allclose(unvec(S @ vec(X)), L @ X @ R, atol=1e-12)
-
-
-def test_assemble_superoperator_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
-        assemble_superoperator(np.eye(2), np.eye(3))
+        X = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+        S = _superoperator([(L, R)], d, rows)
+        np.testing.assert_allclose(
+            (S @ vec(X)).reshape((rows, d), order="F"), L @ X @ R, atol=1e-12
+        )
 
 
 def test_blocks_layout():
@@ -240,6 +236,25 @@ def test_frobenius_norms_have_the_bits_of_numpy_norm(d):
                 got = frobenius_norms(view)
                 assert got.shape == want.shape
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_restricted_inverse_factorises_once(d, monkeypatch):
+    # the singular values for the singularity test come from the least-squares
+    # solve itself, so no separate SVD runs
+    rng = np.random.default_rng(d)
+    U = haar_unitary(rng, d)
+    P1 = Projector(U[:, : d // 2] @ dagger(U[:, : d // 2]), d // 2)
+    M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd reached: the block was factorised twice")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    R = restricted_inverse(M, P1)
+    P1m = P1.matrix
+    np.testing.assert_allclose(P1m @ M @ R @ P1m, P1m, atol=1e-10)
+    np.testing.assert_allclose(R @ P1m, R, atol=1e-12)
 
 
 def test_restricted_inverse_of_an_ill_conditioned_block():

@@ -16,19 +16,15 @@ from qsde_elim import (
     StepDrive,
     build_generators,
     catalog,
-    coherent_distance,
     default_ground_vector,
     displace_limit,
     displace_scaled,
     eliminate,
-    evolve,
+    expm,
     generator_convergence_check,
     instantiate,
     k_sweep,
     kurtz_corrector,
-    pair_generator,
-    unvec,
-    vacuum_distance,
     vec,
 )
 from qsde_elim import semigroup
@@ -61,7 +57,45 @@ def slow_only_model(rng, d=3):
 
 
 # ---------------------------------------------------------------------------
-# generators and evolve
+# the dense oracle: exp(t G) on the column-stacked operator, with G the
+# d^2 x d^2 matrix of the same sandwich terms every sweep steps; it shares
+# none of the stepper's propagation
+
+
+def dense_generator(left: CoefficientSet, right: CoefficientSet) -> np.ndarray:
+    """Matrix of X -> left.K† X + X right.K + sum_i left.L_i† X right.L_i on vec(X)."""
+    return _superoperator(_sandwich_terms(left.K, left.L, right.K, right.L), left.dim)
+
+
+def dense_evolve(G: np.ndarray, X, t: float) -> np.ndarray:
+    """exp(t G) applied to the operator X."""
+    X = np.asarray(X, dtype=complex)
+    return (expm(t * G) @ vec(X)).reshape(X.shape, order="F")
+
+
+def dense_squared_distances(m, e, k, v, drive, t_grid):
+    """<v, (2I - T - T†) v> from the dense d^2 x d^2 generators, composed by
+    hand per segment with the earliest segment outermost."""
+    if drive is None:
+        segments, bps = [(e.limit, m)], [0.0, t_grid[-1]]
+    else:
+        segments = [(displace_limit(e.limit, a), displace_scaled(m, a)) for a in drive.amplitudes]
+        bps = drive.breakpoints
+    gens = [dense_generator(limit, instantiate(scaled, k)) for limit, scaled in segments]
+    out = []
+    for t in t_grid:
+        # the segment t lies in; a time on a breakpoint belongs to the segment it ends
+        j = min(max(int(np.searchsorted(bps, t)) - 1, 0), len(gens) - 1)
+        T = dense_evolve(gens[j], e.decomposition.P0.matrix, t - bps[j])
+        for i in range(j - 1, -1, -1):
+            T = dense_evolve(gens[i], T, bps[i + 1] - bps[i])
+        q = 2.0 * np.eye(m.dim) - T - T.conj().T
+        out.append(np.vdot(v, q @ v).real)
+    return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# generators
 
 
 def test_slow_only_skew_equals_limit():
@@ -78,18 +112,16 @@ def test_limit_generator_kills_ground_projector(two_level):
     m, e, _ = two_level
     pair = build_generators(m, e, 3.0)
     P0m = e.decomposition.P0.matrix
-    from qsde_elim import unvec, vec
-
-    np.testing.assert_allclose(unvec(pair.limit @ vec(P0m)), np.zeros((2, 2)), atol=1e-12)
+    np.testing.assert_allclose(pair.limit @ vec(P0m), np.zeros(4), atol=1e-12)
     # and P0 stays fixed under the limit semigroup out to long times
-    np.testing.assert_allclose(evolve(pair.limit, P0m, 10.0), P0m, atol=1e-10)
+    np.testing.assert_allclose(dense_evolve(pair.limit, P0m, 10.0), P0m, atol=1e-10)
 
 
 def test_scalar_balanced_coefficients_have_zero_generator():
     c = CoefficientSet(K=[[-0.5]], L=[[[1.0]]], S=[[[[1.0]]]])
-    gen = pair_generator(c, c)
+    gen = dense_generator(c, c)
     np.testing.assert_array_equal(gen, [[0.0]])
-    np.testing.assert_allclose(evolve(gen, [[1.0]], 5.0), [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(dense_evolve(gen, [[1.0]], 5.0), [[1.0]], atol=1e-15)
 
 
 def random_coefficients(rng, d, n):
@@ -106,21 +138,13 @@ def test_superoperator_and_operator_action_agree():
     for d, n in ((1, 1), (3, 2), (4, 3)):
         left, right = random_coefficients(rng, d, n), random_coefficients(rng, d, n)
         X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        terms = _sandwich_terms(left.K, left.L, right.K, right.L)
-        np.testing.assert_allclose(
-            unvec(pair_generator(left, right) @ vec(X)), _apply_terms(terms, X), atol=1e-12
-        )
-        terms = _sandwich_terms(None, left.L, right.K, right.L)
-        np.testing.assert_allclose(
-            unvec(_superoperator(terms, d) @ vec(X)), _apply_terms(terms, X), atol=1e-12
-        )
-
-
-def test_pair_generator_dimension_check():
-    a = CoefficientSet(K=np.eye(2), L=np.zeros((1, 2, 2)), S=np.zeros((1, 1, 2, 2)))
-    b = CoefficientSet(K=np.eye(3), L=np.zeros((1, 3, 3)), S=np.zeros((1, 1, 3, 3)))
-    with pytest.raises(DimensionMismatch):
-        pair_generator(a, b)
+        for K_left in (left.K, None):
+            terms = _sandwich_terms(K_left, left.L, right.K, right.L)
+            np.testing.assert_allclose(
+                (_superoperator(terms, d) @ vec(X)).reshape((d, d), order="F"),
+                _apply_terms(terms, X),
+                atol=1e-12,
+            )
 
 
 def test_build_generators_rejects_negative_coupling(two_level):
@@ -129,23 +153,12 @@ def test_build_generators_rejects_negative_coupling(two_level):
         build_generators(m, e, -2.0)
 
 
-def test_evolve_edge_cases(two_level):
-    m, e, _ = two_level
-    gen = build_generators(m, e, 1.0).skew
-    X = np.array([[0.2, 0.0], [0.1, 0.7]])
-    np.testing.assert_array_equal(evolve(gen, X, 0.0), X)
-    with pytest.raises(ValueError):
-        evolve(gen, X, -1.0)
-    with pytest.raises(DimensionMismatch):
-        evolve(gen, np.eye(3), 1.0)
-
-
 def test_evolve_semigroup_law(two_level):
     m, e, _ = two_level
     gen = build_generators(m, e, 4.0).skew
     P0m = e.decomposition.P0.matrix
-    via_steps = evolve(gen, evolve(gen, P0m, 0.3), 0.45)
-    np.testing.assert_allclose(via_steps, evolve(gen, P0m, 0.75), atol=1e-10)
+    via_steps = dense_evolve(gen, dense_evolve(gen, P0m, 0.3), 0.45)
+    np.testing.assert_allclose(via_steps, dense_evolve(gen, P0m, 0.75), atol=1e-10)
 
 
 def test_limit_semigroup_preserves_hermiticity():
@@ -158,7 +171,7 @@ def test_limit_semigroup_preserves_hermiticity():
     P0m = e.decomposition.P0.matrix
     X = P0m @ H @ P0m
     for t in (0.2, 1.0, 3.0):
-        T = evolve(gen, X, t)
+        T = dense_evolve(gen, X, t)
         assert np.linalg.norm(T - T.conj().T) < 1e-10
 
 
@@ -181,7 +194,7 @@ def test_skew_propagation_contracts_operator_norm():
                 for _ in range(3):
                     X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                     X /= np.linalg.norm(X, 2)
-                    assert np.linalg.norm(evolve(gen, X, t), 2) <= 1.0 + 1e-8
+                    assert np.linalg.norm(dense_evolve(gen, X, t), 2) <= 1.0 + 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +221,11 @@ def test_default_ground_vector_multirank_and_fallback():
 def test_ground_vector_validation(two_level):
     m, e, _ = two_level
     with pytest.raises(InvalidGroundVector):
-        vacuum_distance(m, e, 1.0, [0.0, 0.5], [0.0, 1.0])
+        k_sweep(m, e, [0.0, 0.5], [1.0], steps=2)
     with pytest.raises(InvalidGroundVector):
-        vacuum_distance(m, e, 1.0, [1.0, 0.0], [0.0, 1.0])
+        k_sweep(m, e, [1.0, 0.0], [1.0], steps=2)
     with pytest.raises(DimensionMismatch):
-        vacuum_distance(m, e, 1.0, [0.0, 1.0, 0.0], [0.0, 1.0])
+        k_sweep(m, e, [0.0, 1.0, 0.0], [1.0], steps=2)
 
 
 def test_distance_form_clamps_and_aborts():
@@ -230,20 +243,11 @@ def test_distance_form_clamps_and_aborts():
 
 
 def test_vacuum_distance_zero_at_t0(two_level):
+    # at t = 0 the state is P0 itself, and the form is exactly 0
     m, e, v = two_level
-    d = vacuum_distance(m, e, 7.0, v, [0.0])
-    assert d.shape == (1,)
-    assert d[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_vacuum_distance_grid_validation(two_level):
-    m, e, v = two_level
-    with pytest.raises(ValueError):
-        vacuum_distance(m, e, 1.0, v, [])
-    with pytest.raises(ValueError):
-        vacuum_distance(m, e, 1.0, v, [0.5, 0.2])
-    with pytest.raises(ValueError):
-        vacuum_distance(m, e, 1.0, v, [-0.1, 0.2])
+    rep = k_sweep(m, e, v, [7.0], steps=2)
+    assert rep.distances.shape == (1, 2)
+    assert rep.distances[0, 0] == 0.0
 
 
 def test_vacuum_distance_two_level_frozen_values(two_level):
@@ -269,8 +273,8 @@ def test_vacuum_distance_slow_only_model_is_zero():
     m = slow_only_model(rng)
     e = eliminate(m)
     v = default_ground_vector(e.decomposition.P0)
-    d = vacuum_distance(m, e, 9.0, v, np.linspace(0.0, 2.0, 21))
-    assert np.max(d) < 1e-7
+    rep = k_sweep(m, e, v, [9.0], horizon=2.0, steps=21)
+    assert rep.sup_distance[0] < 1e-7
 
 
 def test_k_sweep_matches_pointwise_vacuum_distance(two_level):
@@ -280,9 +284,8 @@ def test_k_sweep_matches_pointwise_vacuum_distance(two_level):
     assert rep.distances.shape == (2, 9)
     np.testing.assert_allclose(rep.t_grid, np.linspace(0.0, 0.8, 9), atol=1e-15)
     for i, k in enumerate(ks):
-        np.testing.assert_allclose(
-            rep.distances[i], vacuum_distance(m, e, k, v, rep.t_grid), atol=1e-10
-        )
+        q = dense_squared_distances(m, e, k, v, None, rep.t_grid)
+        np.testing.assert_allclose(rep.distances[i], np.sqrt(np.maximum(q, 0.0)), atol=1e-10)
     np.testing.assert_allclose(rep.sup_distance, rep.distances.max(axis=1), atol=1e-15)
 
 
@@ -326,37 +329,26 @@ def test_step_drive_validation():
 def test_zero_drive_matches_vacuum(two_level):
     m, e, v = two_level
     drive = StepDrive(breakpoints=[0.0, 1.0], amplitudes=[[0.0]])
-    for k in (1.0, 30.0):
-        for t in (0.3, 1.0):
-            c = coherent_distance(m, e, k, v, drive, t)
-            vd = vacuum_distance(m, e, k, v, [t])[0]
-            assert c == pytest.approx(vd, abs=1e-10)
+    vacuum = k_sweep(m, e, v, [1.0, 30.0], steps=11)
+    driven = k_sweep(m, e, v, [1.0, 30.0], steps=11, drive=drive)
+    np.testing.assert_array_equal(driven.distances, vacuum.distances)
 
 
 def test_splitting_a_constant_drive_changes_nothing(two_level):
     m, e, v = two_level
     one = StepDrive(breakpoints=[0.0, 1.0], amplitudes=[[0.25]])
     three = StepDrive(breakpoints=[0.0, 0.3, 0.7, 1.0], amplitudes=[[0.25]] * 3)
-    for t in (0.3, 0.55, 1.0):
-        a = coherent_distance(m, e, 7.0, v, one, t)
-        b = coherent_distance(m, e, 7.0, v, three, t)
-        assert a == pytest.approx(b, abs=1e-10)
+    a = k_sweep(m, e, v, [7.0], steps=21, drive=one)
+    b = k_sweep(m, e, v, [7.0], steps=21, drive=three)
+    np.testing.assert_allclose(a.distances, b.distances, rtol=0, atol=1e-10)
 
 
 def test_coherent_distance_frozen_value(two_level):
     m, e, v = two_level
     drive = StepDrive(breakpoints=[0.0, 1.0], amplitudes=[[0.25]])
-    assert coherent_distance(m, e, 50.0, v, drive, 1.0) == pytest.approx(
-        0.014997766, abs=1e-7
-    )
-    assert coherent_distance(m, e, 50.0, v, drive, 1.0) < 0.1
-
-
-def test_coherent_distance_outside_window_raises(two_level):
-    m, e, v = two_level
-    drive = StepDrive(breakpoints=[0.0, 1.0], amplitudes=[[0.25]])
-    with pytest.raises(InvalidArgument):
-        coherent_distance(m, e, 5.0, v, drive, 1.5)
+    rep = k_sweep(m, e, v, [50.0], steps=2, drive=drive)
+    assert rep.distances[0, -1] == pytest.approx(0.014997766, abs=1e-7)
+    assert rep.distances[0, -1] < 0.1
 
 
 def test_driven_sweep_frozen_values(two_level):
@@ -368,7 +360,7 @@ def test_driven_sweep_frozen_values(two_level):
 
 
 def test_driven_sweep_matches_pointwise_coherent_distance(two_level):
-    # the sweep steps along the grid; coherent_distance jumps from each
+    # the sweep steps along the grid; the dense oracle jumps from each
     # segment start in one step.  The 0.73 breakpoint lies off the grid and
     # 0.5 on it, so this covers stepping, segment switches and the order in
     # which the segments compose.
@@ -376,15 +368,16 @@ def test_driven_sweep_matches_pointwise_coherent_distance(two_level):
     drive = StepDrive(breakpoints=[0.0, 0.5, 0.73, 1.0], amplitudes=[[0.3], [-0.2j], [0.1]])
     rep = k_sweep(m, e, v, [2.0, 20.0], horizon=1.0, steps=11, drive=drive)
     for i, k in enumerate(rep.ks):
-        pointwise = [coherent_distance(m, e, k, v, drive, t) for t in rep.t_grid]
-        np.testing.assert_allclose(rep.distances[i], pointwise, atol=1e-10)
+        q = dense_squared_distances(m, e, k, v, drive, rep.t_grid)
+        np.testing.assert_allclose(rep.distances[i], np.sqrt(np.maximum(q, 0.0)), atol=1e-10)
     # composed by hand at t = 0.8, in the third segment: earliest outermost
     g1, g2, g3 = (
-        pair_generator(displace_limit(e.limit, a), instantiate(displace_scaled(m, a), 20.0))
+        dense_generator(displace_limit(e.limit, a), instantiate(displace_scaled(m, a), 20.0))
         for a in drive.amplitudes
     )
     t = rep.t_grid[8]
-    T = evolve(g1, evolve(g2, evolve(g3, e.decomposition.P0.matrix, t - 0.73), 0.23), 0.5)
+    P0m = e.decomposition.P0.matrix
+    T = dense_evolve(g1, dense_evolve(g2, dense_evolve(g3, P0m, t - 0.73), 0.23), 0.5)
     expected = np.sqrt(np.vdot(v, (2.0 * np.eye(2) - T - T.conj().T) @ v).real)
     assert rep.distances[1, 8] == pytest.approx(expected, abs=1e-10)
 
@@ -496,28 +489,6 @@ def test_generator_convergence_rejects_bad_couplings(two_level):
 # ground-row state and the generator budget
 
 
-def dense_squared_distances(m, e, k, v, drive, t_grid):
-    """<v, (2I - T - T†) v> from the dense d^2 x d^2 generators, composed by
-    hand per segment with the earliest segment outermost."""
-    if drive is None:
-        drive = StepDrive(breakpoints=[0.0, t_grid[-1]], amplitudes=[np.zeros(m.channels)])
-    gens = [
-        pair_generator(displace_limit(e.limit, a), instantiate(displace_scaled(m, a), k))
-        for a in drive.amplitudes
-    ]
-    bps = drive.breakpoints
-    out = []
-    for t in t_grid:
-        # the segment t lies in; a time on a breakpoint belongs to the segment it ends
-        j = min(max(int(np.searchsorted(bps, t)) - 1, 0), len(gens) - 1)
-        T = evolve(gens[j], e.decomposition.P0.matrix, t - bps[j])
-        for i in range(j - 1, -1, -1):
-            T = evolve(gens[i], T, bps[i + 1] - bps[i])
-        q = 2.0 * np.eye(m.dim) - T - T.conj().T
-        out.append(np.vdot(v, q @ v).real)
-    return np.array(out)
-
-
 GROUND_ROW_MODELS = {
     "lambda-d12": lambda: catalog.lambda_system(1.0, 2.0, 0.4, 4),
     "cavity-d16": lambda: catalog.default_cavity_system(n_trunc=8),
@@ -543,6 +514,23 @@ def test_ground_row_sweep_matches_dense_oracle(name, driven):
         q = dense_squared_distances(m, e, k, v, drive, rep.t_grid)
         np.testing.assert_allclose(rep.distances[i] ** 2, np.maximum(q, 0.0), rtol=0, atol=1e-10)
         assert rep.sup_distance[i] == pytest.approx(np.sqrt(np.maximum(q, 0.0)).max(), abs=1e-9)
+
+
+def test_ground_rows_come_from_the_decomposition(monkeypatch):
+    # above RECORDED_ARITHMETIC_MAX_DIM the stepper takes V0 from the SVD that
+    # found the kernel; diagonalising P0 again would reach eigh
+    m = catalog.default_cavity_system(n_trunc=8)
+    assert m.dim == 16
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh reached: the ground basis was recomputed")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    rep = k_sweep(m, e, v, [100.0], horizon=1.0, steps=6)
+    assert 100.0 * rep.sup_distance[0] == pytest.approx(0.54868, abs=5e-6)
+    assert rep.max_clamp == 0.0
 
 
 def record_expm_shapes(monkeypatch):
@@ -597,7 +585,7 @@ def test_oversized_generator_is_refused_before_assembly(monkeypatch):
     c = CoefficientSet(K=np.zeros((40, 40)), L=np.zeros((1, 40, 40)), S=np.zeros((1, 1, 40, 40)))
     monkeypatch.setattr(np, "kron", fail_at_kron)
     with pytest.raises(ResourceLimit, match="1600 x 1600 generator needs 40,960,000 bytes"):
-        pair_generator(c, c)
+        dense_generator(c, c)
 
 
 def test_sweep_checks_the_budget_before_assembly(monkeypatch):
