@@ -8,8 +8,12 @@
     qsde-elim kurtz     --model m.json [--rank-tol 1e-9] [--ks 10,30,100,300]
                         [--format csv|json] [--out residuals.csv]
 
-Each subcommand takes only the flags it reads.  Model files are JSON with
-``schema_version`` 1 and exactly one of ``builtin`` or ``explicit``:
+Each subcommand takes only the flags it reads, and the parser holds every
+default (``FLAGS``, and the ``--ks`` of each command in ``COMMANDS``).
+``main`` is one pipeline: parse the flags, check the tolerances and read the
+drive file, read the model, eliminate, build the report and write it.  Model
+files are JSON with ``schema_version`` 1 and exactly one of ``builtin`` or
+``explicit``:
 
     {"schema_version": 1,
      "builtin": {"name": "two_level",
@@ -24,10 +28,11 @@ Each subcommand takes only the flags it reads.  Model files are JSON with
                   "W": [[matrix, ...], ...],
                   "y1inv_override": matrix (optional)}}
 
-Builtin names: two_level (delta, gamma, alpha), alkali (delta, gamma, bx, by,
-bz), cavity_system (gamma, n_trunc, optional e00/e10/e11 with dim_h),
-lambda_system (gamma, g, alpha, n_trunc).  Complex scalars may be written as
-[re, im].  Unknown fields anywhere are rejected.
+Builtin names (the ``BUILTINS`` table): two_level (delta, gamma, alpha),
+alkali (delta, gamma, bx, by, bz), cavity_system (gamma, n_trunc, optional
+e00/e10/e11 with dim_h), lambda_system (gamma, g, alpha, n_trunc).  A
+parameter left out takes the catalog default.  Complex scalars may be
+written as [re, im].  Unknown fields anywhere are rejected.
 
 A drive file for ``converge --drive`` is a step drive: the field amplitudes,
 one row of channel amplitudes per segment between consecutive breakpoints
@@ -43,8 +48,9 @@ Exit codes:
        exits 1, as do out-of-range or non-finite sweep arguments, a
        coupling at which K or L overflows float64, and tolerances
        (``--tol`` and ``--rank-tol`` must be finite and positive),
-       and a model whose propagation generator would exceed the memory
-       budget (``ResourceLimit``, refused before it is allocated)
+       a model whose propagation generator or sweep grid would exceed the
+       memory budget (``ResourceLimit``, refused before it is allocated),
+       and an output path that cannot be written
     2  structural (assumption) failure
     3  numerical failure: the restricted inverse or a limit coefficient
        overflowed, a squared distance came out non-finite or negative beyond
@@ -61,7 +67,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,53 +101,51 @@ class UsageError(QsdeElimError, ValueError):
 
 
 # ---------------------------------------------------------------------------
-# matrix encoding (Python floats round-trip bit-identically through JSON)
+# field readers: each takes a JSON value and the name of its field
+# (Python floats round-trip bit-identically through JSON)
 
-def matrix_to_pairs(M: np.ndarray) -> list[list[float]]:
-    """Row-major list of [re, im] pairs."""
-    M = np.asarray(M, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in M.reshape(-1, order="C")]
-
-
-def pairs_to_matrix(pairs, dim: int, where: str) -> np.ndarray:
-    if not isinstance(pairs, list) or len(pairs) != dim * dim:
-        raise ModelFileError(f"{where}: expected {dim * dim} [re, im] entries")
-    out = np.empty(dim * dim, dtype=complex)
-    for idx, pair in enumerate(pairs):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise ModelFileError(f"{where}[{idx}]: expected an [re, im] pair of numbers")
-        out[idx] = complex(pair[0], pair[1])
-    return out.reshape(dim, dim)
+def _is_number(x) -> bool:
+    """A JSON number that float64 holds; a bool is not a number here."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, float) or abs(x) <= sys.float_info.max
 
 
-def _as_complex_scalar(value, where: str) -> complex:
-    if isinstance(value, bool):
-        raise ModelFileError(f"{where}: expected a number or [re, im] pair")
-    if isinstance(value, (int, float)):
+def _is_pair(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(_is_number, x))
+
+
+def _pair(value, where: str) -> complex:
+    if not _is_pair(value):
+        raise ModelFileError(f"{where}: expected an [re, im] pair of numbers")
+    return complex(*value)
+
+
+def _complex(value, where: str) -> complex:
+    if _is_number(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        return complex(value[0], value[1])
+    if _is_pair(value):
+        return complex(*value)
     raise ModelFileError(f"{where}: expected a number or [re, im] pair")
 
 
-def _as_real_scalar(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _real(value, where: str) -> float:
+    if not _is_number(value):
         raise ModelFileError(f"{where}: expected a real number")
     return float(value)
 
 
-def _as_int(value, where: str) -> int:
+def _int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ModelFileError(f"{where}: expected an integer")
     return value
+
+
+def _list_of(read, entries, n: int, where: str, what: str = "matrices") -> list:
+    """The n entries of a list, each read by read(entry, where[i])."""
+    if not isinstance(entries, list) or len(entries) != n:
+        raise ModelFileError(f"{where}: expected {n} {what}")
+    return [read(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -153,6 +157,17 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
     missing = required - set(obj)
     if missing:
         raise ModelFileError(f"{where}: missing field(s) {sorted(missing)}")
+
+
+def matrix_to_pairs(M: np.ndarray) -> list[list[float]]:
+    """Row-major list of [re, im] pairs."""
+    M = np.asarray(M, dtype=complex)
+    return [[float(z.real), float(z.imag)] for z in M.reshape(-1, order="C")]
+
+
+def pairs_to_matrix(pairs, dim: int, where: str) -> np.ndarray:
+    entries = _list_of(_pair, pairs, dim * dim, where, "[re, im] entries")
+    return np.array(entries, dtype=complex).reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -167,93 +182,74 @@ class ModelFile:
     label: str
 
 
-def _build_builtin(spec: dict) -> tuple[ScaledModel, str]:
+def _block(value, where: str):
+    """An interaction block of the cavity, read once dim_h is known."""
+    return lambda dim: pairs_to_matrix(value, dim, where)
+
+
+def _cavity(gamma: float = 1.0, dim_h=None, e00=None, e10=None, e11=None, **truncation):
+    """The cavity on the default blocks, or on e00, e10, e11 and dim_h given together."""
+    blocks = [block for block in (e00, e10, e11) if block is not None]
+    if dim_h is None and not blocks:
+        return catalog.default_cavity_system(gamma, **truncation)
+    if dim_h is None or len(blocks) < 3:
+        raise ModelFileError("builtin.parameters: e00, e10, e11 and dim_h must be given together")
+    if dim_h < 1:
+        raise ModelFileError("builtin.parameters.dim_h: expected a positive integer")
+    return catalog.cavity_system(gamma, *(block(dim_h) for block in blocks), **truncation)
+
+
+# name -> (builder, a reader per parameter in the order they are read, the
+# optional parameters); a parameter left out takes the builder's default
+BUILTINS = {
+    "two_level": (catalog.two_level_atom, dict(alpha=_complex, delta=_real, gamma=_real), set()),
+    "alkali": (catalog.alkali_atom, dict.fromkeys("delta gamma bx by bz".split(), _real), set()),
+    "cavity_system": (
+        _cavity,
+        dict(gamma=_real, n_trunc=_int, dim_h=_int, e00=_block, e10=_block, e11=_block),
+        {"gamma", "n_trunc", "dim_h", "e00", "e10", "e11"},
+    ),
+    "lambda_system": (
+        catalog.lambda_system, dict(alpha=_complex, n_trunc=_int, gamma=_real, g=_real), {"n_trunc"}
+    ),
+}
+
+
+def _build_builtin(spec: dict) -> ScaledModel:
     _require_keys(spec, {"name", "parameters"}, {"name", "parameters"}, "builtin")
-    name = spec["name"]
-    params = spec["parameters"]
+    name, params = spec["name"], spec["parameters"]
     if not isinstance(params, dict):
         raise ModelFileError("builtin.parameters: expected an object")
-
-    def real(key, default=None):
-        if key not in params:
-            if default is None:
-                raise ModelFileError(f"builtin.parameters: missing '{key}'")
-            return default
-        return _as_real_scalar(params[key], f"builtin.parameters.{key}")
-
-    if name == "two_level":
-        _require_keys(params, {"delta", "gamma", "alpha"}, {"delta", "gamma", "alpha"},
-                      "builtin.parameters")
-        alpha = _as_complex_scalar(params["alpha"], "builtin.parameters.alpha")
-        return catalog.two_level_atom(real("delta"), real("gamma"), alpha), name
-    if name == "alkali":
-        _require_keys(params, {"delta", "gamma", "bx", "by", "bz"},
-                      {"delta", "gamma", "bx", "by", "bz"}, "builtin.parameters")
-        return (
-            catalog.alkali_atom(real("delta"), real("gamma"), real("bx"), real("by"), real("bz")),
-            name,
-        )
-    if name == "cavity_system":
-        _require_keys(params, {"gamma", "n_trunc", "dim_h", "e00", "e10", "e11"},
-                      set(), "builtin.parameters")
-        gamma = real("gamma", 1.0)
-        n_trunc = _as_int(params.get("n_trunc", 4), "builtin.parameters.n_trunc")
-        blocks = {k for k in ("e00", "e10", "e11") if k in params}
-        if blocks:
-            if blocks != {"e00", "e10", "e11"} or "dim_h" not in params:
-                raise ModelFileError(
-                    "builtin.parameters: e00, e10, e11 and dim_h must be given together"
-                )
-            dim_h = _as_int(params["dim_h"], "builtin.parameters.dim_h")
-            e00 = pairs_to_matrix(params["e00"], dim_h, "builtin.parameters.e00")
-            e10 = pairs_to_matrix(params["e10"], dim_h, "builtin.parameters.e10")
-            e11 = pairs_to_matrix(params["e11"], dim_h, "builtin.parameters.e11")
-        else:
-            e00, e10, e11 = catalog.default_cavity_blocks()
-        return catalog.cavity_system(gamma, e00, e10, e11, n_trunc), name
-    if name == "lambda_system":
-        _require_keys(params, {"gamma", "g", "alpha", "n_trunc"},
-                      {"gamma", "g", "alpha"}, "builtin.parameters")
-        alpha = _as_complex_scalar(params["alpha"], "builtin.parameters.alpha")
-        n_trunc = _as_int(params.get("n_trunc", 4), "builtin.parameters.n_trunc")
-        return catalog.lambda_system(real("gamma"), real("g"), alpha, n_trunc), name
-    raise ModelFileError(f"builtin.name: unknown builtin '{name}'")
+    if not isinstance(name, str) or name not in BUILTINS:
+        raise ModelFileError(f"builtin.name: unknown builtin '{name}'")
+    build, readers, optional = BUILTINS[name]
+    _require_keys(params, set(readers), set(readers) - optional, "builtin.parameters")
+    return build(**{
+        key: read(params[key], f"builtin.parameters.{key}")
+        for key, read in readers.items() if key in params
+    })
 
 
 def _build_explicit(spec: dict) -> tuple[ScaledModel, np.ndarray | None]:
     allowed = {"dim", "channels", "Y", "A", "B", "F", "G", "W", "y1inv_override"}
-    required = {"dim", "channels", "Y", "A", "B", "F", "G", "W"}
-    _require_keys(spec, allowed, required, "explicit")
-    dim = _as_int(spec["dim"], "explicit.dim")
-    channels = _as_int(spec["channels"], "explicit.channels")
+    _require_keys(spec, allowed, allowed - {"y1inv_override"}, "explicit")
+    dim = _int(spec["dim"], "explicit.dim")
+    channels = _int(spec["channels"], "explicit.channels")
     if dim < 1 or channels < 1:
         raise ModelFileError("explicit: dim and channels must be positive")
 
-    Y = pairs_to_matrix(spec["Y"], dim, "explicit.Y")
-    A = pairs_to_matrix(spec["A"], dim, "explicit.A")
-    B = pairs_to_matrix(spec["B"], dim, "explicit.B")
+    def matrix(pairs, where):
+        return pairs_to_matrix(pairs, dim, where)
 
-    def matrix_list(key):
-        entries = spec[key]
-        if not isinstance(entries, list) or len(entries) != channels:
-            raise ModelFileError(f"explicit.{key}: expected {channels} matrices")
-        return [pairs_to_matrix(m, dim, f"explicit.{key}[{i}]") for i, m in enumerate(entries)]
+    def matrices(entries, where):
+        return _list_of(matrix, entries, channels, where)
 
-    F = matrix_list("F")
-    G = matrix_list("G")
-    Wspec = spec["W"]
-    if not isinstance(Wspec, list) or len(Wspec) != channels:
-        raise ModelFileError(f"explicit.W: expected {channels} rows")
-    W = []
-    for i, row in enumerate(Wspec):
-        if not isinstance(row, list) or len(row) != channels:
-            raise ModelFileError(f"explicit.W[{i}]: expected {channels} matrices")
-        W.append([pairs_to_matrix(m, dim, f"explicit.W[{i}][{j}]") for j, m in enumerate(row)])
-
+    Y, A, B = (matrix(spec[key], f"explicit.{key}") for key in "YAB")
+    F, G = (matrices(spec[key], f"explicit.{key}") for key in "FG")
+    W = _list_of(matrices, spec["W"], channels, "explicit.W", "rows")
     y1inv = None
     if "y1inv_override" in spec:
-        y1inv = pairs_to_matrix(spec["y1inv_override"], dim, "explicit.y1inv_override")
-
+        y1inv = matrix(spec["y1inv_override"], "explicit.y1inv_override")
     try:
         model = ScaledModel(Y=Y, A=A, B=B, F=F, G=G, W=W)
     except QsdeElimError as exc:
@@ -267,13 +263,11 @@ def parse_model_document(doc) -> ModelFile:
         raise ModelFileError(
             f"model file: unsupported schema_version {doc['schema_version']!r}"
         )
-    has_builtin = "builtin" in doc
-    has_explicit = "explicit" in doc
-    if has_builtin == has_explicit:
+    if ("builtin" in doc) == ("explicit" in doc):
         raise ModelFileError("model file: exactly one of 'builtin' or 'explicit' is required")
-    if has_builtin:
-        model, label = _build_builtin(doc["builtin"])
-        return ModelFile(model=model, y1inv_override=None, label=label)
+    if "builtin" in doc:
+        model = _build_builtin(doc["builtin"])
+        return ModelFile(model=model, y1inv_override=None, label=doc["builtin"]["name"])
     model, y1inv = _build_explicit(doc["explicit"])
     return ModelFile(model=model, y1inv_override=y1inv, label="explicit")
 
@@ -291,6 +285,8 @@ def read_json_file(path: str | Path, kind: str):
         raise ModelFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ModelFileError(f"{path}: JSON nested too deeply") from exc
 
 
 def read_model_file(path: str | Path) -> ModelFile:
@@ -311,12 +307,9 @@ def model_to_document(m: ScaledModel, y1inv_override: np.ndarray | None = None) 
         "Y": matrix_to_pairs(m.Y),
         "A": matrix_to_pairs(m.A),
         "B": matrix_to_pairs(m.B),
-        "F": [matrix_to_pairs(m.F[i]) for i in range(m.channels)],
-        "G": [matrix_to_pairs(m.G[i]) for i in range(m.channels)],
-        "W": [
-            [matrix_to_pairs(m.W[i, j]) for j in range(m.channels)]
-            for i in range(m.channels)
-        ],
+        "F": [matrix_to_pairs(f) for f in m.F],
+        "G": [matrix_to_pairs(g) for g in m.G],
+        "W": [[matrix_to_pairs(w) for w in row] for row in m.W],
     }
     if y1inv_override is not None:
         explicit["y1inv_override"] = matrix_to_pairs(y1inv_override)
@@ -324,50 +317,25 @@ def model_to_document(m: ScaledModel, y1inv_override: np.ndarray | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# run configuration
+# settings: the parsed flags, checked
 
-CONVERGE_KS = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
-KURTZ_KS = [10.0, 30.0, 100.0, 300.0]
-
-
-@dataclass
-class RunConfig:
-    """Run settings; a setting whose flag is not given keeps its default here."""
-
-    rank_tol: float = DEFAULT_RANK_TOL
-    tol: float = DEFAULT_TOL
-    ks: list[float] = field(default_factory=lambda: list(CONVERGE_KS))
-    horizon: float = 1.0
-    steps: int = DEFAULT_STEPS
-    drive: StepDrive | None = None
-    out: str | None = None
-    format: str = "csv"
-
-
-def _parse_drive(spec, where: str) -> StepDrive:
-    _require_keys(spec, {"breakpoints", "amplitudes"}, {"breakpoints", "amplitudes"}, where)
+def _parse_drive(spec) -> StepDrive:
+    _require_keys(spec, {"breakpoints", "amplitudes"}, {"breakpoints", "amplitudes"}, "drive")
     bps = spec["breakpoints"]
-    if not isinstance(bps, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in bps
-    ):
-        raise ModelFileError(f"{where}.breakpoints: expected a list of numbers")
-    amps_spec = spec["amplitudes"]
-    if not isinstance(amps_spec, list):
-        raise ModelFileError(f"{where}.amplitudes: expected a list of per-segment rows")
+    if not isinstance(bps, list) or not all(map(_is_number, bps)):
+        raise ModelFileError("drive.breakpoints: expected a list of numbers")
+    rows = spec["amplitudes"]
+    if not isinstance(rows, list):
+        raise ModelFileError("drive.amplitudes: expected a list of per-segment rows")
     amps = []
-    for i, row in enumerate(amps_spec):
+    for i, row in enumerate(rows):
         if not isinstance(row, list):
-            raise ModelFileError(f"{where}.amplitudes[{i}]: expected a list of channel amplitudes")
-        amps.append([_as_complex_scalar(x, f"{where}.amplitudes[{i}][{j}]") for j, x in enumerate(row)])
+            raise ModelFileError(f"drive.amplitudes[{i}]: expected a list of channel amplitudes")
+        amps.append([_complex(x, f"drive.amplitudes[{i}][{j}]") for j, x in enumerate(row)])
     try:
         return StepDrive(breakpoints=bps, amplitudes=amps)
     except QsdeElimError as exc:
-        raise ModelFileError(f"{where}: {exc}") from exc
-
-
-def _check_tolerance(value: float, flag: str) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidArgument(f"{flag}: expected a finite positive tolerance, got {value!r}")
+        raise ModelFileError(f"drive: {exc}") from exc
 
 
 def _couplings(text: str) -> list[float]:
@@ -381,20 +349,20 @@ def _couplings(text: str) -> list[float]:
     return ks
 
 
-def build_config(args) -> RunConfig:
-    """Validate the flags given; the parser leaves every other setting out of args."""
-    given = {key: value for key, value in vars(args).items() if key not in ("command", "model")}
+def _settings(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed flags, with both tolerances checked and the drive file read."""
     for key in ("rank_tol", "tol"):
-        if key in given:
-            _check_tolerance(given[key], "--" + key.replace("_", "-"))
-    if "drive" in given:
-        given["drive"] = _parse_drive(read_json_file(given["drive"], "drive"), "drive")
-    default_ks = KURTZ_KS if args.command == "kurtz" else CONVERGE_KS
-    return RunConfig(**{"ks": list(default_ks), **given})
+        value = getattr(args, key, DEFAULT_TOL)
+        if not (math.isfinite(value) and value > 0):
+            flag = "--" + key.replace("_", "-")
+            raise InvalidArgument(f"{flag}: expected a finite positive tolerance, got {value!r}")
+    if getattr(args, "drive", None) is not None:
+        args.drive = _parse_drive(read_json_file(args.drive, "drive"))
+    return args
 
 
 # ---------------------------------------------------------------------------
-# report helpers
+# reports: each command builds one document or CSV text, and _write sends it
 
 def _json_float(x) -> float | None:
     """A JSON number, or null where float64 overflowed (strict JSON has no NaN)."""
@@ -414,56 +382,72 @@ def _report_section(name: str, report) -> dict:
     }
 
 
-def _write_text(out: str | None, text: str) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _header(command: str, mf: ModelFile) -> dict:
+    return {"schema_version": SCHEMA_VERSION, "command": command, "model": mf.label}
 
 
-def _json_dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False, allow_nan=False) + "\n"
+def _row(*cells) -> str:
+    """A CSV line: a label as it is, a number as the repr of its float."""
+    return ",".join(c if isinstance(c, str) else repr(float(c)) for c in cells)
 
 
-def _float_str(x: float) -> str:
-    return repr(float(x))
+def _csv(*tables) -> str:
+    """(header, rows) tables, separated by a blank line."""
+    return "\n\n".join(
+        "\n".join([header, *(_row(*cells) for cells in rows)]) for header, rows in tables
+    ) + "\n"
+
+
+def _write(out: str | None, report) -> None:
+    """Write a report, a JSON document or CSV text, to the file out or else to stdout."""
+    if not isinstance(report, str):
+        report = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    if not out:
+        sys.stdout.write(report)
+        return
+    try:
+        Path(out).write_text(report)
+    except OSError as exc:
+        raise InvalidArgument(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes the parsed model file, the run config and the
+# subcommands: each takes the parsed model file, the settings and the
 # elimination result that main computed once for every command
 
-def _model_sections(m: ScaledModel, cfg: RunConfig) -> list[dict]:
+def _model_sections(m: ScaledModel, tol: float) -> list[dict]:
     """The check sections that do not need the elimination result."""
     # a residual or norm scale that overflows fails its section, unwarned
     with np.errstate(over="ignore", invalid="ignore"):
         return [
-            _report_section("unitarity (k=1)", check_hp_unitarity(instantiate(m, 1.0), cfg.tol)),
-            _report_section("scaling-consistency", check_scaling_consistency(m, cfg.tol)),
+            _report_section("unitarity (k=1)", check_hp_unitarity(instantiate(m, 1.0), tol)),
+            _report_section("scaling-consistency", check_scaling_consistency(m, tol)),
         ]
 
 
-def cmd_check(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
+def _elimination_sections(result: EliminationResult) -> list[dict]:
+    return [
+        _report_section("inverse-structure", result.inverse_structure),
+        _report_section("ground-support", result.ground_support),
+        _report_section("limit-unitarity", result.limit_unitarity),
+    ]
+
+
+def cmd_check(mf: ModelFile, args, result: EliminationResult) -> int:
     """Run every structural identity check and report residuals."""
-    sections = _model_sections(mf.model, cfg)
-    sections.append(_report_section("inverse-structure", result.inverse_structure))
-    sections.append(_report_section("ground-support", result.ground_support))
-    sections.append(_report_section("limit-unitarity", result.limit_unitarity))
+    sections = _model_sections(mf.model, args.tol) + _elimination_sections(result)
     passed = all(section["passed"] for section in sections)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check",
-        "model": mf.label,
+    _write(args.out, {
+        **_header("check", mf),
         "passed": passed,
         "ground_rank": result.decomposition.P0.rank,
         "sections": sections,
         "warnings": result.warnings,
-    }
-    _write_text(cfg.out, _json_dumps(doc))
+    })
     return EXIT_OK if passed else EXIT_ASSUMPTION
 
 
-def cmd_eliminate(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
+def cmd_eliminate(mf: ModelFile, args, result: EliminationResult) -> int:
     """Write the limit model (as an explicit model file) plus a report file.
 
     The limit coefficients are encoded as a coupling-independent family:
@@ -472,64 +456,45 @@ def cmd_eliminate(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> i
     '<out>.report.json' when --out is given, else into the same stream.
     """
     limit = result.limit
-    d, n = limit.dim, limit.channels
-    zero = np.zeros((d, d), dtype=complex)
-    limit_model = ScaledModel(Y=zero, A=zero, B=limit.K, F=[zero] * n, G=limit.L, W=limit.S)
-    model_doc = model_to_document(limit_model)
+    zero = np.zeros((limit.dim, limit.dim), dtype=complex)
+    model_doc = model_to_document(
+        ScaledModel(Y=zero, A=zero, B=limit.K, F=[zero] * limit.channels, G=limit.L, W=limit.S)
+    )
+    passed = result.assumptions_pass and result.limit_unitarity.passed
     report_doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "eliminate",
-        "model": mf.label,
+        **_header("eliminate", mf),
         "ground_rank": result.decomposition.P0.rank,
         "p0": matrix_to_pairs(result.decomposition.P0.matrix),
         "y1inv": matrix_to_pairs(result.decomposition.Y1inv),
-        "sections": [
-            _report_section("inverse-structure", result.inverse_structure),
-            _report_section("ground-support", result.ground_support),
-            _report_section("limit-unitarity", result.limit_unitarity),
-        ],
+        "sections": _elimination_sections(result),
         "warnings": result.warnings,
-        "passed": result.assumptions_pass and result.limit_unitarity.passed,
+        "passed": passed,
     }
-    if cfg.out:
-        out = Path(cfg.out)
-        out.write_text(_json_dumps(model_doc))
-        Path(str(out) + ".report.json").write_text(_json_dumps(report_doc))
+    if args.out:
+        _write(args.out, model_doc)
+        _write(args.out + ".report.json", report_doc)
     else:
-        sys.stdout.write(_json_dumps({"limit_model": model_doc, "report": report_doc}))
-    return EXIT_OK if report_doc["passed"] else EXIT_ASSUMPTION
+        _write(None, {"limit_model": model_doc, "report": report_doc})
+    return EXIT_OK if passed else EXIT_ASSUMPTION
 
 
-def _converge_csv(report) -> str:
-    lines = ["k,t,distance"]
-    for i, k in enumerate(report.ks):
-        for j, t in enumerate(report.t_grid):
-            lines.append(f"{_float_str(k)},{_float_str(t)},{_float_str(report.distances[i, j])}")
-    lines.append("")
-    lines.append("k,sup_distance")
-    for i, k in enumerate(report.ks):
-        lines.append(f"{_float_str(k)},{_float_str(report.sup_distance[i])}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_converge(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
+def cmd_converge(mf: ModelFile, args, result: EliminationResult) -> int:
     """Sweep couplings and emit the convergence distances."""
     v = default_ground_vector(result.decomposition.P0)
-    report = k_sweep(mf.model, result, v, cfg.ks, cfg.horizon, cfg.steps, cfg.drive)
-    if cfg.format == "csv":
-        _write_text(cfg.out, _converge_csv(report))
-    else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "converge",
-            "model": mf.label,
-            "ks": report.ks.tolist(),
-            "t_grid": report.t_grid.tolist(),
-            "distances": report.distances.tolist(),
-            "sup_distance": report.sup_distance.tolist(),
-            "max_clamp": float(report.max_clamp),
-        }
-        _write_text(cfg.out, _json_dumps(doc))
+    r = k_sweep(mf.model, result, v, args.ks, args.horizon, args.steps, args.drive)
+    if args.format == "csv":
+        grid = [(k, t, d) for k, row in zip(r.ks, r.distances) for t, d in zip(r.t_grid, row)]
+        sups = zip(r.ks, r.sup_distance)
+        _write(args.out, _csv(("k,t,distance", grid), ("k,sup_distance", sups)))
+        return EXIT_OK
+    _write(args.out, {
+        **_header("converge", mf),
+        "ks": r.ks.tolist(),
+        "t_grid": r.t_grid.tolist(),
+        "distances": r.distances.tolist(),
+        "sup_distance": r.sup_distance.tolist(),
+        "max_clamp": float(r.max_clamp),
+    })
     return EXIT_OK
 
 
@@ -543,7 +508,7 @@ def _ground_basis_labels(P0: Projector) -> list[tuple[str, np.ndarray]]:
     return labeled
 
 
-def cmd_kurtz(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
+def cmd_kurtz(mf: ModelFile, args, result: EliminationResult) -> int:
     """Corrected vs uncorrected generator residuals for ground observables.
 
     The report is written even when every residual overflowed; that run then
@@ -552,72 +517,44 @@ def cmd_kurtz(mf: ModelFile, cfg: RunConfig, result: EliminationResult) -> int:
     rows = []
     slopes = []
     for label, X in _ground_basis_labels(result.decomposition.P0):
-        res = generator_convergence_check(mf.model, result, X, cfg.ks)
-        for i, k in enumerate(res.ks):
-            rows.append((label, float(k), float(res.corrected[i]), float(res.uncorrected[i])))
+        res = generator_convergence_check(mf.model, result, X, args.ks)
+        rows += [
+            (label, float(k), float(c), float(u))
+            for k, c, u in zip(res.ks, res.corrected, res.uncorrected)
+        ]
         slopes.append((label, res.corrected_slope()))
-    if cfg.format == "csv":
-        lines = ["label,k,corrected,uncorrected"]
-        for label, k, corr, uncorr in rows:
-            lines.append(f"{label},{_float_str(k)},{_float_str(corr)},{_float_str(uncorr)}")
-        lines.append("")
-        lines.append("label,slope")
-        for label, slope in slopes:
-            lines.append(f"{label},{_float_str(slope)}")
-        _write_text(cfg.out, "\n".join(lines) + "\n")
+    if args.format == "csv":
+        _write(args.out, _csv(("label,k,corrected,uncorrected", rows), ("label,slope", slopes)))
     else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "kurtz",
-            "model": mf.label,
-            "ks": list(cfg.ks),
+        _write(args.out, {
+            **_header("kurtz", mf),
+            "ks": list(args.ks),
             "residuals": [
                 dict(label=label, k=k, corrected=_json_float(c), uncorrected=_json_float(u))
                 for label, k, c, u in rows
             ],
-            "slopes": [
-                {"label": label, "slope": _json_float(slope)} for label, slope in slopes
-            ],
-        }
-        _write_text(cfg.out, _json_dumps(doc))
+            "slopes": [{"label": label, "slope": _json_float(slope)} for label, slope in slopes],
+        })
     if not any(math.isfinite(c) or math.isfinite(u) for _, _, c, u in rows):
         raise NumericalFailure("every generator residual overflowed to a non-finite value")
     return EXIT_OK
 
 
-# each command takes --model, --rank-tol and exactly the flags of the settings it reads
-COMMANDS = {
-    "check": (cmd_check, "--tol --out"),
-    "eliminate": (cmd_eliminate, "--tol --out"),
-    "converge": (cmd_converge, "--ks --horizon --steps --drive --format --out"),
-    "kurtz": (cmd_kurtz, "--ks --format --out"),
-}
-
-
-def _report_singular_restriction(
-    command: str, mf: ModelFile, cfg: RunConfig, exc: SingularRestriction
-) -> int:
+def _report_singular_restriction(args, mf: ModelFile, exc: SingularRestriction) -> int:
     """Each command's documented output when Y is not invertible on the excited sector."""
-    if command == "check":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "check",
-            "model": mf.label,
+    if args.command == "check":
+        _write(args.out, {
+            **_header("check", mf),
             "passed": False,
-            "sections": _model_sections(mf.model, cfg),
+            "sections": _model_sections(mf.model, args.tol),
             "error": (
                 f"{exc} (supply an explicit 'y1inv_override' in the model file "
                 "to bypass the automatic restricted inverse)"
             ),
-        }
-        _write_text(cfg.out, _json_dumps(doc))
-    elif command == "eliminate":
-        sys.stderr.write(
-            f"error: {exc}\n"
-            "hint: supply an explicit 'y1inv_override' matrix in the model file\n"
-        )
+        })
     else:
-        sys.stderr.write(f"error: {exc}\n")
+        hint = "hint: supply an explicit 'y1inv_override' matrix in the model file\n"
+        sys.stderr.write(f"error: {exc}\n" + (hint if args.command == "eliminate" else ""))
     return EXIT_ASSUMPTION
 
 
@@ -626,14 +563,29 @@ def _report_singular_restriction(
 
 FLAGS = {
     "--model": dict(required=True, help="path to a model JSON file"),
-    "--rank-tol": dict(type=float, help="relative singular-value cutoff for Ker(Y)"),
-    "--tol": dict(type=float, help="identity check tolerance"),
+    "--rank-tol": dict(
+        type=float, default=DEFAULT_RANK_TOL, help="relative singular-value cutoff for Ker(Y)"
+    ),
+    "--tol": dict(type=float, default=DEFAULT_TOL, help="identity check tolerance"),
     "--ks": dict(type=_couplings, help="comma-separated couplings, e.g. 1,2,5,10"),
-    "--horizon": dict(type=float, help="time horizon of the sweep"),
-    "--steps": dict(type=int, help="number of grid points on [0, horizon]"),
+    "--horizon": dict(type=float, default=1.0, help="time horizon of the sweep"),
+    "--steps": dict(type=int, default=DEFAULT_STEPS, help="number of grid points on [0, horizon]"),
     "--drive": dict(help="path to a step-drive JSON file (default: vacuum)"),
-    "--format": dict(choices=("csv", "json"), help="output format"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="output format"),
     "--out": dict(help="output path (default: stdout)"),
+}
+
+# each command takes --model, --rank-tol and exactly the flags of the settings
+# it reads; the third entry holds its own defaults
+COMMANDS = {
+    "check": (cmd_check, "--tol --out", {}),
+    "eliminate": (cmd_eliminate, "--tol --out", {}),
+    "converge": (
+        cmd_converge,
+        "--ks --horizon --steps --drive --format --out",
+        dict(ks=[1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]),
+    ),
+    "kurtz": (cmd_kurtz, "--ks --format --out", dict(ks=[10.0, 30.0, 100.0, 300.0])),
 }
 
 
@@ -651,26 +603,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adiabatic elimination of coupling-scaled quantum stochastic models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (command, flags) in COMMANDS.items():
-        # flags not given stay out of args, so RunConfig holds every default
-        summary = command.__doc__.splitlines()[0]
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    for name, (command, flags, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__.splitlines()[0])
         for flag in ("--model", "--rank-tol", *flags.split()):
             p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(**defaults)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        cfg = build_config(args)
+        args = _settings(build_parser().parse_args(argv))
         mf = read_model_file(args.model)
+        tol = getattr(args, "tol", DEFAULT_TOL)
         try:
-            result = eliminate(mf.model, cfg.rank_tol, cfg.tol, mf.y1inv_override)
+            result = eliminate(mf.model, args.rank_tol, tol, mf.y1inv_override)
         except SingularRestriction as exc:
-            return _report_singular_restriction(args.command, mf, cfg, exc)
-        command, _ = COMMANDS[args.command]
-        return command(mf, cfg, result)
+            return _report_singular_restriction(args, mf, exc)
+        return COMMANDS[args.command][0](mf, args, result)
     except QsdeElimError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL if isinstance(exc, NumericalFailure) else EXIT_INVALID

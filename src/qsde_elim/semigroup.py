@@ -34,7 +34,8 @@ SVD of Y, the stepper carries Z = V0† X from Z0 = V0†: each left factor l
 becomes V0† l V0 and T = V0 Z.  The generator then has (d0 d)^2 entries
 instead of d^4.  Models of dimension at most RECORDED_ARITHMETIC_MAX_DIM keep
 the full d x d state.  A generator over GENERATOR_BUDGET_BYTES is refused
-with ResourceLimit before it is assembled.
+with ResourceLimit before it is assembled, and so is a sweep whose time grid
+and distance array together would exceed it.
 
 The Kurtz corrector makes the generator convergence explicit: for a ground
 observable X there are X1, X2 with Lk(X + X1/k + X2/k^2) -> L(X) at rate 1/k.
@@ -91,8 +92,11 @@ class StepDrive:
         bp = np.asarray(self.breakpoints, dtype=float).ravel()
         if bp.size < 2 or bp[0] != 0.0:
             raise InvalidArgument("breakpoints must start at 0 and contain at least one segment")
-        if not np.all(np.diff(bp) > 0):
+        if not np.all(bp[1:] > bp[:-1]):
             raise InvalidArgument("breakpoints must be strictly increasing")
+        rows = self.amplitudes if isinstance(self.amplitudes, (list, tuple)) else []
+        if len({np.size(row) for row in rows}) > 1:
+            raise InvalidArgument("every amplitude row needs one amplitude per channel")
         amps = np.atleast_2d(np.asarray(self.amplitudes, dtype=complex))
         if amps.shape[0] != bp.size - 1:
             raise InvalidArgument(
@@ -390,7 +394,8 @@ def k_sweep(
     cover the horizon).  Tiny negative values of the quadratic form are
     clamped to zero; a clamp beyond CLAMP_ABORT or a non-finite value aborts
     with ClampExceeded.  Reports per-k suprema and the largest clamp applied
-    anywhere in the sweep.
+    anywhere in the sweep.  A grid over GENERATOR_BUDGET_BYTES raises
+    ResourceLimit before it is allocated.
     """
     ks = _validate_couplings(ks, positive=False)
     horizon = float(horizon)
@@ -402,6 +407,12 @@ def k_sweep(
     if drive is not None and drive.horizon < horizon - 1e-12:
         raise InvalidArgument(
             f"drive window ends at {drive.horizon}, before the horizon {horizon}"
+        )
+    grid_bytes = 8 * steps * (1 + ks.size)  # t_grid and distances, both float64
+    if grid_bytes > GENERATOR_BUDGET_BYTES:
+        raise ResourceLimit(
+            f"a sweep of {ks.size} coupling(s) on {steps:,} grid points needs "
+            f"{grid_bytes:,} bytes, over the budget of {GENERATOR_BUDGET_BYTES:,} bytes"
         )
     t_grid = np.linspace(0.0, horizon, steps)
     v = _require_ground_vector(v, e.decomposition.P1.matrix)

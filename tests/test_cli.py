@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -867,3 +868,92 @@ def test_cold_cli_stderr_carries_no_warning(tmp_path, args, stderr):
     )
     assert proc.stderr.startswith(stderr)
     assert len(proc.stderr.splitlines()) == (1 if stderr else 0)
+
+
+# ---------------------------------------------------------------------------
+# inputs that once ended in a traceback or passed silently
+
+
+def cavity_doc(**parameters):
+    return {"schema_version": 1, "builtin": {"name": "cavity_system", "parameters": parameters}}
+
+
+@pytest.mark.parametrize(
+    "model, argv, message",
+    [
+        (cavity_doc(dim_h="x"), ["check"], "builtin.parameters.dim_h: expected an integer"),
+        (cavity_doc(dim_h=3), ["check"], "e00, e10, e11 and dim_h must be given together"),
+        (
+            cavity_doc(dim_h=-1, e00=[[0, 0]], e10=[[0, 0]], e11=[[0, 0]]),
+            ["eliminate"],
+            "builtin.parameters.dim_h: expected a positive integer",
+        ),
+        (two_level_doc(alpha=10**400), ["kurtz"], "builtin.parameters.alpha: expected a number"),
+        (two_level_doc(), ["converge", "--ks", "5", "--steps", str(10**15)], "over the budget"),
+    ],
+    ids=["dim_h-not-integer", "dim_h-without-blocks", "negative-dim_h", "huge-integer", "huge-steps"],
+)
+def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, model, argv, message):
+    path = write_json(tmp_path / "m.json", model)
+    code, out, err = run(capsys, argv + ["--model", path])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and message in err
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, ["check", "--model", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
+def test_ragged_drive_is_an_input_error(tmp_path, capsys):
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    drive = {"breakpoints": [0.0, 0.25, 0.5], "amplitudes": [[0.3], [0.1, 0.2]]}
+    dpath = write_json(tmp_path / "d.json", drive)
+    argv = ["converge", "--model", mpath, "--drive", dpath, "--horizon", "0.5"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: drive: ") and "one amplitude per channel" in err
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, command):
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    target = tmp_path / "missing" / "x.out"
+    code, out, err = run(capsys, [command, "--model", mpath, "--out", str(target)])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+def readme_builtins():
+    """Name -> parameters in the README table of builtins."""
+    text = README.read_text()
+    table = text[text.index("| name "):].split("\n\n")[0].splitlines()[2:]
+    cells = [line.split("|")[1:3] for line in table]
+    names = r"`(\w+)`"
+    return {re.findall(names, name)[0]: set(re.findall(names, params)) for name, params in cells}
+
+
+def test_readme_builtin_table_matches_the_builtins():
+    builtins = {name: set(readers) for name, (_, readers, _) in cli.BUILTINS.items()}
+    assert readme_builtins() == builtins
+
+
+def test_a_builtin_parameter_is_optional_where_its_builder_has_a_default():
+    for name, (build, readers, optional) in cli.BUILTINS.items():
+        signature = inspect.signature(build).parameters
+        for key in readers:
+            # a key the signature does not name goes on to the catalog's default
+            has_default = key not in signature or (
+                signature[key].default is not inspect.Parameter.empty
+            )
+            assert has_default == (key in optional), (name, key)

@@ -1,14 +1,16 @@
-"""Property tests: no model document makes the parser or ``check`` crash.
+"""Property tests: no model or drive document makes the parser or ``check`` crash.
 
 Generated builtin and explicit documents, well-formed or not, must either
 parse or raise a package error, and ``check`` on them must end in a
 documented exit code with every failure reported on an ``error:`` line.
+Generated drive documents must either parse or raise a package error.
 Sizes are capped (dim <= 4, channels <= 2, n_trunc <= 4) so nothing large
 is allocated.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -17,11 +19,11 @@ import tempfile
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qsde_elim import QsdeElimError  # noqa: E402
-from qsde_elim.cli import main, parse_model_document  # noqa: E402
+from qsde_elim.cli import _parse_drive, main, parse_model_document  # noqa: E402
 
 # derandomized: the same examples on every run, so the suite stays deterministic
 FUZZ = settings(
@@ -132,3 +134,46 @@ def test_check_exits_with_a_documented_code(doc, tol):
             if section["passed"]:  # a pass is never vacuous
                 assert math.isfinite(section["tolerance"])
                 assert all(math.isfinite(r["residual"]) for r in section["residuals"])
+
+
+def rarely(draw) -> bool:
+    return draw(st.integers(0, 9)) == 9
+
+
+@st.composite
+def drive_documents(draw):
+    """Step drives, mostly of breakpoints rising from 0 and rows of one width."""
+    segments = draw(st.integers(1, 3)) if not rarely(draw) else 0
+    if not rarely(draw):
+        durations = st.one_of(st.floats(0.125, 1.0), st.sampled_from([0.5, 0.0, math.inf]))
+        steps = draw(st.lists(durations, min_size=segments, max_size=segments))
+        breakpoints = list(itertools.accumulate(steps, initial=0.0))
+    else:
+        breakpoints = draw(st.one_of(st.lists(reals, max_size=4), junk))
+    width = draw(st.integers(1, 2))
+
+    def row():
+        ragged = draw(st.integers(0, 3)) == 3
+        n = draw(st.integers(0, 3)) if ragged else width
+        return [draw(junk) if rarely(draw) else draw(scalars) for _ in range(n)]
+
+    amplitudes = [draw(junk) if rarely(draw) else row() for _ in range(segments)]
+    doc = {"breakpoints": breakpoints, "amplitudes": amplitudes}
+    if rarely(draw):
+        doc["amplitudes"] = draw(junk)
+    if rarely(draw):
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    if rarely(draw):
+        doc["phase"] = 1.0
+    return doc
+
+
+@FUZZ
+@given(drive_documents())
+@example({"breakpoints": [0.0, 0.25, 0.5], "amplitudes": [[0.3], [0.1, 0.2]]})
+@example({"breakpoints": [0.0, math.inf, math.inf], "amplitudes": [[0.3], [0.1]]})
+def test_parse_drive_raises_only_package_errors(doc):
+    try:
+        _parse_drive(doc)
+    except QsdeElimError:
+        pass

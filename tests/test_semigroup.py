@@ -321,6 +321,8 @@ def test_step_drive_validation():
         StepDrive(breakpoints=[0.0, 1.0], amplitudes=[[0.1], [0.2]])
     with pytest.raises(InvalidArgument):
         StepDrive(breakpoints=[0.0, 1.0], amplitudes=[[np.inf]])
+    with pytest.raises(InvalidArgument, match="one amplitude per channel"):
+        StepDrive(breakpoints=[0.0, 0.5, 1.0], amplitudes=[[0.3], [0.1, 0.2]])
     drive = StepDrive(breakpoints=[0.0, 0.5, 2.0], amplitudes=[[0.1], [0.2j]])
     assert drive.segments == 2
     assert drive.horizon == 2.0
@@ -597,6 +599,18 @@ def test_sweep_checks_the_budget_before_assembly(monkeypatch):
     monkeypatch.setattr(np, "kron", fail_at_kron)
     with pytest.raises(ResourceLimit):
         k_sweep(m, e, v, [5.0], horizon=1.0, steps=6)
+
+
+def fail_at_linspace(*args, **kwargs):
+    raise AssertionError("np.linspace reached: the time grid was being allocated")
+
+
+def test_sweep_checks_the_grid_budget_before_allocation(two_level, monkeypatch):
+    # 10**15 grid points at 5 couplings would take 48 PB of t_grid and distances
+    m, e, v = two_level
+    monkeypatch.setattr(np, "linspace", fail_at_linspace)
+    with pytest.raises(ResourceLimit, match=r"5 coupling\(s\) on 1,000,000,000,000,000 grid"):
+        k_sweep(m, e, v, [1.0, 2.0, 5.0, 10.0, 20.0], steps=10**15)
 
 
 @pytest.mark.parametrize("ks", [[100.0], [100.0, 100.0]])
