@@ -145,11 +145,14 @@ def decompose(
     return Decomposition(P0=P0, P1=P1, Y1inv=Y1inv, warnings=warnings, V0=V[:, P1.rank :])
 
 
+def _channel_sum(L: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """(L†S)_j = sum_i L_i† S_ij."""
+    return contract("iba,ijbc->jac", L.conj(), S)
+
+
 def _channel_sums(m: ScaledModel):
-    """(F†W)_j = sum_i F_i† W_ij and (G†W)_j = sum_i G_i† W_ij."""
-    fdw = contract("iba,ijbc->jac", m.F.conj(), m.W)
-    gdw = contract("iba,ijbc->jac", m.G.conj(), m.W)
-    return fdw, gdw
+    """(F†W)_j and (G†W)_j."""
+    return _channel_sum(m.F, m.W), _channel_sum(m.G, m.W)
 
 
 class _Products:
@@ -309,14 +312,23 @@ def eliminate(
     )
 
 
+def _displaced(K, L, S, closure, a):
+    """K' and L' of a Weyl displacement by a, the formula of :func:`displace_limit`."""
+    quad = contract("i,ijab,j->ab", a.conj(), S, a) - np.vdot(a, a).real * closure
+    lds_a = contract("i,iab->ab", a, _channel_sum(L, S))
+    K2 = K + quad + contract("i,iab->ab", a.conj(), L) - lds_a
+    L2 = L + contract("j,ijab->iab", a, S) - a[:, None, None] * closure
+    return K2, L2
+
+
 def displace_scaled(m: ScaledModel, alpha) -> ScaledModel:
     """Conjugate the scaled model by a Weyl displacement of amplitude alpha.
 
-    Y, F and W are unchanged; with sums over repeated channel indices,
+    Y, F and W are unchanged.  B' and G' are :func:`displace_limit`'s K' and
+    L' for (K, L, S) = (B, G, W) with closure I; with sums over repeated
+    channel indices,
 
         A' = A + F_i conj(a_i) - a_j F_i† W_ij
-        B' = B + conj(a_i)(W_ij - delta_ij I) a_j + G_i conj(a_i) - a_j G_i† W_ij
-        G_i' = G_i + (W_ij - delta_ij I) a_j
 
     The delta subtraction in G' is forced by unitarity: conjugating by a
     field-only displacement must leave a field-decoupled model (W = I, F = 0)
@@ -324,19 +336,9 @@ def displace_scaled(m: ScaledModel, alpha) -> ScaledModel:
     holding for every amplitude.
     """
     a = as_amplitude(alpha, m.channels)
-    fdw, gdw = _channel_sums(m)
-    d = m.dim
-    eye = np.eye(d, dtype=complex)
-
-    F_abar = contract("i,iab->ab", a.conj(), m.F)
-    G_abar = contract("i,iab->ab", a.conj(), m.G)
-    fdw_a = contract("i,iab->ab", a, fdw)
-    gdw_a = contract("i,iab->ab", a, gdw)
-    quad = contract("i,ijab,j->ab", a.conj(), m.W, a) - np.vdot(a, a).real * eye
-
-    A2 = m.A + F_abar - fdw_a
-    B2 = m.B + quad + G_abar - gdw_a
-    G2 = m.G + contract("j,ijab->iab", a, m.W) - a[:, None, None] * eye
+    fdw_a = contract("i,iab->ab", a, _channel_sum(m.F, m.W))
+    A2 = m.A + contract("i,iab->ab", a.conj(), m.F) - fdw_a
+    B2, G2 = _displaced(m.B, m.G, m.W, np.eye(m.dim, dtype=complex), a)
     return ScaledModel(Y=m.Y, A=A2, B=B2, F=m.F.copy(), G=G2, W=m.W.copy())
 
 
@@ -354,14 +356,6 @@ def displace_limit(c: CoefficientSet, alpha) -> CoefficientSet:
     and makes displacing a field-decoupled model a no-op.
     """
     a = as_amplitude(alpha, c.channels)
-    d = c.dim
-    closure = c.ground.matrix if c.ground is not None else np.eye(d, dtype=complex)
-
-    quad = contract("i,ijab,j->ab", a.conj(), c.S, a) - np.vdot(a, a).real * closure
-    L_abar = contract("i,iab->ab", a.conj(), c.L)
-    lds = contract("iba,ijbc->jac", c.L.conj(), c.S)
-    lds_a = contract("i,iab->ab", a, lds)
-
-    K2 = c.K + quad + L_abar - lds_a
-    L2 = c.L + contract("j,ijab->iab", a, c.S) - a[:, None, None] * closure
+    closure = c.ground.matrix if c.ground is not None else np.eye(c.dim, dtype=complex)
+    K2, L2 = _displaced(c.K, c.L, c.S, closure, a)
     return CoefficientSet(K=K2, L=L2, S=c.S.copy(), ground=c.ground)

@@ -159,11 +159,11 @@ class CheckReport:
 def instantiate(m: ScaledModel, k: float) -> CoefficientSet:
     """Evaluate the scaled family at coupling k >= 0.
 
-    Raises InvalidArgument when K or L overflows float64 at this coupling.
+    Raises InvalidArgument for a negative or NaN k, or when K or L overflows float64.
     """
     k = float(k)
-    if k < 0:
-        raise ValueError(f"coupling must be non-negative, got {k}")
+    if not k >= 0:
+        raise InvalidArgument(f"coupling must be a non-negative number, got k = {k}")
     with np.errstate(over="ignore", invalid="ignore"):
         K = k * k * m.Y + k * m.A + m.B
         L = k * m.F + m.G
@@ -198,7 +198,9 @@ def check_hp_unitarity(c: CoefficientSet, tol: float = DEFAULT_TOL) -> CheckRepo
     Tolerance is scaled by max(1, largest coefficient Frobenius norm).
     """
     if c.ground is not None:
-        raise ValueError("coefficient set carries a ground projector; use check_limit_unitarity")
+        raise InvalidArgument(
+            "coefficient set carries a ground projector; use check_limit_unitarity"
+        )
     identity = np.eye(c.dim, dtype=complex)
     residuals = _unitarity_residuals(c, identity, "I")
     return CheckReport.from_residuals(residuals, tol * norm_scale(c.K, c.L, c.S))

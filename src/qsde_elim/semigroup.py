@@ -22,8 +22,11 @@ gives one displaced generator per segment, composed with the earliest segment
 outermost:  T(f)_t = T(a_1)_{t1-t0} o ... o T(a_m)_{t-t_{m-1}}.  One stepper
 propagates every distance, and k_sweep is its one entry: the vacuum is one
 undisplaced segment, and within a segment the state is stepped along the time
-grid by its differences.  build_generators gives the dense d^2 x d^2 pair from
-the same terms; no distance goes through it.
+grid by its differences.  What does not depend on k, the displacement of each
+segment and the compression of its limit coefficients, happens once per
+sweep; each coupling only instantiates and assembles.  The earlier segments
+act as one product matrix, one multiplication per segment.  build_generators
+gives the dense d^2 x d^2 pair from the same terms; no distance goes through it.
 
 The state never leaves the ground rows.  Every left factor of the skew
 generator, K† and L_i† of the limit (displaced or not), maps into range(P0),
@@ -56,7 +59,7 @@ from .errors import (
     InvalidGroundVector,
     ResourceLimit,
 )
-from .eliminate import Decomposition, EliminationResult, displace_limit, displace_scaled
+from .eliminate import EliminationResult, displace_limit, displace_scaled
 from .linalg import RECORDED_ARITHMETIC_MAX_DIM, Projector, as_operator, dagger, expm, vec
 from .model import ScaledModel, instantiate
 
@@ -176,8 +179,6 @@ def _apply_terms(terms: Terms, X: np.ndarray) -> np.ndarray:
 def build_generators(m: ScaledModel, e: EliminationResult, k: float) -> GeneratorPair:
     """Skew generator at coupling k and the limit generator, as dense d^2 x d^2 matrices."""
     k = float(k)
-    if k < 0:
-        raise ValueError(f"coupling must be non-negative, got {k}")
     K, L, right = e.limit.K, e.limit.L, instantiate(m, k)
     return GeneratorPair(
         skew=_superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim),
@@ -234,56 +235,47 @@ def _validate_couplings(ks, positive: bool) -> np.ndarray:
     return ks
 
 
-def _ground_rows(dec: Decomposition) -> np.ndarray | None:
-    """V0, the basis of range(P0) whose rows the stepper keeps; None keeps the full state."""
-    return None if dec.P0.dim <= RECORDED_ARITHMETIC_MAX_DIM else dec.ground_basis()
+def _segments(
+    m: ScaledModel, e: EliminationResult, drive: StepDrive | None, V0: np.ndarray | None
+) -> list[tuple[np.ndarray, np.ndarray, ScaledModel]]:
+    """The coupling-free half of each drive segment's skew generator.
 
-
-def _segment_generators(
-    m: ScaledModel, e: EliminationResult, k: float, drive: StepDrive | None, V0: np.ndarray | None
-) -> list[np.ndarray]:
-    """Skew generator of each drive segment on the stepped state.
-
-    The vacuum is one undisplaced segment.  With a ground basis V0 the state
-    is Z = V0† X, so the limit coefficients, the left factors, are compressed
-    to V0† · V0.
+    One (K, L, scaled) per segment: the displaced limit coefficients, the
+    left factors, and the displaced scaled model that k instantiates on the
+    right.  The vacuum is one undisplaced segment.  With a ground basis V0
+    the state is Z = V0† X, so K and L are compressed to V0† · V0.
     """
-    segments = [(e.limit, m)] if drive is None else [
+    pairs = [(e.limit, m)] if drive is None else [
         (displace_limit(e.limit, alpha), displace_scaled(m, alpha)) for alpha in drive.amplitudes
     ]
-    gens = []
-    for limit, scaled in segments:
-        K, L, right = limit.K, limit.L, instantiate(scaled, k)
-        rows = None
-        if V0 is not None:
-            Vh = dagger(V0)
-            K, L, rows = Vh @ K @ V0, Vh @ L @ V0, V0.shape[1]
-        gens.append(_superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim, rows))
-    return gens
+    if V0 is None:
+        return [(limit.K, limit.L, scaled) for limit, scaled in pairs]
+    Vh = dagger(V0)
+    return [(Vh @ limit.K @ V0, Vh @ limit.L @ V0, scaled) for limit, scaled in pairs]
 
 
 def _propagate(
-    gens, breakpoints, P0m: np.ndarray, V0: np.ndarray | None, v: np.ndarray, t_grid: np.ndarray
+    gens, breakpoints, Z0: np.ndarray, V0: np.ndarray | None, v: np.ndarray, t_grid: np.ndarray
 ):
     """Distances along t_grid and the largest clamp, one skew generator per segment.
 
-    The state is Z = V0† X from Z0 = V0†, lifted back by T = V0 Z, or the
-    full X from P0 when V0 is None.  With breakpoints t_0 = 0 < t_1 < ...,
+    The state is Z from Z0 (V0† when V0 is given, else P0), lifted back by
+    T = V0 Z, or T = Z when V0 is None.  With breakpoints t_0 = 0 < t_1 < ...,
     segment j runs from t_{j-1} to t_j and carries gens[j - 1]; for t in it
 
-        vec(Z_t) = M_1(D_1) ... M_{j-1}(D_{j-1}) M_j(t - t_{j-1}) vec(Z0)
+        vec(Z_t) = H_{j-1} M_j(t - t_{j-1}) vec(Z0),  H_{j-1} = M_1(D_1) ... M_{j-1}(D_{j-1})
 
     with M_i(s) = exp(s * gen_i) and D_i the full segment durations, so the
-    earliest segment acts outermost.  Within a segment vec(Z0) is stepped from
+    earliest segment acts outermost.  H, the earlier segments as one matrix,
+    takes one product per segment.  Within a segment vec(Z0) is stepped from
     the segment start by the grid differences, one expm per distinct float
     step.  A time on a breakpoint belongs to the segment it ends; times past
     the last breakpoint are clamped to it.
     """
-    Z0 = P0m if V0 is None else dagger(V0)
     w0 = vec(Z0).astype(complex)
     out = np.empty(t_grid.size, dtype=float)
     max_clamp = 0.0
-    outer: list[np.ndarray] = []
+    head = None  # H, None while no segment has ended
     idx = 0
     last = len(gens) - 1
     for j, gen in enumerate(gens):
@@ -297,17 +289,15 @@ def _propagate(
                 if dt not in cache:
                     cache[dt] = expm(dt * gen)
                 w = cache[dt] @ w
-            x = w
-            for M in reversed(outer):
-                x = M @ x
-            Z = x.reshape(Z0.shape, order="F")
+            Z = (w if head is None else head @ w).reshape(Z0.shape, order="F")
             out[idx], clamp = _distance_from_transported(Z if V0 is None else V0 @ Z, v)
             max_clamp = max(max_clamp, clamp)
             prev = t
             idx += 1
         if idx == t_grid.size:
             break
-        outer.append(expm((end - start) * gen))
+        M = expm((end - start) * gen)
+        head = M if head is None else head @ M
     return out, max_clamp
 
 
@@ -391,9 +381,9 @@ def k_sweep(
 
     Each distance is sqrt(<v, (2I - T_t(P0) - T_t(P0)†) v>) for the ground
     vector v: vacuum by default; with a drive, coherent (the drive window must
-    cover the horizon).  Tiny negative values of the quadratic form are
-    clamped to zero; a clamp beyond CLAMP_ABORT or a non-finite value aborts
-    with ClampExceeded.  Reports per-k suprema and the largest clamp applied
+    cover the horizon, short of it by at most 1e-12 of the horizon).  Tiny
+    negative values of the quadratic form are clamped to zero; a clamp beyond
+    CLAMP_ABORT or a non-finite value aborts with ClampExceeded.  Reports per-k suprema and the largest clamp applied
     anywhere in the sweep.  A grid over GENERATOR_BUDGET_BYTES raises
     ResourceLimit before it is allocated.
     """
@@ -404,7 +394,7 @@ def k_sweep(
         raise InvalidArgument(
             f"need a finite horizon > 0 and at least 2 grid points, got {horizon} and {steps}"
         )
-    if drive is not None and drive.horizon < horizon - 1e-12:
+    if drive is not None and horizon - drive.horizon > 1e-12 * horizon:
         raise InvalidArgument(
             f"drive window ends at {drive.horizon}, before the horizon {horizon}"
         )
@@ -415,16 +405,21 @@ def k_sweep(
             f"{grid_bytes:,} bytes, over the budget of {GENERATOR_BUDGET_BYTES:,} bytes"
         )
     t_grid = np.linspace(0.0, horizon, steps)
-    v = _require_ground_vector(v, e.decomposition.P1.matrix)
-    P0 = e.decomposition.P0
-    V0 = _ground_rows(e.decomposition)
+    dec = e.decomposition
+    v = _require_ground_vector(v, dec.P1.matrix)
+    V0 = dec.ground_basis() if m.dim > RECORDED_ARITHMETIC_MAX_DIM else None
+    rows, Z0 = (None, dec.P0.matrix) if V0 is None else (V0.shape[1], dagger(V0))
+    segments = _segments(m, e, drive, V0)
     breakpoints = [0.0, horizon] if drive is None else drive.breakpoints
 
     distances = np.empty((ks.size, steps))
     max_clamp = 0.0
     for i, k in enumerate(ks):
-        gens = _segment_generators(m, e, k, drive, V0)
-        distances[i], clamp = _propagate(gens, breakpoints, P0.matrix, V0, v, t_grid)
+        gens = []
+        for K, L, scaled in segments:
+            right = instantiate(scaled, k)
+            gens.append(_superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim, rows))
+        distances[i], clamp = _propagate(gens, breakpoints, Z0, V0, v, t_grid)
         max_clamp = max(max_clamp, clamp)
     return ConvergenceReport(
         ks=ks,

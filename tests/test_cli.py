@@ -650,6 +650,18 @@ def test_bad_drive_file_is_an_input_error(tmp_path, capsys, drive, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_short_drive_window_at_a_small_horizon_is_an_input_error(tmp_path, capsys):
+    # the window covers half of a 1e-12 horizon: short by less than 1e-12 absolute
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    dpath = write_json(tmp_path / "d.json", {"breakpoints": [0, 5e-13], "amplitudes": [[0.3]]})
+    argv = ["converge", "--model", mpath, "--ks", "5", "--steps", "5", "--horizon", "1e-12"]
+    code, out, err = run(capsys, argv + ["--drive", dpath])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "before the horizon" in err
+
+
 def test_missing_drive_file(tmp_path, capsys):
     mpath = write_json(tmp_path / "m.json", two_level_doc())
     code, _, err = run(capsys, ["converge", "--model", mpath, "--drive", str(tmp_path / "no.json")])

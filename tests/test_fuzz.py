@@ -1,8 +1,10 @@
 """Property tests: no model or drive document makes the parser or ``check`` crash.
 
 Generated builtin and explicit documents, well-formed or not, must either
-parse or raise a package error, and ``check`` on them must end in a
-documented exit code with every failure reported on an ``error:`` line.
+parse or raise a package error.  ``check`` runs on documents and tolerances
+that are malformed only rarely, so that most of its inputs reach the checks,
+and must end in a documented exit code with every failure reported on an
+``error:`` line.
 Generated drive documents must either parse or raise a package error.
 Sizes are capped (dim <= 4, channels <= 2, n_trunc <= 4) so nothing large
 is allocated.
@@ -110,8 +112,45 @@ def test_parse_model_document_raises_only_package_errors(doc):
         pass
 
 
+def rarely(draw) -> bool:
+    return draw(st.integers(0, 9)) == 9
+
+
+finite = st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.sampled_from([0.0, 1.0, -1.0]))
+
+
+def pair_lists(size: int):
+    return st.lists(st.lists(finite, min_size=2, max_size=2), min_size=size, max_size=size)
+
+
+@st.composite
+def check_documents(draw):
+    """Model documents for ``check``: rarely any of ``documents``, else one that parses."""
+    if rarely(draw):
+        return draw(documents)
+    if draw(st.booleans()):
+        dim, n = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+        spec = {"dim": dim, "channels": n, **{key: draw(pair_lists(dim * dim)) for key in "YAB"}}
+        for key in ("F", "G"):
+            spec[key] = [draw(pair_lists(dim * dim)) for _ in range(n)]
+        spec["W"] = [[draw(pair_lists(dim * dim)) for _ in range(n)] for _ in range(n)]
+        return {"schema_version": 1, "explicit": spec}
+    name = draw(st.sampled_from(sorted(BUILTIN_KEYS)))
+    readers = {"n_trunc": st.integers(2, 4), "gamma": st.floats(0.0, 3.0), "alpha": pair_lists(1)}
+    params = {key: draw(readers.get(key, finite)) for key in BUILTIN_KEYS[name]}
+    if "alpha" in params:
+        params["alpha"] = params["alpha"][0]
+    return {"schema_version": 1, "builtin": {"name": name, "parameters": params}}
+
+
+@st.composite
+def check_tolerances(draw):
+    """--tol for ``check``: rarely an invalid one."""
+    return draw(st.sampled_from(["nan", "-1"] if rarely(draw) else [None, "1e-9", "1e-3"]))
+
+
 @FUZZ
-@given(documents, st.sampled_from([None, "1e-9", "1e-3", "nan", "-1"]))
+@given(check_documents(), check_tolerances())
 def test_check_exits_with_a_documented_code(doc, tol):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.json")
@@ -134,10 +173,6 @@ def test_check_exits_with_a_documented_code(doc, tol):
             if section["passed"]:  # a pass is never vacuous
                 assert math.isfinite(section["tolerance"])
                 assert all(math.isfinite(r["residual"]) for r in section["residuals"])
-
-
-def rarely(draw) -> bool:
-    return draw(st.integers(0, 9)) == 9
 
 
 @st.composite

@@ -62,6 +62,12 @@ def test_instantiate_rejects_negative_coupling():
         instantiate(scalar_model(), -1.0)
 
 
+@pytest.mark.parametrize("k", [-1.0, float("nan")])
+def test_instantiate_names_a_bad_coupling(k):
+    with pytest.raises(InvalidArgument, match=f"non-negative number, got k = {k}$"):
+        instantiate(scalar_model(), k)
+
+
 def test_hp_unitarity_violation_residual_oracle():
     # K = 0 with L = sigma_m leaves drift residual ||sigma_p sigma_m|| = 1
     p = catalog.pauli_ops()
@@ -86,7 +92,7 @@ def test_hp_unitarity_catalog_instantiations_pass():
 
 def test_hp_unitarity_rejects_limit_sets():
     c = catalog.two_level_limit(1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument, match="use check_limit_unitarity"):
         check_hp_unitarity(c)
 
 

@@ -82,16 +82,23 @@ def dense_squared_distances(m, e, k, v, drive, t_grid):
         segments = [(displace_limit(e.limit, a), displace_scaled(m, a)) for a in drive.amplitudes]
         bps = drive.breakpoints
     gens = [dense_generator(limit, instantiate(scaled, k)) for limit, scaled in segments]
+    # exp(D_i G_i) of each full segment but the last, applied one at a time below
+    jumps = [expm((bps[i + 1] - bps[i]) * G) for i, G in enumerate(gens[:-1])]
     out = []
     for t in t_grid:
         # the segment t lies in; a time on a breakpoint belongs to the segment it ends
         j = min(max(int(np.searchsorted(bps, t)) - 1, 0), len(gens) - 1)
         T = dense_evolve(gens[j], e.decomposition.P0.matrix, t - bps[j])
         for i in range(j - 1, -1, -1):
-            T = dense_evolve(gens[i], T, bps[i + 1] - bps[i])
+            T = (jumps[i] @ vec(T)).reshape(T.shape, order="F")
         q = 2.0 * np.eye(m.dim) - T - T.conj().T
         out.append(np.vdot(v, q @ v).real)
     return np.array(out)
+
+
+# breakpoints and per-channel amplitudes of a five-segment drive whose inner
+# breakpoints lie off the time grids of the sweeps that use it
+FIVE_SEGMENTS = ([0.0, 0.13, 0.37, 0.52, 0.86, 1.0], [0.3, -0.2j, 0.1, 0.05j, -0.25])
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +158,8 @@ def test_build_generators_rejects_negative_coupling(two_level):
     m, e, _ = two_level
     with pytest.raises(ValueError):
         build_generators(m, e, -2.0)
+    with pytest.raises(InvalidArgument, match="got k = nan"):
+        build_generators(m, e, np.nan)
 
 
 def test_evolve_semigroup_law(two_level):
@@ -382,6 +391,29 @@ def test_driven_sweep_matches_pointwise_coherent_distance(two_level):
     T = dense_evolve(g1, dense_evolve(g2, dense_evolve(g3, P0m, t - 0.73), 0.23), 0.5)
     expected = np.sqrt(np.vdot(v, (2.0 * np.eye(2) - T - T.conj().T) @ v).real)
     assert rep.distances[1, 8] == pytest.approx(expected, abs=1e-10)
+    # five segments, every inner breakpoint off the grid: four earlier segments act as one product
+    five = StepDrive(FIVE_SEGMENTS[0], [[a] for a in FIVE_SEGMENTS[1]])
+    rep = k_sweep(m, e, v, [2.0, 20.0], horizon=1.0, steps=11, drive=five)
+    for i, k in enumerate(rep.ks):
+        q = dense_squared_distances(m, e, k, v, five, rep.t_grid)
+        np.testing.assert_allclose(rep.distances[i], np.sqrt(np.maximum(q, 0.0)), atol=1e-10)
+
+
+def test_a_sweep_displaces_each_segment_once(two_level, monkeypatch):
+    # displacement does not depend on k: three couplings of a 2-segment drive
+    # displace twice, not once per coupling and segment
+    m, e, v = two_level
+    calls = []
+
+    def counted(name):
+        real = getattr(semigroup, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("displace_limit", "displace_scaled"):
+        monkeypatch.setattr(semigroup, name, counted(name))
+    drive = StepDrive(breakpoints=[0.0, 0.5, 1.0], amplitudes=[[0.3], [-0.2]])
+    k_sweep(m, e, v, [5.0, 20.0, 100.0], horizon=1.0, steps=11, drive=drive)
+    assert sorted(calls) == ["displace_limit"] * 2 + ["displace_scaled"] * 2
 
 
 def test_driven_sweep_requires_covering_window(two_level):
@@ -389,6 +421,12 @@ def test_driven_sweep_requires_covering_window(two_level):
     drive = StepDrive(breakpoints=[0.0, 0.5], amplitudes=[[0.3]])
     with pytest.raises(InvalidArgument):
         k_sweep(m, e, v, [5.0], horizon=1.0, steps=11, drive=drive)
+    # the tolerance is relative: at a 1e-12 horizon a window of half of it is short
+    short = StepDrive(breakpoints=[0.0, 5e-13], amplitudes=[[0.3]])
+    with pytest.raises(InvalidArgument, match="before the horizon"):
+        k_sweep(m, e, v, [5.0], horizon=1e-12, steps=5, drive=short)
+    # while a window short of the horizon by rounding still covers it
+    k_sweep(m, e, v, [5.0], horizon=0.5 * (1.0 + 1e-13), steps=5, drive=drive)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +529,11 @@ def test_generator_convergence_rejects_bad_couplings(two_level):
 # ground-row state and the generator budget
 
 
+GROUND_ROW_DRIVES = {
+    "vacuum": None,
+    "driven": ([0.0, 0.45, 1.0], [0.3, -0.2j]),
+    "driven5": FIVE_SEGMENTS,
+}
 GROUND_ROW_MODELS = {
     "lambda-d12": lambda: catalog.lambda_system(1.0, 2.0, 0.4, 4),
     "cavity-d16": lambda: catalog.default_cavity_system(n_trunc=8),
@@ -499,8 +542,8 @@ GROUND_ROW_MODELS = {
 
 
 @pytest.mark.parametrize("name", sorted(GROUND_ROW_MODELS))
-@pytest.mark.parametrize("driven", [False, True], ids=["vacuum", "driven"])
-def test_ground_row_sweep_matches_dense_oracle(name, driven):
+@pytest.mark.parametrize("drive_name", sorted(GROUND_ROW_DRIVES))
+def test_ground_row_sweep_matches_dense_oracle(name, drive_name):
     # models above RECORDED_ARITHMETIC_MAX_DIM step only the ground rows V0† X; the
     # dense superoperator on the full d x d state is the oracle
     m = GROUND_ROW_MODELS[name]()
@@ -508,9 +551,9 @@ def test_ground_row_sweep_matches_dense_oracle(name, driven):
     e = eliminate(m)
     v = default_ground_vector(e.decomposition.P0)
     drive = None
-    if driven:
-        amps = [[0.3] * m.channels, [-0.2j] * m.channels]
-        drive = StepDrive(breakpoints=[0.0, 0.45, 1.0], amplitudes=amps)
+    if GROUND_ROW_DRIVES[drive_name] is not None:
+        breakpoints, amps = GROUND_ROW_DRIVES[drive_name]
+        drive = StepDrive(breakpoints, [[a] * m.channels for a in amps])
     rep = k_sweep(m, e, v, [5.0, 100.0], horizon=1.0, steps=6, drive=drive)
     for i, k in enumerate(rep.ks):
         q = dense_squared_distances(m, e, k, v, drive, rep.t_grid)
