@@ -45,12 +45,12 @@ Exit codes:
     0  success; for ``check`` and ``eliminate``, every identity passes
     1  usage, parse or validation error: an unknown flag (including one the
        subcommand does not read) or a malformed value prints the usage and
-       exits 1, as do out-of-range or non-finite sweep arguments, a
-       coupling at which K or L overflows float64, and tolerances
-       (``--tol`` and ``--rank-tol`` must be finite and positive),
-       a model whose propagation generator or sweep grid would exceed the
-       memory budget (``ResourceLimit``, refused before it is allocated),
-       and an output path that cannot be written
+       exits 1, as do out-of-range or non-finite sweep arguments, a coupling
+       at which K or L overflows float64, a horizon at which a time step t·G
+       does too, tolerances (``--tol`` and ``--rank-tol`` must be finite and
+       positive), a model whose propagation generator or sweep grid would
+       exceed the memory budget (``ResourceLimit``, refused before it is
+       allocated), and an output path that cannot be written
     2  structural (assumption) failure
     3  numerical failure: the restricted inverse or a limit coefficient
        overflowed, a squared distance came out non-finite or negative beyond

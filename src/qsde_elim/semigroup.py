@@ -57,6 +57,7 @@ from .errors import (
     DimensionMismatch,
     InvalidArgument,
     InvalidGroundVector,
+    InvalidOperator,
     ResourceLimit,
 )
 from .eliminate import EliminationResult, displace_limit, displace_scaled
@@ -67,7 +68,7 @@ CLAMP_ABORT = 1e-6
 GROUND_VECTOR_TOL = 1e-9
 DEFAULT_STEPS = 101
 # Largest generator matrix assembled: 32 MiB, a 1448 x 1448 complex matrix.
-# expm needs about 8.5 times its input, so one expm peaks near 272 MiB.
+# expm needs at most 9 times its input (measured), so one expm peaks near 288 MiB.
 GENERATOR_BUDGET_BYTES = 32 * 2**20
 
 
@@ -379,13 +380,13 @@ def k_sweep(
 ) -> ConvergenceReport:
     """Convergence distances over couplings ks and a uniform grid on [0, horizon].
 
-    Each distance is sqrt(<v, (2I - T_t(P0) - T_t(P0)†) v>) for the ground
-    vector v: vacuum by default; with a drive, coherent (the drive window must
-    cover the horizon, short of it by at most 1e-12 of the horizon).  Tiny
-    negative values of the quadratic form are clamped to zero; a clamp beyond
-    CLAMP_ABORT or a non-finite value aborts with ClampExceeded.  Reports per-k suprema and the largest clamp applied
-    anywhere in the sweep.  A grid over GENERATOR_BUDGET_BYTES raises
-    ResourceLimit before it is allocated.
+    Each distance is sqrt(<v, (2I - T_t(P0) - T_t(P0)†) v>) for the ground vector v:
+    vacuum by default; with a drive, coherent (the drive window must cover the horizon,
+    short of it by at most 1e-12 of the horizon).  Tiny negative values of the quadratic
+    form are clamped to zero; a clamp beyond CLAMP_ABORT or a non-finite value aborts
+    with ClampExceeded, a time step t·G that overflows float64 with InvalidArgument.
+    Reports per-k suprema and the largest clamp applied anywhere in the sweep.  A grid
+    over GENERATOR_BUDGET_BYTES raises ResourceLimit before it is allocated.
     """
     ks = _validate_couplings(ks, positive=False)
     horizon = float(horizon)
@@ -419,7 +420,11 @@ def k_sweep(
         for K, L, scaled in segments:
             right = instantiate(scaled, k)
             gens.append(_superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim, rows))
-        distances[i], clamp = _propagate(gens, breakpoints, Z0, V0, v, t_grid)
+        try:  # an overflow in propagation is reported: here a step's, else as ClampExceeded
+            with np.errstate(over="ignore", invalid="ignore"):
+                distances[i], clamp = _propagate(gens, breakpoints, Z0, V0, v, t_grid)
+        except InvalidOperator as exc:  # gen is finite: a time step times it overflowed
+            raise InvalidArgument(f"horizon {horizon:g} overflows float64 in a time step") from exc
         max_clamp = max(max_clamp, clamp)
     return ConvergenceReport(
         ks=ks,

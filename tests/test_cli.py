@@ -677,15 +677,56 @@ def test_converge_to_file_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_converge_overflow_is_a_numerical_failure(tmp_path, capsys):
-    # exp(1e300 * G) overflows: the quadratic form is NaN, not a distance
+def test_converge_overflow_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # an exponential that overflowed to NaN: the quadratic form is NaN, not a distance
+    monkeypatch.setattr(semigroup, "expm", lambda M: np.full(M.shape, np.nan, dtype=complex))
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    code, out, err = run(capsys, ["converge", "--model", mpath, "--ks", "5", "--steps", "3"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "nan" in err
+
+
+def test_an_overflow_in_propagation_prints_no_warning(tmp_path, capsys, monkeypatch):
+    # products of an exponential near the float64 maximum overflow; the suite
+    # turns a numpy warning into an error, so none may reach this far
+    monkeypatch.setattr(semigroup, "expm", lambda M: np.full(M.shape, 1e308, dtype=complex))
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    code, out, err = run(capsys, ["converge", "--model", mpath, "--ks", "5", "--steps", "3"])
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: squared distance came out nan")
+
+
+def test_converge_at_a_vast_horizon_gives_the_decayed_distance(tmp_path, capsys):
+    # Every eigenvalue of the two-level skew generator at k = 5 has Re <= -7.8e-4,
+    # so at t = 5e299 each mode of exp(t·G) is below exp(-3.9e296): exactly 0 in
+    # float64, far beyond the backward error eps·|t·G|.  Then T_t = 0 and the
+    # squared distance is <v, 2I v> = 2.
+    m = catalog.two_level_atom(1.0, 1.0, 0.5)
+    skew = semigroup.build_generators(m, qsde_elim.eliminate(m), 5.0).skew
+    assert 5e299 * np.linalg.eigvals(skew).real.max() < -1e296
+    assert 5e299 * np.abs(skew).sum(axis=0).max() * np.finfo(float).eps < 1e287
     mpath = write_json(tmp_path / "m.json", two_level_doc())
     code, out, err = run(
         capsys, ["converge", "--model", mpath, "--horizon", "1e300", "--ks", "5", "--steps", "3"]
     )
-    assert code == 3
+    assert code == 0 and err == ""
+    root2 = repr(float(np.sqrt(2.0)))
+    assert out.splitlines()[1:4] == ["5.0,0.0,0.0", f"5.0,5e+299,{root2}", f"5.0,1e+300,{root2}"]
+
+
+def test_a_horizon_that_overflows_a_step_is_a_bad_argument(tmp_path, capsys):
+    # 5e307 times the generator overflows float64: exit 1, naming the horizon
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    code, out, err = run(
+        capsys, ["converge", "--model", mpath, "--horizon", "1e308", "--ks", "5", "--steps", "3"]
+    )
+    assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and "nan" in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: horizon 1e+308 overflows")
 
 
 def test_converge_clamp_beyond_abort_exits_3(tmp_path, capsys, monkeypatch):
@@ -868,7 +909,11 @@ def test_an_overflowing_coupling_is_a_bad_argument(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "args, stderr",
-    [(["kurtz", "--ks", "100"], ""), (["converge", "--ks", "1e160"], "error: coupling k = 1e+160 overflows")],
+    [
+        (["kurtz", "--ks", "100"], ""),
+        (["converge", "--ks", "1e160"], "error: coupling k = 1e+160 overflows"),
+        (["converge", "--horizon", "1e308", "--steps", "3"], "error: horizon 1e+308 overflows"),
+    ],
 )
 def test_cold_cli_stderr_carries_no_warning(tmp_path, args, stderr):
     # the warning filter of the suite does not reach a child process

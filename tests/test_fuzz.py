@@ -113,7 +113,9 @@ def test_parse_model_document_raises_only_package_errors(doc):
 
 
 def rarely(draw) -> bool:
-    return draw(st.integers(0, 9)) == 9
+    # generation favours the bounds of an integer range, so the rare branch is an
+    # interior value, which derandomized generation draws about one time in ten
+    return draw(st.integers(0, 9)) == 4
 
 
 finite = st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.sampled_from([0.0, 1.0, -1.0]))

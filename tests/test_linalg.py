@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qsde_elim import (
     DimensionMismatch,
@@ -11,13 +12,19 @@ from qsde_elim import (
     NumericalFailure,
     Projector,
     SingularRestriction,
+    StepDrive,
+    catalog,
     dagger,
+    default_ground_vector,
+    eliminate,
     expm,
+    k_sweep,
     kernel_projector,
     restricted_inverse,
     vec,
 )
 from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM, _BLAS_FORMS, blocks, contract, frobenius_norms
+from qsde_elim import semigroup
 from qsde_elim.semigroup import _superoperator
 from factories import haar_unitary
 
@@ -168,6 +175,87 @@ def test_expm_rotation_quarter_turn():
     gen = np.array([[0.0, -1.0], [1.0, 0.0]])
     R = expm((np.pi / 2) * gen)
     np.testing.assert_allclose(R, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
+
+
+def same_bits(A: np.ndarray, B: np.ndarray) -> bool:
+    """Equal entry for entry, sign bits of zeros included."""
+    return A.shape == B.shape and np.array_equal(A.view(np.uint64), B.view(np.uint64))
+
+
+def is_stiff(M: np.ndarray) -> bool:
+    """The gate of expm: a mean decay rate beyond -ln of the smallest normal double."""
+    return -np.trace(M).real > 708 * M.shape[0]
+
+
+def sweep_exponents(monkeypatch, m, ks, drive=None) -> list[np.ndarray]:
+    """Every matrix a vacuum or driven sweep of m hands to expm."""
+    seen = []
+    monkeypatch.setattr(semigroup, "expm", lambda M: (seen.append(M), expm(M))[1])
+    e = eliminate(m)
+    k_sweep(m, e, default_ground_vector(e.decomposition.P0), ks, 1.0, 6, drive)
+    monkeypatch.undo()
+    return seen
+
+
+CATALOG = {
+    "two_level": catalog.two_level_atom(1.0, 1.0, 0.5),
+    "alkali": catalog.alkali_atom(1.0, 1.0, 0.2, 0.0, 0.4),
+    "cavity": catalog.default_cavity_system(),
+    "lambda": catalog.lambda_system(1.0, 2.0, 0.4, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_expm_has_the_bits_of_scipy_on_the_catalog_sweeps(name, monkeypatch):
+    # up to k = 100 no squaring done here meets an entry below its flush
+    # threshold, so the split exponentials (r = 6 to 8) keep scipy's bits too
+    m = CATALOG[name]
+    drive = StepDrive([0.0, 0.5, 1.0], [[0.3] + [0.0] * (m.channels - 1), [-0.2] * m.channels])
+    mats = [M for d in (None, drive) for M in sweep_exponents(monkeypatch, m, [5.0, 100.0], d)]
+    assert any(is_stiff(M) for M in mats) and not all(is_stiff(M) for M in mats)
+    for M in mats:
+        assert same_bits(expm(M), scipy.linalg.expm(M))
+
+
+def test_expm_leaves_a_stiff_triangular_matrix_to_scipy():
+    # scipy squares a triangular matrix with its diagonal recomputed each time
+    M = np.array([[-2000.0, 1.0, 0.5], [0.0, -3000.0, 2.0], [0.0, 0.0, -2500.0]], dtype=complex)
+    assert is_stiff(M)
+    assert same_bits(expm(M), scipy.linalg.expm(M))
+
+
+@pytest.fixture(scope="module")
+def cavity_d32():
+    m = catalog.default_cavity_system(n_trunc=16)
+    e = eliminate(m)
+    return m, e, default_ground_vector(e.decomposition.P0)
+
+
+def test_stiff_expm_flushes_what_decayed_away(cavity_d32, monkeypatch):
+    # the first step of the d = 32 cavity at k = 1e4: scipy leaves about 255
+    # subnormal entries; flushing moves nothing above 1e-14 of the largest
+    m, e, v = cavity_d32
+    seen = []
+    monkeypatch.setattr(semigroup, "expm", lambda M: (seen.append(M), scipy.linalg.expm(M))[1])
+    k_sweep(m, e, v, [1e4], 1.0, 6)
+    M = seen[0]
+    assert M.shape == (64, 64) and is_stiff(M)
+    E, ref = expm(M), scipy.linalg.expm(M)
+    tiny = np.finfo(float).tiny
+    parts = np.concatenate([E.real.ravel(), E.imag.ravel()])
+    assert not np.any((parts != 0) & (np.abs(parts) < tiny))
+    ref_parts = np.concatenate([ref.real.ravel(), ref.imag.ravel()])
+    assert np.any((ref_parts != 0) & (np.abs(ref_parts) < tiny))
+    assert np.abs(E - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_stiff_sweep_has_the_bits_of_scipy(cavity_d32, monkeypatch):
+    m, e, v = cavity_d32
+    rep = k_sweep(m, e, v, [1e4], 1.0, 6)
+    monkeypatch.setattr(semigroup, "expm", scipy.linalg.expm)
+    ref = k_sweep(m, e, v, [1e4], 1.0, 6)
+    assert same_bits(rep.distances, ref.distances)
+    assert rep.max_clamp == ref.max_clamp
 
 
 def test_assemble_superoperator_matches_sandwich():
