@@ -52,7 +52,6 @@ from .eliminate import (
 from .semigroup import (
     CLAMP_ABORT,
     ConvergenceReport,
-    GeneratorPair,
     GeneratorResiduals,
     StepDrive,
     build_generators,
@@ -101,7 +100,6 @@ __all__ = [
     "eliminate",
     "displace_scaled",
     "displace_limit",
-    "GeneratorPair",
     "StepDrive",
     "ConvergenceReport",
     "GeneratorResiduals",

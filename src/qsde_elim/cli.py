@@ -54,7 +54,9 @@ Exit codes:
     2  structural (assumption) failure
     3  numerical failure: the restricted inverse or a limit coefficient
        overflowed, a squared distance came out non-finite or negative beyond
-       roundoff, or every ``kurtz`` residual overflowed
+       roundoff, a horizon at which the rounding of a time step leaves no
+       digit of a mode that has not decayed, or every ``kurtz`` residual
+       overflowed
 
 ``converge`` and ``kurtz`` exit 0 whenever the computation itself succeeds.
 ``kurtz`` writes its report even when no residual is finite, then exits 3.

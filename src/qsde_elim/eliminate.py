@@ -40,7 +40,6 @@ from .linalg import (
     contract,
     dagger,
     frobenius_norms,
-    restricted_inverse,
 )
 from .model import (
     DEFAULT_TOL,
@@ -54,10 +53,11 @@ from .model import (
 
 @dataclass
 class Decomposition:
-    """Ground/excited split of a scaled model: P0, P1 = I - P0, and Y1inv.
+    """Ground/excited split of a scaled model: P0, P1 = I - P0, Y1inv, and V0.
 
-    ``V0`` is an orthonormal basis of range(P0), kept from the SVD that found
-    the kernel; a decomposition built without it computes one on demand.
+    ``V0`` is an orthonormal d x d0 basis of range(P0): ``decompose`` keeps it
+    from the SVD that found the kernel, and a decomposition built without one
+    takes the eigenvectors of P0.
     """
 
     P0: Projector
@@ -70,12 +70,10 @@ class Decomposition:
         self.Y1inv = as_operator(self.Y1inv, "Y1inv")
         if not (self.P0.dim == self.P1.dim == self.Y1inv.shape[0]):
             raise DimensionMismatch("P0, P1 and Y1inv must share one dimension")
-        if self.V0 is not None and self.V0.shape != (self.P0.dim, self.P0.rank):
+        if self.V0 is None:
+            self.V0 = self.P0.basis()
+        elif self.V0.shape != (self.P0.dim, self.P0.rank):
             raise DimensionMismatch(f"V0 has shape {self.V0.shape}, P0 has rank {self.P0.rank}")
-
-    def ground_basis(self) -> np.ndarray:
-        """V0, the d x d0 orthonormal basis of range(P0)."""
-        return self.P0.basis() if self.V0 is None else self.V0
 
 
 @dataclass
@@ -138,10 +136,9 @@ def decompose(
         Y1inv = as_operator(y1inv_override, "y1inv_override")
         if Y1inv.shape[0] != d:
             raise DimensionMismatch("y1inv_override dimension does not match the model")
-    elif d <= RECORDED_ARITHMETIC_MAX_DIM:
-        Y1inv = restricted_inverse(m.Y, P1, rank_tol)
     else:
-        Y1inv = _inverse_on(m.Y, V[:, : P1.rank], rank_tol)
+        excited = P1.basis() if d <= RECORDED_ARITHMETIC_MAX_DIM else V[:, : P1.rank]
+        Y1inv = _inverse_on(m.Y, excited, rank_tol)
     return Decomposition(P0=P0, P1=P1, Y1inv=Y1inv, warnings=warnings, V0=V[:, P1.rank :])
 
 
@@ -231,7 +228,7 @@ def _inverse_structure(m: ScaledModel, dec: Decomposition, tol: float, p: _Produ
         right_res = frobenius_norms(blocks @ Yi @ Y - blocks)
         scatter = P0m @ (W + full[1:, n + 1 :])
     else:
-        right = dec.ground_basis()
+        right = dec.V0
         left = dagger(right)
         eye = np.eye(d)
         grid = (left @ p.aYi)[:, None] @ p.b[None]

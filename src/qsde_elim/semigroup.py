@@ -26,19 +26,22 @@ grid by its differences.  What does not depend on k, the displacement of each
 segment and the compression of its limit coefficients, happens once per
 sweep; each coupling only instantiates and assembles.  The earlier segments
 act as one product matrix, one multiplication per segment.  build_generators
-gives the dense d^2 x d^2 pair from the same terms; no distance goes through it.
+gives the dense d^2 x d^2 skew generator from the same terms; no distance goes
+through it.
 
 The state never leaves the ground rows.  Every left factor of the skew
 generator, K† and L_i† of the limit (displaced or not), maps into range(P0),
 because K = P0(...)P0 and L_i = (...)P0 by construction and displacement
 keeps K'P1 = L'_iP1 = 0.  So T_t(P0) = P0 T_t(P0) exactly, and with V0 the
-orthonormal d x d0 basis of range(P0) that the decomposition kept from the
-SVD of Y, the stepper carries Z = V0† X from Z0 = V0†: each left factor l
+orthonormal d x d0 basis of range(P0) that the decomposition holds (from the
+SVD of Y), the stepper carries Z = V0† X from Z0 = V0†: each left factor l
 becomes V0† l V0 and T = V0 Z.  The generator then has (d0 d)^2 entries
 instead of d^4.  Models of dimension at most RECORDED_ARITHMETIC_MAX_DIM keep
 the full d x d state.  A generator over GENERATOR_BUDGET_BYTES is refused
 with ResourceLimit before it is assembled, and so is a sweep whose time grid
-and distance array together would exceed it.
+and distance array together would exceed it.  A time step h so long that the
+rounding of exp(h G), about eps h ||G||_1, leaves no digit of a mode that has
+not decayed is refused with NumericalFailure.
 
 The Kurtz corrector makes the generator convergence explicit: for a ground
 observable X there are X1, X2 with Lk(X + X1/k + X2/k^2) -> L(X) at rate 1/k.
@@ -58,6 +61,7 @@ from .errors import (
     InvalidArgument,
     InvalidGroundVector,
     InvalidOperator,
+    NumericalFailure,
     ResourceLimit,
 )
 from .eliminate import EliminationResult, displace_limit, displace_scaled
@@ -70,19 +74,6 @@ DEFAULT_STEPS = 101
 # Largest generator matrix assembled: 32 MiB, a 1448 x 1448 complex matrix.
 # expm needs at most 9 times its input (measured), so one expm peaks near 288 MiB.
 GENERATOR_BUDGET_BYTES = 32 * 2**20
-
-
-@dataclass
-class GeneratorPair:
-    """Skew and limit generators as superoperator matrices at one coupling."""
-
-    skew: np.ndarray
-    limit: np.ndarray
-    k: float
-
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.skew.shape[0])))
 
 
 @dataclass
@@ -102,6 +93,8 @@ class StepDrive:
         if len({np.size(row) for row in rows}) > 1:
             raise InvalidArgument("every amplitude row needs one amplitude per channel")
         amps = np.atleast_2d(np.asarray(self.amplitudes, dtype=complex))
+        if amps.shape[-1] == 0:  # [] and [[]] alike: atleast_2d makes (0,) a (1, 0) row
+            raise InvalidArgument("drive amplitudes need at least one channel")
         if amps.shape[0] != bp.size - 1:
             raise InvalidArgument(
                 f"{amps.shape[0]} amplitude rows for {bp.size - 1} segments"
@@ -110,10 +103,6 @@ class StepDrive:
             raise InvalidArgument("drive amplitudes must be finite")
         self.breakpoints = bp
         self.amplitudes = amps
-
-    @property
-    def segments(self) -> int:
-        return self.amplitudes.shape[0]
 
     @property
     def horizon(self) -> float:
@@ -146,13 +135,14 @@ def _sandwich_terms(K_left, L_left, K_right, L_right) -> Terms:
     return terms
 
 
-def _superoperator(terms: Terms, d: int, rows: int | None = None) -> np.ndarray:
-    """Matrix of the terms acting on vec(X), X of shape rows x d (square by default).
+def _superoperator(terms: Terms, d: int) -> np.ndarray:
+    """Matrix of the terms acting on vec(X), X of shape rows x d, where rows is
+    the size of the first left factor (d when that factor is None).
 
     Raises ResourceLimit, before anything is assembled, when the matrix would
     take more than GENERATOR_BUDGET_BYTES.
     """
-    rows = d if rows is None else rows
+    rows = d if terms[0][0] is None else len(terms[0][0])
     n = rows * d
     if 16 * n * n > GENERATOR_BUDGET_BYTES:
         raise ResourceLimit(
@@ -177,15 +167,10 @@ def _apply_terms(terms: Terms, X: np.ndarray) -> np.ndarray:
     return reduce(np.add, (sandwich(l, r) for l, r in terms))
 
 
-def build_generators(m: ScaledModel, e: EliminationResult, k: float) -> GeneratorPair:
-    """Skew generator at coupling k and the limit generator, as dense d^2 x d^2 matrices."""
-    k = float(k)
-    K, L, right = e.limit.K, e.limit.L, instantiate(m, k)
-    return GeneratorPair(
-        skew=_superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim),
-        limit=_superoperator(_sandwich_terms(K, L, K, L), m.dim),
-        k=k,
-    )
+def build_generators(m: ScaledModel, e: EliminationResult, k: float) -> np.ndarray:
+    """Skew generator at coupling k as a dense d^2 x d^2 matrix."""
+    right = instantiate(m, float(k))
+    return _superoperator(_sandwich_terms(e.limit.K, e.limit.L, right.K, right.L), m.dim)
 
 
 def default_ground_vector(P0: Projector) -> np.ndarray:
@@ -255,8 +240,29 @@ def _segments(
     return [(Vh @ limit.K @ V0, Vh @ limit.L @ V0, scaled) for limit, scaled in pairs]
 
 
+def _step_exponential(h: float, gen: np.ndarray, norm1: float, k: float, horizon: float):
+    """exp(h·gen), refused with NumericalFailure where rounding decides the result.
+
+    expm's backward error is about eps·h·‖gen‖₁.  From 1 on, it leaves no digit
+    of the phase of a mode that has not decayed, so the step is taken only if
+    every eigenvalue λ, shifted by that error, still decays below the smallest
+    double: h·(max Re λ + eps·‖gen‖₁) < -745.  Then exp(h·gen) is 0 whatever
+    the phases.  A gen with non-finite entries is left to expm, which rejects it.
+    """
+    eps = float(np.finfo(float).eps)
+    if eps * h * norm1 >= 1.0 and math.isfinite(norm1):
+        slowest = float(np.linalg.eigvals(gen).real.max())
+        if not h * (slowest + eps * norm1) < -745.0:
+            raise NumericalFailure(
+                f"horizon {horizon:g} at coupling {k:g}: the rounding error of a time step, "
+                f"eps·h·|G| = {eps * h * norm1:.3g}, leaves no digit of a mode with "
+                f"Re λ = {slowest:.3g}"
+            )
+    return expm(h * gen)
+
+
 def _propagate(
-    gens, breakpoints, Z0: np.ndarray, V0: np.ndarray | None, v: np.ndarray, t_grid: np.ndarray
+    gens, breakpoints, Z0: np.ndarray, V0: np.ndarray | None, v: np.ndarray, t_grid, k: float
 ):
     """Distances along t_grid and the largest clamp, one skew generator per segment.
 
@@ -271,7 +277,9 @@ def _propagate(
     takes one product per segment.  Within a segment vec(Z0) is stepped from
     the segment start by the grid differences, one expm per distinct float
     step.  A time on a breakpoint belongs to the segment it ends; times past
-    the last breakpoint are clamped to it.
+    the last breakpoint are clamped to it.  Every exponential goes through
+    _step_exponential, with ‖gen‖₁ taken once per generator; k names the
+    coupling in its error.
     """
     w0 = vec(Z0).astype(complex)
     out = np.empty(t_grid.size, dtype=float)
@@ -279,8 +287,10 @@ def _propagate(
     head = None  # H, None while no segment has ended
     idx = 0
     last = len(gens) - 1
+    horizon = float(t_grid[-1])
     for j, gen in enumerate(gens):
         start, end = float(breakpoints[j]), float(breakpoints[j + 1])
+        norm1 = float(np.linalg.norm(gen, 1))
         cache: dict[float, np.ndarray] = {}
         w, prev = w0, start
         while idx < t_grid.size and (j == last or t_grid[idx] <= end):
@@ -288,7 +298,7 @@ def _propagate(
             dt = t - prev
             if dt > 0:
                 if dt not in cache:
-                    cache[dt] = expm(dt * gen)
+                    cache[dt] = _step_exponential(dt, gen, norm1, k, horizon)
                 w = cache[dt] @ w
             Z = (w if head is None else head @ w).reshape(Z0.shape, order="F")
             out[idx], clamp = _distance_from_transported(Z if V0 is None else V0 @ Z, v)
@@ -297,7 +307,7 @@ def _propagate(
             idx += 1
         if idx == t_grid.size:
             break
-        M = expm((end - start) * gen)
+        M = _step_exponential(end - start, gen, norm1, k, horizon)
         head = M if head is None else head @ M
     return out, max_clamp
 
@@ -384,7 +394,9 @@ def k_sweep(
     vacuum by default; with a drive, coherent (the drive window must cover the horizon,
     short of it by at most 1e-12 of the horizon).  Tiny negative values of the quadratic
     form are clamped to zero; a clamp beyond CLAMP_ABORT or a non-finite value aborts
-    with ClampExceeded, a time step t·G that overflows float64 with InvalidArgument.
+    with ClampExceeded, a time step whose rounding leaves no digit of a mode that has not
+    decayed with NumericalFailure, a time step t·G that overflows float64 with
+    InvalidArgument.
     Reports per-k suprema and the largest clamp applied anywhere in the sweep.  A grid
     over GENERATOR_BUDGET_BYTES raises ResourceLimit before it is allocated.
     """
@@ -408,8 +420,8 @@ def k_sweep(
     t_grid = np.linspace(0.0, horizon, steps)
     dec = e.decomposition
     v = _require_ground_vector(v, dec.P1.matrix)
-    V0 = dec.ground_basis() if m.dim > RECORDED_ARITHMETIC_MAX_DIM else None
-    rows, Z0 = (None, dec.P0.matrix) if V0 is None else (V0.shape[1], dagger(V0))
+    V0 = dec.V0 if m.dim > RECORDED_ARITHMETIC_MAX_DIM else None
+    Z0 = dec.P0.matrix if V0 is None else dagger(V0)
     segments = _segments(m, e, drive, V0)
     breakpoints = [0.0, horizon] if drive is None else drive.breakpoints
 
@@ -419,10 +431,10 @@ def k_sweep(
         gens = []
         for K, L, scaled in segments:
             right = instantiate(scaled, k)
-            gens.append(_superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim, rows))
+            gens.append(_superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim))
         try:  # an overflow in propagation is reported: here a step's, else as ClampExceeded
             with np.errstate(over="ignore", invalid="ignore"):
-                distances[i], clamp = _propagate(gens, breakpoints, Z0, V0, v, t_grid)
+                distances[i], clamp = _propagate(gens, breakpoints, Z0, V0, v, t_grid, k)
         except InvalidOperator as exc:  # gen is finite: a time step times it overflowed
             raise InvalidArgument(f"horizon {horizon:g} overflows float64 in a time step") from exc
         max_clamp = max(max_clamp, clamp)

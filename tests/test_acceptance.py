@@ -360,7 +360,7 @@ def test_criterion_9_numerical_kernel_health(fixed_catalog, vacuum_sweeps, coher
     law_worst = 0.0
     for m, res, _ in fixed_catalog.values():
         for k in (5.0, 7.0):
-            gen = build_generators(m, res, k).skew
+            gen = build_generators(m, res, k)
             E = expm(0.25 * gen)
             law_worst = max(
                 law_worst,
@@ -377,7 +377,7 @@ def test_criterion_9_numerical_kernel_health(fixed_catalog, vacuum_sweeps, coher
         Lm = rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows))
         Rm = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         X = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
-        got = (_superoperator([(Lm, Rm)], d, rows) @ vec(X)).reshape((rows, d), order="F")
+        got = (_superoperator([(Lm, Rm)], d) @ vec(X)).reshape((rows, d), order="F")
         asm_worst = max(asm_worst, float(np.max(np.abs(got - Lm @ X @ Rm))))
     # clamps across every acceptance sweep
     reports, _ = vacuum_sweeps

@@ -705,7 +705,7 @@ def test_converge_at_a_vast_horizon_gives_the_decayed_distance(tmp_path, capsys)
     # float64, far beyond the backward error eps·|t·G|.  Then T_t = 0 and the
     # squared distance is <v, 2I v> = 2.
     m = catalog.two_level_atom(1.0, 1.0, 0.5)
-    skew = semigroup.build_generators(m, qsde_elim.eliminate(m), 5.0).skew
+    skew = semigroup.build_generators(m, qsde_elim.eliminate(m), 5.0)
     assert 5e299 * np.linalg.eigvals(skew).real.max() < -1e296
     assert 5e299 * np.abs(skew).sum(axis=0).max() * np.finfo(float).eps < 1e287
     mpath = write_json(tmp_path / "m.json", two_level_doc())
@@ -715,6 +715,32 @@ def test_converge_at_a_vast_horizon_gives_the_decayed_distance(tmp_path, capsys)
     assert code == 0 and err == ""
     root2 = repr(float(np.sqrt(2.0)))
     assert out.splitlines()[1:4] == ["5.0,0.0,0.0", f"5.0,5e+299,{root2}", f"5.0,1e+300,{root2}"]
+
+
+def test_a_horizon_beyond_the_undamped_modes_is_a_numerical_failure(tmp_path, capsys):
+    # The alkali ground sector decouples: its exact distance is 0 at every t, and
+    # its skew generator at k = 5 has an eigenvalue with Re λ ≈ 6e-17 (0 up to
+    # rounding).  At t = 5e99 the backward error eps·t·|G|₁ ≈ 5e85 leaves no digit
+    # of that mode's phase, so no float64 distance exists: exit 3, not √2.
+    m = catalog.alkali_atom(1.0, 1.0, 0.2, 0.0, 0.4)
+    skew = semigroup.build_generators(m, qsde_elim.eliminate(m), 5.0)
+    assert abs(np.linalg.eigvals(skew).real).min() < 1e-15
+    assert 5e99 * np.linalg.norm(skew, 1) * np.finfo(float).eps > 1e80
+    doc = {
+        "schema_version": 1,
+        "builtin": {
+            "name": "alkali",
+            "parameters": {"delta": 1.0, "gamma": 1.0, "bx": 0.2, "by": 0.0, "bz": 0.4},
+        },
+    }
+    mpath = write_json(tmp_path / "m.json", doc)
+    code, out, err = run(
+        capsys, ["converge", "--model", mpath, "--horizon", "1e100", "--ks", "5", "--steps", "3"]
+    )
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: horizon 1e+100 at coupling 5: the rounding error")
 
 
 def test_a_horizon_that_overflows_a_step_is_a_bad_argument(tmp_path, capsys):
@@ -978,6 +1004,16 @@ def test_ragged_drive_is_an_input_error(tmp_path, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: drive: ") and "one amplitude per channel" in err
+
+
+def test_a_drive_with_no_channel_is_an_input_error(tmp_path, capsys):
+    mpath = write_json(tmp_path / "m.json", two_level_doc())
+    dpath = write_json(tmp_path / "d.json", {"breakpoints": [0.0, 1.0], "amplitudes": []})
+    code, out, err = run(capsys, ["converge", "--model", mpath, "--drive", dpath])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: drive: ") and "at least one channel" in err
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))

@@ -463,12 +463,12 @@ def test_y1inv_override_above_d8():
 
 
 def test_hand_built_decomposition_finds_its_ground_basis():
-    # without V0 the check takes the eigenvectors of P0
+    # without V0 the decomposition takes the eigenvectors of P0
     m = large_model(16, 3, seed=8)
     dec = decompose(m)
     bare = Decomposition(P0=dec.P0, P1=dec.P1, Y1inv=dec.Y1inv)
-    assert bare.V0 is None
-    V0 = bare.ground_basis()
+    V0 = bare.V0
+    np.testing.assert_array_equal(V0, dec.P0.basis())
     np.testing.assert_allclose(V0 @ dagger(V0), dec.P0.matrix, atol=1e-12)
     oracle = inverse_structure_oracle(m, dec)
     assert_close_to_oracle(check_inverse_structure(m, bare), oracle)

@@ -267,7 +267,7 @@ def test_assemble_superoperator_matches_sandwich():
         L = rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows))
         R = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         X = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
-        S = _superoperator([(L, R)], d, rows)
+        S = _superoperator([(L, R)], d)
         np.testing.assert_allclose(
             (S @ vec(X)).reshape((rows, d), order="F"), L @ X @ R, atol=1e-12
         )

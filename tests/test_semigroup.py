@@ -10,6 +10,7 @@ from qsde_elim import (
     DimensionMismatch,
     InvalidArgument,
     InvalidGroundVector,
+    NumericalFailure,
     Projector,
     ResourceLimit,
     ScaledModel,
@@ -110,18 +111,17 @@ def test_slow_only_skew_equals_limit():
     m = slow_only_model(rng)
     e = eliminate(m)
     for k in (0.0, 1.0, 13.0):
-        pair = build_generators(m, e, k)
-        np.testing.assert_allclose(pair.skew, pair.limit, atol=1e-12)
-        assert pair.dim == 3
+        skew = build_generators(m, e, k)
+        np.testing.assert_allclose(skew, dense_generator(e.limit, e.limit), atol=1e-12)
 
 
 def test_limit_generator_kills_ground_projector(two_level):
-    m, e, _ = two_level
-    pair = build_generators(m, e, 3.0)
+    _, e, _ = two_level
+    limit = dense_generator(e.limit, e.limit)
     P0m = e.decomposition.P0.matrix
-    np.testing.assert_allclose(pair.limit @ vec(P0m), np.zeros(4), atol=1e-12)
+    np.testing.assert_allclose(limit @ vec(P0m), np.zeros(4), atol=1e-12)
     # and P0 stays fixed under the limit semigroup out to long times
-    np.testing.assert_allclose(dense_evolve(pair.limit, P0m, 10.0), P0m, atol=1e-10)
+    np.testing.assert_allclose(dense_evolve(limit, P0m, 10.0), P0m, atol=1e-10)
 
 
 def test_scalar_balanced_coefficients_have_zero_generator():
@@ -164,7 +164,7 @@ def test_build_generators_rejects_negative_coupling(two_level):
 
 def test_evolve_semigroup_law(two_level):
     m, e, _ = two_level
-    gen = build_generators(m, e, 4.0).skew
+    gen = build_generators(m, e, 4.0)
     P0m = e.decomposition.P0.matrix
     via_steps = dense_evolve(gen, dense_evolve(gen, P0m, 0.3), 0.45)
     np.testing.assert_allclose(via_steps, dense_evolve(gen, P0m, 0.75), atol=1e-10)
@@ -173,7 +173,7 @@ def test_evolve_semigroup_law(two_level):
 def test_limit_semigroup_preserves_hermiticity():
     lam = catalog.lambda_system(1.0, 2.0, 0.4, 3)
     e = eliminate(lam)
-    gen = build_generators(lam, e, 1.0).limit
+    gen = dense_generator(e.limit, e.limit)
     rng = np.random.default_rng(4)
     H = rng.normal(size=(9, 9))
     H = H + H.T
@@ -198,7 +198,7 @@ def test_skew_propagation_contracts_operator_norm():
         e = eliminate(m)
         d = m.dim
         for k in (0.0, 1.0, 7.0, 40.0):
-            gen = build_generators(m, e, k).skew
+            gen = build_generators(m, e, k)
             for t in (0.1, 0.5, 2.0):
                 for _ in range(3):
                     X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -332,17 +332,31 @@ def test_step_drive_validation():
         StepDrive(breakpoints=[0.0, 1.0], amplitudes=[[np.inf]])
     with pytest.raises(InvalidArgument, match="one amplitude per channel"):
         StepDrive(breakpoints=[0.0, 0.5, 1.0], amplitudes=[[0.3], [0.1, 0.2]])
+    # no channel: atleast_2d would read [] and [[]] as one row of width 0
+    for amps in ([], [[]]):
+        with pytest.raises(InvalidArgument, match="at least one channel"):
+            StepDrive(breakpoints=[0.0, 1.0], amplitudes=amps)
     drive = StepDrive(breakpoints=[0.0, 0.5, 2.0], amplitudes=[[0.1], [0.2j]])
-    assert drive.segments == 2
     assert drive.horizon == 2.0
 
 
-def test_zero_drive_matches_vacuum(two_level):
-    m, e, v = two_level
-    drive = StepDrive(breakpoints=[0.0, 1.0], amplitudes=[[0.0]])
-    vacuum = k_sweep(m, e, v, [1.0, 30.0], steps=11)
-    driven = k_sweep(m, e, v, [1.0, 30.0], steps=11, drive=drive)
-    np.testing.assert_array_equal(driven.distances, vacuum.distances)
+def test_zero_drive_matches_vacuum():
+    # the vacuum is a drive of zero amplitude, to the bit and the sign bit, on
+    # the full d x d state and on the ground rows V0† X of the d = 12 lambda
+    models = [
+        catalog.two_level_atom(1.0, 1.0, 0.5),
+        catalog.alkali_atom(1.0, 1.0, 0.2, 0.0, 0.4),
+        catalog.lambda_system(1.0, 2.0, 0.4, 4),
+    ]
+    for m in models:
+        e = eliminate(m)
+        v = default_ground_vector(e.decomposition.P0)
+        drive = StepDrive(breakpoints=[0.0, 1.0], amplitudes=[[0.0] * m.channels])
+        vacuum = k_sweep(m, e, v, [1.0, 30.0], steps=11)
+        driven = k_sweep(m, e, v, [1.0, 30.0], steps=11, drive=drive)
+        np.testing.assert_array_equal(driven.distances, vacuum.distances)
+        np.testing.assert_array_equal(np.signbit(driven.distances), np.signbit(vacuum.distances))
+        assert driven.max_clamp == vacuum.max_clamp
 
 
 def test_splitting_a_constant_drive_changes_nothing(two_level):
@@ -646,6 +660,21 @@ def test_sweep_checks_the_budget_before_assembly(monkeypatch):
 
 def fail_at_linspace(*args, **kwargs):
     raise AssertionError("np.linspace reached: the time grid was being allocated")
+
+
+def test_a_step_that_rounding_decides_is_refused_before_expm(two_level, monkeypatch):
+    # At k = 1e9 a step of 0.5 has eps·h·|G|₁ ≈ 124, so exp(h·G) keeps no digit
+    # of a mode that has not decayed, and the skew generator has one: as k grows
+    # it tends to the limit generator on the ground sector, whose eigenvalue 0
+    # fixes P0.  The exact sup distance, about 0.66/k, is beyond resolution.
+    m, e, v = two_level
+
+    def no_expm(M):
+        raise AssertionError("expm reached: the step should have been refused")
+
+    monkeypatch.setattr(semigroup, "expm", no_expm)
+    with pytest.raises(NumericalFailure, match=r"horizon 1 at coupling 1e\+09: the rounding"):
+        k_sweep(m, e, v, [1e9], steps=3)
 
 
 def test_sweep_checks_the_grid_budget_before_allocation(two_level, monkeypatch):
