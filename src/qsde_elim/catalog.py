@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters
-from .linalg import Projector, as_operator, dagger, expm
+from .linalg import Projector, as_operator, dagger
 from .model import CoefficientSet, ScaledModel
 
 
@@ -325,70 +325,3 @@ def lambda_limit(gamma: float, g: float, alpha: complex, n_trunc: int = 4) -> Co
     L = [-(np.sqrt(gamma) * alpha / g) * np.kron(lam.sigma_m_plus @ lam.sigma_p_minus, vac)]
     S = P0m - 2.0 * p_minus_vac
     return CoefficientSet(K=K, L=L, S=[[S]], ground=Projector(P0m, 2))
-
-
-def lambda_y1inv_block(gamma: float, g: float, n: int) -> np.ndarray:
-    """Closed-form inverse of the fast block of the lambda Y on the n-quantum
-    subspace span{|+,n>, |-,n>, |e,n-1>}, 1 <= n <= N-1:
-
-        -(1/det) [[gamma (n-1)/2, 0, -g sqrt(n)],
-                  [0, 2 det/(gamma n), 0],
-                  [g sqrt(n), 0, gamma n/2]],   det = gamma^2 n (n-1)/4 + g^2 n.
-    """
-    n = int(n)
-    if n < 1:
-        raise InvalidParameters("block index must be at least 1")
-    det = gamma * gamma * n * (n - 1) / 4.0 + g * g * n
-    rt = np.sqrt(float(n))
-    block = np.array(
-        [
-            [gamma * (n - 1) / 2.0, 0.0, -g * rt],
-            [0.0, 2.0 * det / (gamma * n), 0.0],
-            [g * rt, 0.0, gamma * n / 2.0],
-        ],
-        dtype=complex,
-    )
-    return -block / det
-
-
-def lambda_y1inv(gamma: float, g: float, n_trunc: int = 4) -> np.ndarray:
-    """Assemble the full closed-form restricted inverse of the lambda Y.
-
-    Index convention: atom (e, +, -) tensor Fock, so |a, n> sits at a*N + n.
-    The top block span{|e, N-1>} inverts to -2/(gamma (N-1)).
-    """
-    N = int(n_trunc)
-    d = 3 * N
-    out = np.zeros((d, d), dtype=complex)
-
-    def idx(atom: int, fock: int) -> int:
-        return atom * N + fock
-
-    for n in range(1, N):
-        rows = [idx(1, n), idx(2, n), idx(0, n - 1)]
-        block = lambda_y1inv_block(gamma, g, n)
-        for r, ri in enumerate(rows):
-            for c, ci in enumerate(rows):
-                out[ri, ci] = block[r, c]
-    out[idx(0, N - 1), idx(0, N - 1)] = -2.0 / (gamma * (N - 1))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# independent oracle for the undamped driven two-level atom
-
-def decoupled_ground_amplitude(delta: float, alpha: complex, k: float, t: float) -> complex:
-    """Ground-to-ground amplitude of exp(-i H t) for the undamped atom at
-    coupling k, with H = k alpha sigma_p + k conj(alpha) sigma_m + k^2 delta P_e.
-
-    Computed directly from the 2x2 exponential; as k grows it approaches
-    exp(i |alpha|^2 t / delta).
-    """
-    alpha = complex(alpha)
-    k = float(k)
-    H = np.array(
-        [[k * k * delta, k * alpha], [k * np.conj(alpha), 0.0]],
-        dtype=complex,
-    )
-    U = expm(-1j * t * H)
-    return complex(U[1, 1])

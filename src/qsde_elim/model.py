@@ -164,15 +164,25 @@ def instantiate(m: ScaledModel, k: float) -> CoefficientSet:
     k = float(k)
     if not k >= 0:
         raise InvalidArgument(f"coupling must be a non-negative number, got k = {k}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = k * k * m.Y + k * m.A + m.B
-        L = k * m.F + m.G
+    K, L = _coefficients(m, k)
     try:
         return CoefficientSet(K=K, L=L, S=m.W.copy(), ground=None)
     except InvalidOperator as exc:  # K or L is not finite: W is
-        raise InvalidArgument(
-            f"coupling k = {k:g} overflows the coefficients K = k²Y + kA + B, L = kF + G"
-        ) from exc
+        raise _coupling_overflow(k) from exc
+
+
+def _coefficients(m: ScaledModel, k) -> tuple[np.ndarray, np.ndarray]:
+    """K = k²Y + kA + B and L = kF + G, unchecked, at a float k; or stacked,
+    shape (nk, d, d) and (nk, n, d, d), at an (nk, 1, 1) array of couplings,
+    each matrix with the bits of the same sum at one float k."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return k * k * m.Y + k * m.A + m.B, np.expand_dims(k, -1) * m.F + m.G
+
+
+def _coupling_overflow(k: float) -> InvalidArgument:
+    return InvalidArgument(
+        f"coupling k = {k:g} overflows the coefficients K = k²Y + kA + B, L = kF + G"
+    )
 
 
 def _unitarity_residuals(c: CoefficientSet, closure: np.ndarray, label: str):

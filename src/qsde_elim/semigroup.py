@@ -65,8 +65,16 @@ from .errors import (
     ResourceLimit,
 )
 from .eliminate import EliminationResult, displace_limit, displace_scaled
-from .linalg import RECORDED_ARITHMETIC_MAX_DIM, Projector, as_operator, dagger, expm, vec
-from .model import ScaledModel, instantiate
+from .linalg import (
+    RECORDED_ARITHMETIC_MAX_DIM,
+    Projector,
+    as_operator,
+    dagger,
+    expm,
+    frobenius_norms,
+    vec,
+)
+from .model import ScaledModel, _coefficients, _coupling_overflow, instantiate
 
 CLAMP_ABORT = 1e-6
 GROUND_VECTOR_TOL = 1e-9
@@ -361,21 +369,30 @@ def generator_convergence_check(
 
     The corrected residual decays like 1/k when the structural identities
     hold; couplings must be positive.  A residual that overflows float64
-    comes out infinite or NaN, without a numpy warning.
+    comes out infinite or NaN, without a numpy warning.  The couplings go
+    through as one stack, split into batches only where their K(k) and L(k)
+    would exceed GENERATOR_BUDGET_BYTES; every residual has the bits of the
+    same sum at one scalar k.
     """
     ks = _validate_couplings(ks, positive=True)
     X = as_operator(X, "X")
     corrected = np.empty(ks.size)
     uncorrected = np.empty(ks.size)
+    batch = max(1, GENERATOR_BUDGET_BYTES // (16 * (m.channels + 1) * m.dim**2))
     with np.errstate(over="ignore", invalid="ignore"):
         X1, X2 = kurtz_corrector(e, m, X)
         K, L = e.limit.K, e.limit.L
         LX = _apply_terms(_sandwich_terms(K, L, K, L), X)
-        for idx, k in enumerate(ks):
-            inst = instantiate(m, k)
-            skew = _sandwich_terms(K, L, inst.K, inst.L)
-            corrected[idx] = np.linalg.norm(_apply_terms(skew, X + X1 / k + X2 / (k * k)) - LX)
-            uncorrected[idx] = np.linalg.norm(_apply_terms(skew, X) - LX)
+        for lo in range(0, ks.size, batch):
+            part = slice(lo, lo + batch)
+            k = ks[part, None, None]
+            Kk, Lk = _coefficients(m, k)
+            finite = np.isfinite(Kk).all(axis=(1, 2)) & np.isfinite(Lk).all(axis=(1, 2, 3))
+            if not finite.all():
+                raise _coupling_overflow(ks[part][~finite][0])
+            skew = _sandwich_terms(K, L, Kk, Lk.swapaxes(0, 1))  # right factors stacked over k
+            corrected[part] = frobenius_norms(_apply_terms(skew, X + X1 / k + X2 / (k * k)) - LX)
+            uncorrected[part] = frobenius_norms(_apply_terms(skew, X) - LX)
     return GeneratorResiduals(ks=ks, corrected=corrected, uncorrected=uncorrected)
 
 

@@ -17,12 +17,18 @@ the remaining d1 the fast sector:
 
 A final Haar conjugation hides the block structure so the kernel projector
 and restricted inverse are exercised on a non-axis-aligned model.
+
+The closed-form oracles at the end (the lambda system's restricted inverse and
+the undamped two-level ground amplitude) serve the tests only: no package code
+computes them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from qsde_elim.errors import InvalidParameters
+from qsde_elim.linalg import expm, unblocks
 from qsde_elim.model import ScaledModel
 
 
@@ -39,14 +45,10 @@ def random_hermitian(rng: np.random.Generator, d: int, scale: float = 1.0) -> np
 
 def _block_unitary_family(rng: np.random.Generator, n: int, d0: int, d1: int) -> np.ndarray:
     """n*n grid of d*d blocks W_ij, jointly unitary, never mixing the sectors."""
-    d = d0 + d1
-    Ug = haar_unitary(rng, n * d0) if d0 else np.zeros((0, 0))
-    Ue = haar_unitary(rng, n * d1) if d1 else np.zeros((0, 0))
-    W = np.zeros((n, n, d, d), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            W[i, j, :d0, :d0] = Ug[i * d0:(i + 1) * d0, j * d0:(j + 1) * d0]
-            W[i, j, d0:, d0:] = Ue[i * d1:(i + 1) * d1, j * d1:(j + 1) * d1]
+    W = np.zeros((n, n, d0 + d1, d0 + d1), dtype=complex)
+    for sector, size in ((slice(None, d0), d0), (slice(d0, None), d1)):
+        if size:  # the ground unitary first, then the excited one
+            W[:, :, sector, sector] = unblocks(haar_unitary(rng, n * size), size)
     return W
 
 
@@ -103,7 +105,7 @@ def random_valid_model(
         B = V @ B @ Vh
         F = [V @ f @ Vh for f in F]
         G = [V @ g @ Vh for g in G]
-        W = np.einsum("ab,ijbc,cd->ijad", V, W, Vh)
+        W = V @ W @ Vh  # one d x d product pair per block W_ij
 
     return ScaledModel(Y=Y, A=A, B=B, F=F, G=G, W=W)
 
@@ -127,3 +129,67 @@ def model_gap(a: ScaledModel, b: ScaledModel) -> float:
         float(np.linalg.norm(a.G - b.G)),
         float(np.linalg.norm(a.W - b.W)),
     )
+
+
+def lambda_y1inv_block(gamma: float, g: float, n: int) -> np.ndarray:
+    """Closed-form inverse of the fast block of the lambda Y on the n-quantum
+    subspace span{|+,n>, |-,n>, |e,n-1>}, 1 <= n <= N-1:
+
+        -(1/det) [[gamma (n-1)/2, 0, -g sqrt(n)],
+                  [0, 2 det/(gamma n), 0],
+                  [g sqrt(n), 0, gamma n/2]],   det = gamma^2 n (n-1)/4 + g^2 n.
+    """
+    n = int(n)
+    if n < 1:
+        raise InvalidParameters("block index must be at least 1")
+    det = gamma * gamma * n * (n - 1) / 4.0 + g * g * n
+    rt = np.sqrt(float(n))
+    block = np.array(
+        [
+            [gamma * (n - 1) / 2.0, 0.0, -g * rt],
+            [0.0, 2.0 * det / (gamma * n), 0.0],
+            [g * rt, 0.0, gamma * n / 2.0],
+        ],
+        dtype=complex,
+    )
+    return -block / det
+
+
+def lambda_y1inv(gamma: float, g: float, n_trunc: int = 4) -> np.ndarray:
+    """Assemble the full closed-form restricted inverse of the lambda Y.
+
+    Index convention: atom (e, +, -) tensor Fock, so |a, n> sits at a*N + n.
+    The top block span{|e, N-1>} inverts to -2/(gamma (N-1)).
+    """
+    N = int(n_trunc)
+    d = 3 * N
+    out = np.zeros((d, d), dtype=complex)
+
+    def idx(atom: int, fock: int) -> int:
+        return atom * N + fock
+
+    for n in range(1, N):
+        rows = [idx(1, n), idx(2, n), idx(0, n - 1)]
+        block = lambda_y1inv_block(gamma, g, n)
+        for r, ri in enumerate(rows):
+            for c, ci in enumerate(rows):
+                out[ri, ci] = block[r, c]
+    out[idx(0, N - 1), idx(0, N - 1)] = -2.0 / (gamma * (N - 1))
+    return out
+
+
+def decoupled_ground_amplitude(delta: float, alpha: complex, k: float, t: float) -> complex:
+    """Ground-to-ground amplitude of exp(-i H t) for the undamped atom at
+    coupling k, with H = k alpha sigma_p + k conj(alpha) sigma_m + k^2 delta P_e.
+
+    Computed directly from the 2x2 exponential; as k grows it approaches
+    exp(i |alpha|^2 t / delta).
+    """
+    alpha = complex(alpha)
+    k = float(k)
+    H = np.array(
+        [[k * k * delta, k * alpha], [k * np.conj(alpha), 0.0]],
+        dtype=complex,
+    )
+    U = expm(-1j * t * H)
+    return complex(U[1, 1])

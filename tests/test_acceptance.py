@@ -23,7 +23,7 @@ from qsde_elim import (
     vec,
 )
 from qsde_elim.semigroup import _superoperator, generator_convergence_check
-from factories import coefficient_gap, random_valid_model
+from factories import coefficient_gap, decoupled_ground_amplitude, random_valid_model
 
 
 def verdict(number: int, name: str, ok: bool, detail: str) -> None:
@@ -346,7 +346,7 @@ def test_criterion_7_kurtz_diagnostic(fixed_catalog):
 
 
 def test_criterion_8_decoupled_oracle():
-    amp = catalog.decoupled_ground_amplitude(1.0, 0.5, 200.0, 1.0)
+    amp = decoupled_ground_amplitude(1.0, 0.5, 200.0, 1.0)
     target = np.exp(0.25j)
     dev = abs(amp - target)
     ok = dev < 0.05

@@ -13,7 +13,7 @@ from qsde_elim import (
     eliminate,
     instantiate,
 )
-from factories import coefficient_gap
+from factories import coefficient_gap, decoupled_ground_amplitude, lambda_y1inv, lambda_y1inv_block
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def test_lambda_restricted_inverse_matches_blockwise_form():
     for gamma, g, N in ((1.0, 2.0, 4), (2.0, 1.5, 3)):
         m = catalog.lambda_system(gamma, g, 0.4, N)
         dec = decompose(m)
-        np.testing.assert_allclose(dec.Y1inv, catalog.lambda_y1inv(gamma, g, N), atol=1e-10)
+        np.testing.assert_allclose(dec.Y1inv, lambda_y1inv(gamma, g, N), atol=1e-10)
 
 
 def test_lambda_parameter_validation():
@@ -208,7 +208,7 @@ def test_lambda_parameter_validation():
     with pytest.raises(InvalidParameters):
         catalog.lambda_limit(-1.0, 2.0, 0.4)
     with pytest.raises(InvalidParameters):
-        catalog.lambda_y1inv_block(1.0, 2.0, 0)
+        lambda_y1inv_block(1.0, 2.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +216,12 @@ def test_lambda_parameter_validation():
 
 
 def test_decoupled_ground_amplitude_trivial_cases():
-    assert catalog.decoupled_ground_amplitude(1.0, 0.0, 3.0, 2.0) == pytest.approx(1.0)
-    assert catalog.decoupled_ground_amplitude(1.0, 0.5, 0.0, 2.0) == pytest.approx(1.0)
+    assert decoupled_ground_amplitude(1.0, 0.0, 3.0, 2.0) == pytest.approx(1.0)
+    assert decoupled_ground_amplitude(1.0, 0.5, 0.0, 2.0) == pytest.approx(1.0)
 
 
 def test_decoupled_ground_amplitude_is_unitary_matrix_element():
-    amp = catalog.decoupled_ground_amplitude(1.0, 0.5, 3.0, 1.0)
+    amp = decoupled_ground_amplitude(1.0, 0.5, 3.0, 1.0)
     assert abs(amp) <= 1.0 + 1e-12
 
 

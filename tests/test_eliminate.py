@@ -280,6 +280,26 @@ def test_large_models_contract_channels_without_einsum(monkeypatch):
     assert coefficient_gap(ed.limit, displace_limit(e.limit, alpha)) < 1e-9
 
 
+def test_random_models_conjugate_their_channel_grid_without_einsum(monkeypatch):
+    # the Haar conjugation of the channel grid is one matmul pair per block:
+    # the same draws in the same order, so the same model up to rounding
+    rng = np.random.default_rng(24)
+    plain = random_valid_model(rng, 8, 24, 3, rotate=False)
+    V = haar_unitary(rng, 32)  # the draw that follows W when rotate is set
+    expected_W = np.einsum("ab,ijbc,cd->ijad", V, plain.W, dagger(V))
+
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("einsum called while building a d = 32 model")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    m = random_valid_model(np.random.default_rng(24), 8, 24, 3)
+    np.testing.assert_array_equal(m.Y, V @ plain.Y @ dagger(V))
+    assert np.linalg.norm(m.W - expected_W) <= 1e-13 * np.linalg.norm(expected_W)
+    assert check_scaling_consistency(m).passed
+    assert check_hp_unitarity(instantiate(m, 1.0)).passed
+    assert eliminate(m).assumptions_pass
+
+
 @pytest.mark.parametrize("d", [16, 32])
 def test_eliminate_checks_inverse_structure_on_its_own_products(d):
     # eliminate shares its product table with the check; the standalone check

@@ -539,6 +539,49 @@ def test_generator_convergence_rejects_bad_couplings(two_level):
         generator_convergence_check(m, e, e.decomposition.P0.matrix, [np.nan])
 
 
+def residuals_one_coupling_at_a_time(m, e, X, ks):
+    """generator_convergence_check as a loop over k: instantiate, then one
+    np.linalg.norm of each residual."""
+    X1, X2 = kurtz_corrector(e, m, X)
+    K, L = e.limit.K, e.limit.L
+    LX = _apply_terms(_sandwich_terms(K, L, K, L), X)
+    corrected, uncorrected = [], []
+    for k in ks:
+        inst = instantiate(m, k)
+        skew = _sandwich_terms(K, L, inst.K, inst.L)
+        corrected.append(np.linalg.norm(_apply_terms(skew, X + X1 / k + X2 / (k * k)) - LX))
+        uncorrected.append(np.linalg.norm(_apply_terms(skew, X) - LX))
+    return corrected, uncorrected
+
+
+@pytest.mark.parametrize("budget", [semigroup.GENERATOR_BUDGET_BYTES, 1])
+@pytest.mark.parametrize(
+    "model",
+    [
+        lambda: catalog.two_level_atom(1.0, 1.0, 0.5),
+        lambda: catalog.lambda_system(1.0, 2.0, 0.4, 4),
+        lambda: random_valid_model(np.random.default_rng(5), 2, 3, 2),
+        lambda: random_valid_model(np.random.default_rng(6), 8, 24, 3),
+    ],
+)
+def test_generator_residuals_have_the_bits_of_one_coupling_at_a_time(monkeypatch, model, budget):
+    # every coupling in one stack, or one per batch under a tiny budget
+    monkeypatch.setattr(semigroup, "GENERATOR_BUDGET_BYTES", budget)
+    m = model()
+    e = eliminate(m)
+    ks = [10.0, 30.0, 100.0, 300.0, 1e5, 1e8]
+    res = generator_convergence_check(m, e, e.decomposition.P0.matrix, ks)
+    corrected, uncorrected = residuals_one_coupling_at_a_time(m, e, e.decomposition.P0.matrix, ks)
+    assert res.corrected.tolist() == corrected
+    assert res.uncorrected.tolist() == uncorrected
+
+
+def test_generator_residuals_name_the_first_coupling_that_overflows(two_level):
+    m, e, _ = two_level
+    with pytest.raises(InvalidArgument, match=r"coupling k = 1e\+160 overflows"):
+        generator_convergence_check(m, e, e.decomposition.P0.matrix, [10.0, 1e160, 1e200])
+
+
 # ---------------------------------------------------------------------------
 # ground-row state and the generator budget
 
