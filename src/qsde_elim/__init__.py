@@ -9,12 +9,7 @@ quantifies convergence of the unitary dynamics as k grows.
 
 from .errors import (
     ClampExceeded,
-    DimensionMismatch,
     InvalidArgument,
-    InvalidGroundVector,
-    InvalidOperator,
-    InvalidParameters,
-    InvalidProjector,
     NumericalFailure,
     QsdeElimError,
     ResourceLimit,
@@ -68,11 +63,6 @@ __all__ = [
     "QsdeElimError",
     "DEFAULT_RANK_TOL",
     "CLAMP_ABORT",
-    "InvalidOperator",
-    "DimensionMismatch",
-    "InvalidProjector",
-    "InvalidGroundVector",
-    "InvalidParameters",
     "InvalidArgument",
     "SingularRestriction",
     "NumericalFailure",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameters
+from .errors import InvalidArgument
 from .linalg import Projector, as_operator, dagger
 from .model import CoefficientSet, ScaledModel
 
@@ -90,7 +90,7 @@ def oscillator_ops(N: int) -> OscillatorOps:
     """Truncated oscillator on |0..N-1>; the top rung is annihilated by bdag."""
     N = int(N)
     if N < 2:
-        raise InvalidParameters(f"oscillator truncation must be at least 2, got {N}")
+        raise InvalidArgument(f"oscillator truncation must be at least 2, got {N}")
     b = np.diag(np.sqrt(np.arange(1, N, dtype=float)), k=1).astype(complex)
     return OscillatorOps(N=N, b=b, bdag=dagger(b), number=dagger(b) @ b)
 
@@ -116,7 +116,7 @@ def two_level_atom(delta: float, gamma: float, alpha: complex) -> ScaledModel:
     B = 0, F = sqrt(gamma) sigma_m, G = 0, W = I.
     """
     if gamma < 0:
-        raise InvalidParameters(f"decay rate must be non-negative, got {gamma}")
+        raise InvalidArgument(f"decay rate must be non-negative, got {gamma}")
     p = pauli_ops()
     alpha = complex(alpha)
     Y = (-1j * delta - gamma / 2.0) * p.P_e
@@ -136,7 +136,7 @@ def two_level_limit(delta: float, gamma: float, alpha: complex) -> CoefficientSe
     """
     denom = 1j * delta + gamma / 2.0
     if denom == 0:
-        raise InvalidParameters("limit undefined when delta = gamma = 0 (Y vanishes)")
+        raise InvalidArgument("limit undefined when delta = gamma = 0 (Y vanishes)")
     p = pauli_ops()
     alpha = complex(alpha)
     K = (-abs(alpha) ** 2 / denom) * p.P_g
@@ -156,7 +156,7 @@ def alkali_atom(delta: float, gamma: float, bx: float, by: float, bz: float) -> 
     A = 0, G = 0, W = I.
     """
     if gamma < 0:
-        raise InvalidParameters(f"decay rate must be non-negative, got {gamma}")
+        raise InvalidArgument(f"decay rate must be non-negative, got {gamma}")
     p = pauli_ops()
     spin = [p.sigma_x, p.sigma_y, p.sigma_z]
     field = bx * p.sigma_x + by * p.sigma_y + bz * p.sigma_z
@@ -174,7 +174,7 @@ def alkali_limit(delta: float, gamma: float, bx: float, by: float, bz: float) ->
     S_ij = P_g x (delta_ij I - gamma/(i delta + 3 gamma/2) sigma_i sigma_j)."""
     denom = 1j * delta + 1.5 * gamma
     if denom == 0:
-        raise InvalidParameters("limit undefined when delta = gamma = 0 (Y vanishes)")
+        raise InvalidArgument("limit undefined when delta = gamma = 0 (Y vanishes)")
     p = pauli_ops()
     spin = [p.sigma_x, p.sigma_y, p.sigma_z]
     field = bx * p.sigma_x + by * p.sigma_y + bz * p.sigma_z
@@ -211,22 +211,22 @@ def cavity_system(
     B = -i E00 x I, F = sqrt(gamma) I x b, G = 0, W = I.
     """
     if gamma <= 0:
-        raise InvalidParameters(f"cavity decay rate must be positive, got {gamma}")
+        raise InvalidArgument(f"cavity decay rate must be positive, got {gamma}")
     e00 = as_operator(e00, "e00")
     e10 = as_operator(e10, "e10")
     e11 = as_operator(e11, "e11")
     dh = e00.shape[0]
     if e10.shape[0] != dh or e11.shape[0] != dh:
-        raise InvalidParameters("interaction blocks must act on one system dimension")
+        raise InvalidArgument("interaction blocks must act on one system dimension")
     # compared in units of the largest real or imaginary part (at least 1), so
     # that no Frobenius norm of finite entries overflows
     scale = max(1.0, *(np.max(np.abs(x), initial=0.0) for e in (e00, e11) for x in (e.real, e.imag)))
     h00, h11 = e00 / scale, e11 / scale
     herm_tol = 1e-12 * max(1.0 / scale, np.linalg.norm(h00), np.linalg.norm(h11))
     if np.linalg.norm(h00 - dagger(h00)) > herm_tol or np.linalg.norm(h11 - dagger(h11)) > herm_tol:
-        raise InvalidParameters("e00 and e11 must be Hermitian")
+        raise InvalidArgument("e00 and e11 must be Hermitian")
     if np.linalg.norm(e11, 2) >= gamma / 2.0:
-        raise InvalidParameters(
+        raise InvalidArgument(
             f"need ||e11|| < gamma/2 for an invertible fast sector "
             f"(got {np.linalg.norm(e11, 2):.3g} >= {gamma / 2.0:.3g})"
         )
@@ -286,9 +286,9 @@ def lambda_system(gamma: float, g: float, alpha: complex, n_trunc: int = 4) -> S
     F = sqrt(gamma) I x b, G = 0, W = I.
     """
     if gamma <= 0:
-        raise InvalidParameters(f"cavity decay rate must be positive, got {gamma}")
+        raise InvalidArgument(f"cavity decay rate must be positive, got {gamma}")
     if g == 0:
-        raise InvalidParameters("coupling g must be non-zero")
+        raise InvalidArgument("coupling g must be non-zero")
     lam = lambda_ops()
     osc = oscillator_ops(n_trunc)
     N = osc.N
@@ -313,7 +313,7 @@ def lambda_limit(gamma: float, g: float, alpha: complex, n_trunc: int = 4) -> Co
     S = P0 - 2 P_- x |0><0|.
     """
     if gamma <= 0 or g == 0:
-        raise InvalidParameters("require gamma > 0 and g != 0")
+        raise InvalidArgument("require gamma > 0 and g != 0")
     lam = lambda_ops()
     N = int(n_trunc)
     alpha = complex(alpha)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidOperator, NumericalFailure
+from .errors import InvalidArgument, NumericalFailure
 from .linalg import (
     DEFAULT_RANK_TOL,
     RECORDED_ARITHMETIC_MAX_DIM,
@@ -69,11 +69,11 @@ class Decomposition:
     def __post_init__(self):
         self.Y1inv = as_operator(self.Y1inv, "Y1inv")
         if not (self.P0.dim == self.P1.dim == self.Y1inv.shape[0]):
-            raise DimensionMismatch("P0, P1 and Y1inv must share one dimension")
+            raise InvalidArgument("P0, P1 and Y1inv must share one dimension")
         if self.V0 is None:
             self.V0 = self.P0.basis()
         elif self.V0.shape != (self.P0.dim, self.P0.rank):
-            raise DimensionMismatch(f"V0 has shape {self.V0.shape}, P0 has rank {self.P0.rank}")
+            raise InvalidArgument(f"V0 has shape {self.V0.shape}, P0 has rank {self.P0.rank}")
 
 
 @dataclass
@@ -96,9 +96,9 @@ def as_amplitude(alpha, channels: int) -> np.ndarray:
     """Coerce a per-channel complex displacement amplitude vector."""
     a = np.atleast_1d(np.asarray(alpha, dtype=complex)).ravel()
     if a.size != channels:
-        raise DimensionMismatch(f"amplitude has {a.size} entries, model has {channels} channels")
+        raise InvalidArgument(f"amplitude has {a.size} entries, model has {channels} channels")
     if not np.all(np.isfinite(a)):
-        raise InvalidOperator("amplitude contains non-finite entries")
+        raise InvalidArgument("amplitude contains non-finite entries")
     return a
 
 
@@ -135,7 +135,7 @@ def decompose(
     if y1inv_override is not None:
         Y1inv = as_operator(y1inv_override, "y1inv_override")
         if Y1inv.shape[0] != d:
-            raise DimensionMismatch("y1inv_override dimension does not match the model")
+            raise InvalidArgument("y1inv_override dimension does not match the model")
     else:
         excited = P1.basis() if d <= RECORDED_ARITHMETIC_MAX_DIM else V[:, : P1.rank]
         Y1inv = _inverse_on(m.Y, excited, rank_tol)

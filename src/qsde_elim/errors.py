@@ -7,16 +7,10 @@ class QsdeElimError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidOperator(QsdeElimError, ValueError):
-    """An operator has non-finite entries or is otherwise unusable."""
-
-
-class DimensionMismatch(QsdeElimError, ValueError):
-    """Operator shapes are inconsistent with each other or not square."""
-
-
-class InvalidProjector(QsdeElimError, ValueError):
-    """A matrix supplied as an orthogonal projector fails P = P† = P²."""
+class InvalidArgument(QsdeElimError, ValueError):
+    """An input violates a documented precondition: a shape, a non-finite
+    entry, a projector or ground vector that is not one, a model parameter
+    out of range, or a coupling or horizon that overflows float64."""
 
 
 class SingularRestriction(QsdeElimError, ArithmeticError):
@@ -28,18 +22,6 @@ class SingularRestriction(QsdeElimError, ArithmeticError):
     def __init__(self, message: str, sigma: float = 0.0):
         super().__init__(message)
         self.sigma = float(sigma)
-
-
-class InvalidGroundVector(QsdeElimError, ValueError):
-    """A state vector is not (numerically) a unit vector in the ground space."""
-
-
-class InvalidParameters(QsdeElimError, ValueError):
-    """Model parameters violate a documented constraint."""
-
-
-class InvalidArgument(QsdeElimError, ValueError):
-    """An argument violates a documented precondition."""
 
 
 class NumericalFailure(QsdeElimError, ArithmeticError):

@@ -38,14 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidArgument,
-    InvalidOperator,
-    InvalidProjector,
-    NumericalFailure,
-    SingularRestriction,
-)
+from .errors import InvalidArgument, NumericalFailure, SingularRestriction
 
 DEFAULT_RANK_TOL = 1e-9
 # Models up to this dimension keep the arithmetic the benchmark's 16 recorded
@@ -74,9 +67,9 @@ def as_operator(M, name: str = "operator") -> np.ndarray:
     """Coerce to a square complex matrix, rejecting non-finite entries."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {M.shape}")
+        raise InvalidArgument(f"{name} must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
-        raise InvalidOperator(f"{name} contains non-finite entries")
+        raise InvalidArgument(f"{name} contains non-finite entries")
     return M
 
 
@@ -101,33 +94,33 @@ class Projector:
         self.matrix = as_operator(self.matrix, "projector")
         self.rank = int(self.rank)
         if not 0 <= self.rank <= self.matrix.shape[0]:
-            raise InvalidProjector(f"rank {self.rank} out of range for dim {self.matrix.shape[0]}")
+            raise InvalidArgument(f"rank {self.rank} out of range for dim {self.matrix.shape[0]}")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def validate(self, tol: float = 1e-9) -> None:
-        """Check P = P†, P² = P and trace(P) = rank, else raise InvalidProjector."""
+        """Check P = P†, P² = P and trace(P) = rank, else raise InvalidArgument."""
         P = self.matrix
         if np.linalg.norm(P - dagger(P)) > tol:
-            raise InvalidProjector("projector is not Hermitian")
+            raise InvalidArgument("projector is not Hermitian")
         if np.linalg.norm(P @ P - P) > tol:
-            raise InvalidProjector("projector is not idempotent")
+            raise InvalidArgument("projector is not idempotent")
         if abs(np.trace(P).real - self.rank) > tol * max(1.0, self.dim):
-            raise InvalidProjector(
+            raise InvalidArgument(
                 f"trace {np.trace(P).real:.6g} does not match declared rank {self.rank}"
             )
 
     def basis(self) -> np.ndarray:
         """Orthonormal basis of the range: the eigenvectors of eigenvalue > 1/2.
 
-        Raises InvalidProjector when their count is not the declared rank.
+        Raises InvalidArgument when their count is not the declared rank.
         """
         evals, evecs = np.linalg.eigh(self.matrix)
         basis = evecs[:, evals > 0.5]
         if basis.shape[1] != self.rank:
-            raise InvalidProjector(f"projector eigenvalues do not match declared rank {self.rank}")
+            raise InvalidArgument(f"projector eigenvalues do not match declared rank {self.rank}")
         return basis
 
 
@@ -172,7 +165,7 @@ def restricted_inverse(M, P1: Projector, tol: float = DEFAULT_RANK_TOL) -> np.nd
     """
     M = as_operator(M, "M")
     if M.shape[0] != P1.dim:
-        raise DimensionMismatch(f"M is {M.shape[0]}x{M.shape[0]} but projector dim is {P1.dim}")
+        raise InvalidArgument(f"M is {M.shape[0]}x{M.shape[0]} but projector dim is {P1.dim}")
     return _inverse_on(M, P1.basis(), tol)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, InvalidOperator, InvalidProjector
+from .errors import InvalidArgument
 from .linalg import Projector, as_operator, contract, dagger, frobenius_norms
 
 DEFAULT_TOL = 1e-9
@@ -29,13 +29,13 @@ def _as_operator_stack(arr, name: str, dim: int | None) -> np.ndarray:
     """Coerce to shape (n, d, d) complex with finite entries, n and d positive."""
     arr = np.asarray(arr, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DimensionMismatch(f"{name} must be a sequence of square matrices, got shape {arr.shape}")
+        raise InvalidArgument(f"{name} must be a sequence of square matrices, got shape {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise DimensionMismatch(f"dim and channels must be positive, {name} has shape {arr.shape}")
+        raise InvalidArgument(f"dim and channels must be positive, {name} has shape {arr.shape}")
     if dim is not None and arr.shape[1] != dim:
-        raise DimensionMismatch(f"{name} has dimension {arr.shape[1]}, expected {dim}")
+        raise InvalidArgument(f"{name} has dimension {arr.shape[1]}, expected {dim}")
     if not np.all(np.isfinite(arr)):
-        raise InvalidOperator(f"{name} contains non-finite entries")
+        raise InvalidArgument(f"{name} contains non-finite entries")
     return arr
 
 
@@ -68,17 +68,17 @@ class ScaledModel:
         self.A = as_operator(self.A, "A")
         self.B = as_operator(self.B, "B")
         if self.A.shape[0] != d or self.B.shape[0] != d:
-            raise DimensionMismatch("Y, A, B must share one dimension")
+            raise InvalidArgument("Y, A, B must share one dimension")
         self.F = _as_operator_stack(self.F, "F", d)
         n = self.F.shape[0]
         self.G = _as_operator_stack(self.G, "G", d)
         if self.G.shape[0] != n:
-            raise DimensionMismatch(f"G has {self.G.shape[0]} channels, F has {n}")
+            raise InvalidArgument(f"G has {self.G.shape[0]} channels, F has {n}")
         W = np.asarray(self.W, dtype=complex)
         if W.shape != (n, n, d, d):
-            raise DimensionMismatch(f"W must have shape ({n}, {n}, {d}, {d}), got {W.shape}")
+            raise InvalidArgument(f"W must have shape ({n}, {n}, {d}, {d}), got {W.shape}")
         if not np.all(np.isfinite(W)):
-            raise InvalidOperator("W contains non-finite entries")
+            raise InvalidArgument("W contains non-finite entries")
         self.W = W
 
     @property
@@ -111,12 +111,12 @@ class CoefficientSet:
         n = self.L.shape[0]
         S = np.asarray(self.S, dtype=complex)
         if S.shape != (n, n, d, d):
-            raise DimensionMismatch(f"S must have shape ({n}, {n}, {d}, {d}), got {S.shape}")
+            raise InvalidArgument(f"S must have shape ({n}, {n}, {d}, {d}), got {S.shape}")
         if not np.all(np.isfinite(S)):
-            raise InvalidOperator("S contains non-finite entries")
+            raise InvalidArgument("S contains non-finite entries")
         self.S = S
         if self.ground is not None and self.ground.dim != d:
-            raise DimensionMismatch("ground projector dimension does not match K")
+            raise InvalidArgument("ground projector dimension does not match K")
 
     @property
     def dim(self) -> int:
@@ -165,24 +165,23 @@ def instantiate(m: ScaledModel, k: float) -> CoefficientSet:
     if not k >= 0:
         raise InvalidArgument(f"coupling must be a non-negative number, got k = {k}")
     K, L = _coefficients(m, k)
-    try:
-        return CoefficientSet(K=K, L=L, S=m.W.copy(), ground=None)
-    except InvalidOperator as exc:  # K or L is not finite: W is
-        raise _coupling_overflow(k) from exc
+    return CoefficientSet(K=K, L=L, S=m.W.copy(), ground=None)
 
 
 def _coefficients(m: ScaledModel, k) -> tuple[np.ndarray, np.ndarray]:
-    """K = k²Y + kA + B and L = kF + G, unchecked, at a float k; or stacked,
-    shape (nk, d, d) and (nk, n, d, d), at an (nk, 1, 1) array of couplings,
-    each matrix with the bits of the same sum at one float k."""
+    """K = k²Y + kA + B and L = kF + G at a float k; or stacked, shape
+    (nk, d, d) and (nk, n, d, d), at an (nk, 1, 1) array of couplings, each
+    matrix with the bits of the same sum at one float k.  Raises
+    InvalidArgument naming the first coupling at which K or L overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return k * k * m.Y + k * m.A + m.B, np.expand_dims(k, -1) * m.F + m.G
-
-
-def _coupling_overflow(k: float) -> InvalidArgument:
-    return InvalidArgument(
-        f"coupling k = {k:g} overflows the coefficients K = k²Y + kA + B, L = kF + G"
-    )
+        K, L = k * k * m.Y + k * m.A + m.B, np.expand_dims(k, -1) * m.F + m.G
+    finite = np.isfinite(K).all(axis=(-2, -1)) & np.isfinite(L).all(axis=(-3, -2, -1))
+    if not finite.all():
+        bad = np.ravel(k)[~np.ravel(finite)][0]
+        raise InvalidArgument(
+            f"coupling k = {bad:g} overflows the coefficients K = k²Y + kA + B, L = kF + G"
+        )
+    return K, L
 
 
 def _unitarity_residuals(c: CoefficientSet, closure: np.ndarray, label: str):
@@ -222,7 +221,7 @@ def check_limit_unitarity(c: CoefficientSet, tol: float = DEFAULT_TOL) -> CheckR
     K+K† = -Σ L_i†L_i, Σ_l S_il S_jl† = δ_ij P0, Σ_l S_li†S_lj = δ_ij P0.
     """
     if c.ground is None:
-        raise InvalidProjector("limit coefficient set must carry a ground projector")
+        raise InvalidArgument("limit coefficient set must carry a ground projector")
     c.ground.validate(tol * max(1.0, float(c.dim)))
     residuals = _unitarity_residuals(c, c.ground.matrix, "P0")
     return CheckReport.from_residuals(residuals, tol * norm_scale(c.K, c.L, c.S))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qsde_elim.errors import InvalidParameters
+from qsde_elim.errors import InvalidArgument
 from qsde_elim.linalg import expm, unblocks
 from qsde_elim.model import ScaledModel
 
@@ -59,6 +59,14 @@ def random_valid_model(
     channels: int = 2,
     rotate: bool = True,
 ) -> ScaledModel:
+    """A model with a d0-dimensional slow and a d1-dimensional fast sector,
+    built as the module docstring describes, Haar-conjugated when ``rotate``.
+
+    Needs d1 >= 1, a fast block of Y to invert; a smaller d1 raises
+    InvalidArgument before anything is drawn from ``rng``.
+    """
+    if d1 < 1:
+        raise InvalidArgument(f"the fast sector needs d1 >= 1, got d1 = {d1}")
     d = d0 + d1
     n = channels
 
@@ -141,7 +149,7 @@ def lambda_y1inv_block(gamma: float, g: float, n: int) -> np.ndarray:
     """
     n = int(n)
     if n < 1:
-        raise InvalidParameters("block index must be at least 1")
+        raise InvalidArgument("block index must be at least 1")
     det = gamma * gamma * n * (n - 1) / 4.0 + g * g * n
     rt = np.sqrt(float(n))
     block = np.array(

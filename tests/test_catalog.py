@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsde_elim import (
-    InvalidParameters,
+    InvalidArgument,
     catalog,
     check_hp_unitarity,
     check_limit_unitarity,
@@ -37,7 +37,7 @@ def test_oscillator_oracles():
     top = np.zeros((3, 3))
     top[2, 2] = 1.0
     np.testing.assert_allclose(comm, np.eye(3) - 3.0 * top, atol=1e-13)
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidArgument, match="oscillator truncation must be at least 2"):
         catalog.oscillator_ops(1)
 
 
@@ -80,7 +80,7 @@ def test_two_level_undamped_decouples_from_field():
 
 
 def test_two_level_limit_requires_nonzero_fast_part():
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidArgument, match="limit undefined when delta = gamma = 0"):
         catalog.two_level_limit(0.0, 0.0, 0.5)
 
 
@@ -127,15 +127,15 @@ def test_cavity_zero_interaction_reflects_with_sign_flip():
 
 def test_cavity_parameter_validation():
     e00, e10, e11 = catalog.default_cavity_blocks()
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidArgument, match="cavity decay rate must be positive"):
         catalog.cavity_system(0.0, e00, e10, e11)
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidArgument, match="e00 and e11 must be Hermitian"):
         catalog.cavity_system(1.0, e00, e10, np.array([[0.0, 1.0], [0.0, 0.0]]))
     p = catalog.pauli_ops()
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidArgument, match="gamma/2 for an invertible fast sector"):
         # ||e11|| = 0.6 >= gamma/2 = 0.5: fast sector would go singular
         catalog.cavity_system(1.0, e00, e10, 0.6 * p.sigma_z)
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidArgument, match="interaction blocks must act on one system dimension"):
         catalog.cavity_system(1.0, np.zeros((3, 3)), e10, e11)
 
 
@@ -143,12 +143,12 @@ def test_cavity_hermiticity_check_does_not_overflow():
     # |1e300|^2 overflows a plain Frobenius norm; the check must still run
     # (RuntimeWarnings are errors in this suite) and reject the block
     zero = np.zeros((1, 1))
-    with pytest.raises(InvalidParameters, match="Hermitian"):
+    with pytest.raises(InvalidArgument, match="Hermitian"):
         catalog.cavity_system(1.0, zero, zero, np.array([[1e300j]]))
-    with pytest.raises(InvalidParameters, match="Hermitian"):
+    with pytest.raises(InvalidArgument, match="Hermitian"):
         catalog.cavity_system(1.0, np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]), np.zeros((2, 2)),
                               np.zeros((2, 2)))
-    with pytest.raises(InvalidParameters, match="gamma/2"):
+    with pytest.raises(InvalidArgument, match="gamma/2"):
         catalog.cavity_system(1.0, zero, zero, np.array([[1e300]]))
 
 
@@ -201,13 +201,13 @@ def test_lambda_restricted_inverse_matches_blockwise_form():
 
 
 def test_lambda_parameter_validation():
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidArgument, match="cavity decay rate must be positive"):
         catalog.lambda_system(0.0, 2.0, 0.4)
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidArgument, match="coupling g must be non-zero"):
         catalog.lambda_system(1.0, 0.0, 0.4)
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidArgument, match="require gamma > 0 and g != 0"):
         catalog.lambda_limit(-1.0, 2.0, 0.4)
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidArgument, match="block index must be at least 1"):
         lambda_y1inv_block(1.0, 2.0, 0)
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import inspect
+import io
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import qsde_elim
-from qsde_elim import catalog, cli, semigroup
+from qsde_elim import catalog, cli, errors, semigroup
 from qsde_elim.cli import main, model_to_document, parse_model_document, read_model_file
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -1025,6 +1026,78 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys, command):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: cannot write {target}: ")
+
+
+# ---------------------------------------------------------------------------
+# one exit code per error class
+
+
+def explicit_two_level(Y, B):
+    """A dim 2, one-channel explicit model with A = F = G = 0 and W = I."""
+    zero = [[0.0, 0.0]] * 4
+    one = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    return {
+        "schema_version": 1,
+        "explicit": {
+            "dim": 2, "channels": 1, "Y": Y, "A": zero, "B": B, "F": [zero], "G": [zero],
+            "W": [[one]],
+        },
+    }
+
+
+# one bad input per class of qsde_elim.errors and the exit code the cli
+# docstring gives it; the CLI's own file errors derive from QsdeElimError alone
+ERROR_CLASS_INPUTS = {
+    "QsdeElimError": ({"schema_version": 1}, ["check"], 1),
+    "InvalidArgument": (two_level_doc(), ["converge", "--ks", "1e160"], 1),
+    "ResourceLimit": (two_level_doc(), ["converge", "--steps", str(10**15)], 1),
+    # nilpotent Y: its restriction to the complement of its kernel is 0
+    "SingularRestriction": (
+        explicit_two_level(Y=[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], B=[[0.0, 0.0]] * 4),
+        ["eliminate"],
+        2,
+    ),
+    "NumericalFailure": (LIMIT_OVERFLOW, ["eliminate"], 3),
+    # B = diag(1, 0) is not dissipative: T_t(P0) = e^{2t} P0 and the squared
+    # distance 2 - 2e^{2t} falls far below zero
+    "ClampExceeded": (
+        explicit_two_level(
+            Y=[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]],
+            B=[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        ),
+        ["converge", "--ks", "5"],
+        3,
+    ),
+}
+
+
+class RaisedRecorder(io.StringIO):
+    """A stderr that keeps, with each write, the exception being handled."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append((text, sys.exc_info()[1]))
+        return super().write(text)
+
+
+def test_each_error_class_ends_in_its_documented_exit_code(tmp_path, monkeypatch):
+    defined = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    }
+    assert defined == set(ERROR_CLASS_INPUTS)
+    for name, (model, argv, exit_code) in ERROR_CLASS_INPUTS.items():
+        stderr = RaisedRecorder()
+        monkeypatch.setattr(sys, "stderr", stderr)
+        code = main(argv + ["--model", write_json(tmp_path / f"{name}.json", model)])
+        raised = [exc for text, exc in stderr.writes if text.startswith("error: ")]
+        assert len(raised) == 1, name
+        # the most specific class of the module that the exception is an instance of
+        nearest = next(c for c in type(raised[0]).__mro__ if c.__module__ == errors.__name__)
+        assert (nearest.__name__, code) == (name, exit_code)
 
 
 def readme_builtins():

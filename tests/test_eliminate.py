@@ -8,8 +8,7 @@ from qsde_elim import (
     CheckReport,
     CoefficientSet,
     Decomposition,
-    DimensionMismatch,
-    InvalidOperator,
+    InvalidArgument,
     Projector,
     ScaledModel,
     catalog,
@@ -98,7 +97,7 @@ def test_y1inv_override_used_and_validated():
     res = eliminate(m, y1inv_override=np.diag([-0.4 + 0.8j, 0.0]))
     assert res.assumptions_pass
     np.testing.assert_allclose(dec.Y1inv, np.diag([-0.4 + 0.8j, 0.0]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidArgument, match="y1inv_override dimension does not match"):
         decompose(m, y1inv_override=np.eye(3))
     # a wrong override is not trusted: the structural checks reject it
     bad = eliminate(m, y1inv_override=np.diag([1.0 + 0.0j, 0.0]))
@@ -179,16 +178,16 @@ def test_ground_support_check_direct():
 
 
 def test_decomposition_dimension_check():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidArgument, match="P0, P1 and Y1inv must share one dimension"):
         Decomposition(
             P0=Projector(np.eye(2), 2), P1=Projector(np.zeros((2, 2)), 0), Y1inv=np.eye(3)
         )
 
 
 def test_as_amplitude_errors():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidArgument, match="amplitude has 2 entries, model has 3 channels"):
         as_amplitude([1.0, 2.0], 3)
-    with pytest.raises(InvalidOperator):
+    with pytest.raises(InvalidArgument, match="amplitude contains non-finite entries"):
         as_amplitude([np.nan], 1)
 
 
@@ -298,6 +297,17 @@ def test_random_models_conjugate_their_channel_grid_without_einsum(monkeypatch):
     assert check_scaling_consistency(m).passed
     assert check_hp_unitarity(instantiate(m, 1.0)).passed
     assert eliminate(m).assumptions_pass
+
+
+@pytest.mark.parametrize("d1", [0, -1])
+def test_random_models_need_a_fast_sector(d1):
+    # refused before any draw, so the seeded models of every other shape keep their bits
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidArgument, match=f"fast sector needs d1 >= 1, got d1 = {d1}"):
+        random_valid_model(rng, 5, d1, 2)
+    assert rng.bit_generator.state == state
+    assert random_valid_model(rng, 5, 1, 2).dim == 6
 
 
 @pytest.mark.parametrize("d", [16, 32])
@@ -498,7 +508,7 @@ def test_hand_built_decomposition_finds_its_ground_basis():
 def test_decomposition_rejects_a_ground_basis_of_the_wrong_shape():
     P0 = Projector(np.diag([1.0, 0.0]), 1)
     P1 = Projector(np.diag([0.0, 1.0]), 1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidArgument, match=r"V0 has shape \(2, 2\), P0 has rank 1"):
         Decomposition(P0=P0, P1=P1, Y1inv=np.zeros((2, 2)), V0=np.eye(2))
 
 

@@ -7,9 +7,7 @@ from qsde_elim import (
     CLAMP_ABORT,
     ClampExceeded,
     CoefficientSet,
-    DimensionMismatch,
     InvalidArgument,
-    InvalidGroundVector,
     NumericalFailure,
     Projector,
     ResourceLimit,
@@ -229,11 +227,11 @@ def test_default_ground_vector_multirank_and_fallback():
 
 def test_ground_vector_validation(two_level):
     m, e, _ = two_level
-    with pytest.raises(InvalidGroundVector):
+    with pytest.raises(InvalidArgument, match="vector norm 0.5 is not 1"):
         k_sweep(m, e, [0.0, 0.5], [1.0], steps=2)
-    with pytest.raises(InvalidGroundVector):
+    with pytest.raises(InvalidArgument, match="excited-sector component"):
         k_sweep(m, e, [1.0, 0.0], [1.0], steps=2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidArgument, match="vector length 3 does not match dimension 2"):
         k_sweep(m, e, [0.0, 1.0, 0.0], [1.0], steps=2)
 
 
@@ -415,7 +413,8 @@ def test_driven_sweep_matches_pointwise_coherent_distance(two_level):
 
 def test_a_sweep_displaces_each_segment_once(two_level, monkeypatch):
     # displacement does not depend on k: three couplings of a 2-segment drive
-    # displace twice, not once per coupling and segment
+    # displace twice, not once per coupling and segment; the vacuum, one
+    # segment of amplitude zero, once
     m, e, v = two_level
     calls = []
 
@@ -428,6 +427,9 @@ def test_a_sweep_displaces_each_segment_once(two_level, monkeypatch):
     drive = StepDrive(breakpoints=[0.0, 0.5, 1.0], amplitudes=[[0.3], [-0.2]])
     k_sweep(m, e, v, [5.0, 20.0, 100.0], horizon=1.0, steps=11, drive=drive)
     assert sorted(calls) == ["displace_limit"] * 2 + ["displace_scaled"] * 2
+    calls.clear()
+    k_sweep(m, e, v, [5.0, 20.0, 100.0], horizon=1.0, steps=11)
+    assert sorted(calls) == ["displace_limit", "displace_scaled"]
 
 
 def test_driven_sweep_requires_covering_window(two_level):
