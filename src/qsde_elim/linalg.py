@@ -28,17 +28,22 @@ either moves the last bits of recorded outputs.  The comment on the constant
 names the outputs each of the four kernels pins.  A stacked matmul keeps the
 bits: each of its matrices equals the 2-d product.
 
-Only numpy is imported here; scipy is loaded by the first :func:`expm` call,
-so the certificate paths that need no matrix exponential never pay for it.
+Only numpy and the standard library are imported here.  The first
+:func:`expm` call loads scipy's compiled expm kernel from its file;
+scipy.linalg is imported only for a triangular input or an unusable kernel.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, NumericalFailure, SingularRestriction
+from .errors import InvalidArgument, NumericalFailure, ResourceLimit, SingularRestriction
 
 DEFAULT_RANK_TOL = 1e-9
 # Models up to this dimension keep the arithmetic the benchmark's 16 recorded
@@ -212,25 +217,117 @@ def _inverse_on(M: np.ndarray, basis: np.ndarray, tol: float) -> np.ndarray:
 
 
 def expm(M) -> np.ndarray:
-    """scipy.linalg.expm (Al-Mohy & Higham 2009), with its last r squarings done
-    here when -Re tr(M) > 708·n (708 ≈ -ln of the smallest normal double) and M
-    is not triangular.  As scipy's norm estimate >= ρ(M) >= |tr M|/n, r = floor(
-    log2(-Re tr M / (4.25 n))) - 1 is below its s squarings: on the exact M·2^-r
-    it does s - r of them, and its loop is the E = E @ E here.  Zeroing entries
-    below 2^-300·max|E| after each keeps out subnormals and moves E by at most
-    n·2^-300·max|E|, far below rounding; where nothing is zeroed, E is scipy's."""
-    import scipy.linalg  # deferred: about two thirds of the package's import time
+    """scipy.linalg.expm (Al-Mohy & Higham 2009), bit for bit, with its last r
+    squarings done here when -Re tr(M) > 708·n (708 ≈ -ln of the smallest
+    normal double) and M is not triangular.
 
+    A 1x1 or diagonal M is exponentiated entrywise, as scipy does.  A
+    triangular one goes to scipy.linalg.expm itself, whose squarings recompute
+    the diagonal (Code Fragment 2.1 of the paper).  Every other M goes to
+    scipy's compiled Padé kernel (see :func:`_pade_exp`).
+
+    As scipy's norm estimate >= ρ(M) >= |tr M|/n, r = floor(log2(-Re tr M /
+    (4.25 n))) - 1 is below its s squarings: on the exact M·2^-r it does s - r
+    of them, and its loop is the E = E @ E here.  Zeroing entries below
+    2^-300·max|E| after each keeps out subnormals and moves E by at most
+    n·2^-300·max|E|, far below rounding; where nothing is zeroed, E is
+    scipy's.  A failure status of the kernel is ResourceLimit (an allocation)
+    or NumericalFailure (a LAPACK solve)."""
     M = as_operator(M, "M")
+    below = np.tri(len(M), k=-1, dtype=bool)
+    lower, upper = M[below].any(), M.T[below].any()  # M·2^-r has the same zeros
+    if not (lower or upper):
+        return np.diag(np.exp(M.diagonal()))
+    if not (lower and upper):
+        return _scipy_expm(M)
     decay = -float((M.diagonal().real / len(M)).sum())  # divided first: cannot overflow
-    if decay <= 708.0 or 0 in scipy.linalg.bandwidth(M):
-        return scipy.linalg.expm(M)
+    if decay <= 708.0:
+        return _pade_exp(M)
     r = int(np.log2(decay / 4.25)) - 1  # >= 6
-    E = scipy.linalg.expm(M * 2.0**-r)
+    E = _pade_exp(M * 2.0**-r)
     for _ in range(r):
         E = E @ E
         size = np.abs(E)
         E[size < 2.0**-300 * size.max()] = 0.0
+    return E
+
+
+def _scipy_expm(A: np.ndarray) -> np.ndarray:
+    import scipy.linalg  # deferred: its __init__ takes about 0.2 s and 28 MB
+
+    return scipy.linalg.expm(A)
+
+
+# The module of scipy's expm kernel once checked, or False where it is missing
+# or fails the check; None until the first exponential.
+_kernel = None
+_KERNEL_NAME = "scipy.linalg._matfuncs_expm"
+
+
+def _load_kernel():
+    """scipy's compiled expm kernel, loaded from its file so that scipy.linalg's
+    __init__ never runs (it clones numpy's namespace, numpy.f2py included);
+    None where scipy or the file is missing or does not load."""
+    if _KERNEL_NAME in sys.modules:
+        return sys.modules[_KERNEL_NAME]
+    scipy = importlib.util.find_spec("scipy")  # finds the package, runs none of it
+    if scipy is None or scipy.origin is None:
+        return None
+    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    finder = importlib.machinery.FileFinder(os.path.join(os.path.dirname(scipy.origin), "linalg"), loader)
+    spec = finder.find_spec(_KERNEL_NAME)
+    if spec is None:
+        return None
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        return None
+    sys.modules[_KERNEL_NAME] = module  # a later import of scipy.linalg shares it
+    return module
+
+
+def _checked(kernel):
+    """``kernel`` if it gives exp([[0, 1], [-1, 0]]) = [[cos 1, sin 1], [-sin 1,
+    cos 1]], else False: its interface is private to scipy and may differ
+    between releases."""
+    if kernel is None:
+        return False
+    c, s = np.cos(1.0), np.sin(1.0)
+    try:
+        E = _kernel_exp(kernel, np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex))
+    except (AttributeError, TypeError, ValueError, NumericalFailure, ResourceLimit):
+        return False  # another signature, return type or meaning of its status
+    return kernel if np.abs(E - [[c, s], [-s, c]]).max() <= 1e-15 else False
+
+
+def _pade_exp(A: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm of a complex A that is not triangular: by scipy's
+    kernel, checked once at its first use, or by scipy.linalg.expm where the
+    kernel is missing or fails the check."""
+    global _kernel
+    if _kernel is None:
+        _kernel = _checked(_load_kernel())
+    return _scipy_expm(A) if _kernel is False else _kernel_exp(_kernel, A)
+
+
+def _kernel_exp(kernel, A: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm's generic branch: the kernel scales A by 2^-s in Am[0]
+    and puts its powers in Am[1:], choosing the Padé degree m, and evaluates
+    the approximant in Am[0]; the s squarings follow."""
+    Am = np.empty((5, *A.shape), dtype=complex)
+    Am[0] = A
+    m, s = kernel.pick_pade_structure(Am)
+    if m < 0:
+        raise ResourceLimit(f"expm could not allocate its Padé workspace (code {m})")
+    info = kernel.pade_UV_calc(Am, m)
+    if info <= -11:
+        raise ResourceLimit(f"expm could not allocate its Padé workspace (code {info})")
+    if info != 0:
+        raise NumericalFailure(f"the LAPACK solve of expm's Padé approximant failed (code {info})")
+    E = Am[0].copy()  # keeps none of the workspace alive
+    for _ in range(s):
+        E = E @ E
     return E
 
 

@@ -1,5 +1,7 @@
 """Tests for the dense linear algebra kernels."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +10,7 @@ from qsde_elim import (
     InvalidArgument,
     NumericalFailure,
     Projector,
+    ResourceLimit,
     SingularRestriction,
     StepDrive,
     catalog,
@@ -21,7 +24,7 @@ from qsde_elim import (
     vec,
 )
 from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM, _BLAS_FORMS, blocks, contract, frobenius_norms
-from qsde_elim import semigroup
+from qsde_elim import linalg, semigroup
 from qsde_elim.semigroup import _superoperator
 from factories import haar_unitary
 
@@ -253,6 +256,115 @@ def test_stiff_sweep_has_the_bits_of_scipy(cavity_d32, monkeypatch):
     ref = k_sweep(m, e, v, [1e4], 1.0, 6)
     assert same_bits(rep.distances, ref.distances)
     assert rep.max_clamp == ref.max_clamp
+
+
+def random_complex(rng, n: int, scale: float = 1.0) -> np.ndarray:
+    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 36, 64])
+def test_expm_kernel_has_the_bits_of_scipy(n):
+    rng = np.random.default_rng(100 + n)
+    for scale in (1e-3, 1.0, 30.0, 1e3):
+        M = random_complex(rng, n, scale / np.sqrt(n))
+        with np.errstate(over="ignore", invalid="ignore"):  # at 1e3 both overflow alike
+            assert same_bits(expm(M), scipy.linalg.expm(M))
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_expm_kernel_has_the_bits_of_scipy_on_a_stiff_split(n):
+    # one slow mode and n - 1 fast ones at rate 2000: the split takes r >= 6
+    # squarings, and no entry of the result falls below the flush threshold
+    rng = np.random.default_rng(200 + n)
+    M = random_complex(rng, n) + np.diag([0.0] + [-2000.0] * (n - 1))
+    assert is_stiff(M) and 0 not in scipy.linalg.bandwidth(M)
+    assert same_bits(expm(M), scipy.linalg.expm(M))
+
+
+@pytest.mark.parametrize("scale", [1.0, 3000.0])
+def test_expm_of_triangular_input_has_the_bits_of_scipy(scale):
+    rng = np.random.default_rng(7)
+    M = scale * (random_complex(rng, 5) - 2 * np.eye(5))
+    for A in (np.triu(M), np.tril(M)):
+        assert same_bits(expm(A), scipy.linalg.expm(A))
+
+
+def test_expm_of_diagonal_and_1x1_input_needs_no_scipy_linalg(monkeypatch):
+    monkeypatch.setattr(linalg, "_scipy_expm", None)  # a call would fail
+    M = np.diag([1.0 + 2.0j, -3000.0, 0.5])
+    for A in (M, M[:1, :1], M[:0, :0]):
+        assert same_bits(expm(A), scipy.linalg.expm(A))
+
+
+def test_expm_kernel_passes_its_check():
+    kernel = linalg._load_kernel()
+    verdict = linalg._checked(kernel)
+    assert verdict is kernel or verdict is False
+    # scipy 1.17 has the interface expm calls; the check decides for older ones
+    if tuple(int(part) for part in scipy.__version__.split(".")[:2]) >= (1, 17):
+        assert verdict is kernel
+
+
+def test_expm_kernel_loads_from_its_file_alone(monkeypatch):
+    name = linalg._KERNEL_NAME
+    imported = sys.modules[name]  # by scipy.linalg, imported above
+    assert linalg._load_kernel() is imported
+    monkeypatch.delitem(sys.modules, name)
+    kernel = linalg._load_kernel()
+    assert kernel is not imported and kernel.__file__ == imported.__file__
+    assert sys.modules[name] is kernel
+    monkeypatch.setattr(linalg, "_KERNEL_NAME", "scipy.linalg._no_such_kernel")
+    assert linalg._load_kernel() is None
+
+
+class ThreeArgumentKernel:
+    """Another interface: pade_UV_calc(Am, n, m), returning None."""
+
+    pick_pade_structure = staticmethod(lambda Am: (13, 0))
+    pade_UV_calc = staticmethod(lambda Am, n, m: None)
+
+
+class SkippingKernel:
+    """Right signatures, wrong numbers: leaves A itself in Am[0]."""
+
+    pick_pade_structure = staticmethod(lambda Am: (13, 0))
+    pade_UV_calc = staticmethod(lambda Am, m: 0)
+
+
+@pytest.mark.parametrize("kernel", [None, ThreeArgumentKernel, SkippingKernel])
+def test_expm_without_a_usable_kernel_has_the_bits_of_scipy(kernel, monkeypatch):
+    monkeypatch.setattr(linalg, "_kernel", None)  # load and check again
+    monkeypatch.setattr(linalg, "_load_kernel", lambda: kernel)
+    rng = np.random.default_rng(11)
+    plain = random_complex(rng, 6)
+    stiff = random_complex(rng, 6) + np.diag([0.0] + [-2000.0] * 5)
+    for M in (plain, stiff):
+        assert same_bits(expm(M), scipy.linalg.expm(M))
+    assert linalg._kernel is False
+
+
+class StatusKernel:
+    """Reports the given Padé degree and LAPACK status and computes nothing."""
+
+    def __init__(self, m: int, info: int):
+        self.pick_pade_structure = lambda Am: (m, 0)
+        self.pade_UV_calc = lambda Am, m: info
+
+
+@pytest.mark.parametrize(
+    "m, info, error",
+    [
+        (-1, 0, ResourceLimit),
+        (13, -11, ResourceLimit),
+        (13, -12, ResourceLimit),
+        (13, -3, NumericalFailure),
+        (13, 2, NumericalFailure),
+    ],
+)
+def test_expm_kernel_failure_statuses_are_package_errors(m, info, error, monkeypatch):
+    monkeypatch.setattr(linalg, "_kernel", StatusKernel(m, info))
+    with pytest.raises(error, match=f"code {min(m, info) if m < 0 else info}"):
+        expm(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def test_assemble_superoperator_matches_sandwich():
