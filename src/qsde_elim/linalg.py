@@ -29,7 +29,8 @@ names the outputs each of the four kernels pins.  A stacked matmul keeps the
 bits: each of its matrices equals the 2-d product.
 
 Only numpy and the standard library are imported here.  The first
-:func:`expm` call loads scipy's compiled expm kernel from its file;
+:func:`expm` call loads scipy's compiled expm kernel: from its file on scipy
+1.17 or later, by importing scipy.linalg on an older scipy.  Otherwise
 scipy.linalg is imported only for a triangular input or an unusable kernel.
 """
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -262,29 +264,57 @@ def _scipy_expm(A: np.ndarray) -> np.ndarray:
 # or fails the check; None until the first exponential.
 _kernel = None
 _KERNEL_NAME = "scipy.linalg._matfuncs_expm"
+# The oldest scipy whose kernel is known to load alone: in 1.17 it is a C
+# module that imports nothing but numpy's C API.  An older kernel may be a
+# Cython module that cimports scipy.linalg.cython_lapack; loaded from its file,
+# that would run scipy.linalg's __init__ halfway through the kernel's own load,
+# and the __init__ would import the half-loaded kernel and fail, leaving
+# scipy.linalg unusable.  There scipy.linalg is imported first.
+_KERNEL_ALONE_SINCE = (1, 17)
 
 
 def _load_kernel():
-    """scipy's compiled expm kernel, loaded from its file so that scipy.linalg's
+    """scipy's compiled expm kernel, or None where scipy has none or it does not
+    load.  From scipy 1.17 it is loaded from its file, so that scipy.linalg's
     __init__ never runs (it clones numpy's namespace, numpy.f2py included);
-    None where scipy or the file is missing or does not load."""
-    if _KERNEL_NAME in sys.modules:
-        return sys.modules[_KERNEL_NAME]
-    scipy = importlib.util.find_spec("scipy")  # finds the package, runs none of it
-    if scipy is None or scipy.origin is None:
-        return None
-    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
-    finder = importlib.machinery.FileFinder(os.path.join(os.path.dirname(scipy.origin), "linalg"), loader)
-    spec = finder.find_spec(_KERNEL_NAME)
-    if spec is None:
-        return None
+    from an older scipy, by importing scipy.linalg."""
+    if _KERNEL_NAME not in sys.modules:
+        spec = importlib.util.find_spec("scipy")  # finds the package, runs none of it
+        if spec is None or spec.origin is None:
+            return None
+        package = os.path.dirname(spec.origin)
+        try:
+            if _scipy_version(package) >= _KERNEL_ALONE_SINCE:
+                _load_alone(package)
+            else:
+                importlib.import_module("scipy.linalg")  # imports the kernel, where it has one
+        except ImportError:
+            return None
+    return sys.modules.get(_KERNEL_NAME)
+
+
+def _scipy_version(package: str) -> tuple[int, ...]:
+    """(major, minor) of the scipy in the directory ``package``, read from its
+    version.py without running it (importlib.metadata would take about 26 ms
+    and 2.4 MB); (0,) where that file is missing or has no version line."""
     try:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except ImportError:
-        return None
+        with open(os.path.join(package, "version.py"), encoding="utf-8") as f:
+            found = re.search(r"""^version\s*=\s*['"](\d+)\.(\d+)""", f.read(), re.M)
+    except OSError:
+        return (0,)
+    return (int(found[1]), int(found[2])) if found else (0,)
+
+
+def _load_alone(package: str) -> None:
+    """Load the kernel from its file in the scipy directory ``package`` into
+    sys.modules, running neither scipy's nor scipy.linalg's __init__."""
+    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(os.path.join(package, "linalg"), loader).find_spec(_KERNEL_NAME)
+    if spec is None:
+        return
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
     sys.modules[_KERNEL_NAME] = module  # a later import of scipy.linalg shares it
-    return module
 
 
 def _checked(kernel):

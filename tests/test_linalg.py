@@ -1,5 +1,8 @@
 """Tests for the dense linear algebra kernels."""
 
+import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -296,15 +299,16 @@ def test_expm_of_diagonal_and_1x1_input_needs_no_scipy_linalg(monkeypatch):
         assert same_bits(expm(A), scipy.linalg.expm(A))
 
 
-def test_expm_kernel_passes_its_check():
-    kernel = linalg._load_kernel()
-    verdict = linalg._checked(kernel)
-    assert verdict is kernel or verdict is False
-    # scipy 1.17 has the interface expm calls; the check decides for older ones
-    if tuple(int(part) for part in scipy.__version__.split(".")[:2]) >= (1, 17):
-        assert verdict is kernel
+SCIPY_DIR = os.path.dirname(scipy.__file__)
+# whether expm loads this scipy's kernel from its file, not through scipy.linalg
+KERNEL_ALONE = linalg._scipy_version(SCIPY_DIR) >= linalg._KERNEL_ALONE_SINCE
 
 
+def test_scipy_version_is_read_from_its_file():
+    assert linalg._scipy_version(SCIPY_DIR) == tuple(int(part) for part in scipy.__version__.split(".")[:2])
+
+
+@pytest.mark.skipif(not KERNEL_ALONE, reason="this scipy's kernel is loaded by importing scipy.linalg")
 def test_expm_kernel_loads_from_its_file_alone(monkeypatch):
     name = linalg._KERNEL_NAME
     imported = sys.modules[name]  # by scipy.linalg, imported above
@@ -313,8 +317,45 @@ def test_expm_kernel_loads_from_its_file_alone(monkeypatch):
     kernel = linalg._load_kernel()
     assert kernel is not imported and kernel.__file__ == imported.__file__
     assert sys.modules[name] is kernel
+    assert linalg._checked(kernel) is kernel  # it has the interface expm calls
     monkeypatch.setattr(linalg, "_KERNEL_NAME", "scipy.linalg._no_such_kernel")
     assert linalg._load_kernel() is None
+
+
+COLD_EXPM = """
+import json, sys
+import numpy as np
+from qsde_elim import linalg
+if sys.argv[1] == "import":
+    linalg._KERNEL_ALONE_SINCE = (10**6,)  # as on a scipy older than any
+rng = np.random.default_rng(5)
+M = 3.0 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+E = linalg.expm(M)
+loaded = [name in sys.modules for name in ("scipy", "scipy.linalg")]
+import scipy.linalg
+same = E.dtype == complex and E.tobytes() == np.ascontiguousarray(scipy.linalg.expm(M)).tobytes()
+json.dump({"loaded": loaded, "kernel": linalg._kernel is not False, "same": same}, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("way", ["file", "import"])
+def test_first_expm_in_a_fresh_interpreter_has_the_bits_of_scipy(way):
+    """The kernel's first load in a process that has no scipy yet: from its
+    file where this scipy allows that, else by importing scipy.linalg."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_EXPM, way],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    usable = linalg._checked(linalg._load_kernel()) is not False
+    assert seen["same"] and seen["kernel"] == usable
+    # [scipy, scipy.linalg] after the first exponential
+    assert seen["loaded"] == ([False, False] if way == "file" and KERNEL_ALONE and usable else [True, True])
 
 
 class ThreeArgumentKernel:
