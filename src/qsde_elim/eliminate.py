@@ -336,7 +336,7 @@ def displace_scaled(m: ScaledModel, alpha) -> ScaledModel:
     fdw_a = contract("i,iab->ab", a, _channel_sum(m.F, m.W))
     A2 = m.A + contract("i,iab->ab", a.conj(), m.F) - fdw_a
     B2, G2 = _displaced(m.B, m.G, m.W, np.eye(m.dim, dtype=complex), a)
-    return ScaledModel(Y=m.Y, A=A2, B=B2, F=m.F.copy(), G=G2, W=m.W.copy())
+    return ScaledModel(Y=m.Y, A=A2, B=B2, F=m.F, G=G2, W=m.W)
 
 
 def displace_limit(c: CoefficientSet, alpha) -> CoefficientSet:
@@ -355,4 +355,4 @@ def displace_limit(c: CoefficientSet, alpha) -> CoefficientSet:
     a = as_amplitude(alpha, c.channels)
     closure = c.ground.matrix if c.ground is not None else np.eye(c.dim, dtype=complex)
     K2, L2 = _displaced(c.K, c.L, c.S, closure, a)
-    return CoefficientSet(K=K2, L=L2, S=c.S.copy(), ground=c.ground)
+    return CoefficientSet(K=K2, L=L2, S=c.S, ground=c.ground)

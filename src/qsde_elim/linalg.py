@@ -28,14 +28,15 @@ either moves the last bits of recorded outputs.  The comment on the constant
 names the outputs each of the four kernels pins.  A stacked matmul keeps the
 bits: each of its matrices equals the 2-d product.
 
-Only numpy and the standard library are imported here.  The first
-:func:`expm` call loads scipy's compiled expm kernel: from its file on scipy
-1.17 or later, by importing scipy.linalg on an older scipy.  Otherwise
-scipy.linalg is imported only for a triangular input or an unusable kernel.
+Only numpy and the standard library are imported here.  On scipy 1.17 or
+later the first :func:`expm` call loads scipy's compiled expm kernel from its
+file; scipy.linalg is then imported only for a triangular input or an
+unusable kernel.  On an older scipy every exponential is scipy.linalg.expm.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -260,37 +261,34 @@ def _scipy_expm(A: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(A)
 
 
-# The module of scipy's expm kernel once checked, or False where it is missing
-# or fails the check; None until the first exponential.
-_kernel = None
 _KERNEL_NAME = "scipy.linalg._matfuncs_expm"
 # The oldest scipy whose kernel is known to load alone: in 1.17 it is a C
 # module that imports nothing but numpy's C API.  An older kernel may be a
 # Cython module that cimports scipy.linalg.cython_lapack; loaded from its file,
 # that would run scipy.linalg's __init__ halfway through the kernel's own load,
 # and the __init__ would import the half-loaded kernel and fail, leaving
-# scipy.linalg unusable.  There scipy.linalg is imported first.
+# scipy.linalg unusable.  There every exponential is scipy.linalg.expm.
 _KERNEL_ALONE_SINCE = (1, 17)
 
 
-def _load_kernel():
-    """scipy's compiled expm kernel, or None where scipy has none or it does not
-    load.  From scipy 1.17 it is loaded from its file, so that scipy.linalg's
-    __init__ never runs (it clones numpy's namespace, numpy.f2py included);
-    from an older scipy, by importing scipy.linalg."""
-    if _KERNEL_NAME not in sys.modules:
-        spec = importlib.util.find_spec("scipy")  # finds the package, runs none of it
-        if spec is None or spec.origin is None:
-            return None
-        package = os.path.dirname(spec.origin)
-        try:
-            if _scipy_version(package) >= _KERNEL_ALONE_SINCE:
-                _load_alone(package)
-            else:
-                importlib.import_module("scipy.linalg")  # imports the kernel, where it has one
-        except ImportError:
-            return None
-    return sys.modules.get(_KERNEL_NAME)
+@functools.cache
+def _kernel():
+    """scipy's compiled expm kernel, loaded and checked once per process, or
+    None where scipy is older than :data:`_KERNEL_ALONE_SINCE` or the kernel is
+    missing, does not load or fails the check.  It is loaded from its file, so
+    that scipy.linalg's __init__ never runs (it clones numpy's namespace,
+    numpy.f2py included); a kernel already in sys.modules is reused."""
+    spec = importlib.util.find_spec("scipy")  # finds the package, runs none of it
+    if spec is None or spec.origin is None:
+        return None
+    package = os.path.dirname(spec.origin)
+    if _scipy_version(package) < _KERNEL_ALONE_SINCE:
+        return None
+    try:
+        kernel = sys.modules.get(_KERNEL_NAME) or _load_alone(package)
+    except ImportError:
+        return None
+    return _checked(kernel)
 
 
 def _scipy_version(package: str) -> tuple[int, ...]:
@@ -305,40 +303,37 @@ def _scipy_version(package: str) -> tuple[int, ...]:
     return (int(found[1]), int(found[2])) if found else (0,)
 
 
-def _load_alone(package: str) -> None:
-    """Load the kernel from its file in the scipy directory ``package`` into
-    sys.modules, running neither scipy's nor scipy.linalg's __init__."""
+def _load_alone(package: str):
+    """The kernel, loaded from its file in the scipy directory ``package`` into
+    sys.modules, running neither scipy's nor scipy.linalg's __init__; None
+    where that directory has no kernel."""
     loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
     spec = importlib.machinery.FileFinder(os.path.join(package, "linalg"), loader).find_spec(_KERNEL_NAME)
     if spec is None:
-        return
+        return None
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[_KERNEL_NAME] = module  # a later import of scipy.linalg shares it
+    return module
 
 
 def _checked(kernel):
     """``kernel`` if it gives exp([[0, 1], [-1, 0]]) = [[cos 1, sin 1], [-sin 1,
-    cos 1]], else False: its interface is private to scipy and may differ
+    cos 1]], else None: its interface is private to scipy and may differ
     between releases."""
-    if kernel is None:
-        return False
     c, s = np.cos(1.0), np.sin(1.0)
     try:
         E = _kernel_exp(kernel, np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex))
     except (AttributeError, TypeError, ValueError, NumericalFailure, ResourceLimit):
-        return False  # another signature, return type or meaning of its status
-    return kernel if np.abs(E - [[c, s], [-s, c]]).max() <= 1e-15 else False
+        return None  # no kernel, or another signature, return type or meaning of its status
+    return kernel if np.abs(E - [[c, s], [-s, c]]).max() <= 1e-15 else None
 
 
 def _pade_exp(A: np.ndarray) -> np.ndarray:
     """scipy.linalg.expm of a complex A that is not triangular: by scipy's
-    kernel, checked once at its first use, or by scipy.linalg.expm where the
-    kernel is missing or fails the check."""
-    global _kernel
-    if _kernel is None:
-        _kernel = _checked(_load_kernel())
-    return _scipy_expm(A) if _kernel is False else _kernel_exp(_kernel, A)
+    kernel, or by scipy.linalg.expm where :func:`_kernel` has none."""
+    kernel = _kernel()
+    return _scipy_expm(A) if kernel is None else _kernel_exp(kernel, A)
 
 
 def _kernel_exp(kernel, A: np.ndarray) -> np.ndarray:

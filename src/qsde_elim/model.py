@@ -96,7 +96,7 @@ class CoefficientSet:
 
     ``ground`` is set on eliminated limit models: the projector onto the
     surviving ground space, on which the unitarity relations close with P0 in
-    place of the identity.
+    place of the identity.  Values are treated as immutable: S may be shared.
     """
 
     K: np.ndarray
@@ -165,7 +165,7 @@ def instantiate(m: ScaledModel, k: float) -> CoefficientSet:
     if not k >= 0:
         raise InvalidArgument(f"coupling must be a non-negative number, got k = {k}")
     K, L = _coefficients(m, k)
-    return CoefficientSet(K=K, L=L, S=m.W.copy(), ground=None)
+    return CoefficientSet(K=K, L=L, S=m.W, ground=None)
 
 
 def _coefficients(m: ScaledModel, k) -> tuple[np.ndarray, np.ndarray]:

@@ -864,7 +864,7 @@ def test_expm_kernel_loads_at_converge_and_scipy_linalg_never(tmp_path):
     # scipy.linalg
     scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
     alone = linalg._scipy_version(scipy_dir) >= linalg._KERNEL_ALONE_SINCE
-    usable = linalg._checked(linalg._load_kernel()) is not False
+    usable = linalg._kernel() is not None
     # [scipy, scipy.linalg, the kernel] loaded after each step
     assert seen == {
         "import": [False, False, False],
@@ -1108,6 +1108,25 @@ def test_each_error_class_ends_in_its_documented_exit_code(tmp_path, monkeypatch
         # the most specific class of the module that the exception is an instance of
         nearest = next(c for c in type(raised[0]).__mro__ if c.__module__ == errors.__name__)
         assert (nearest.__name__, code) == (name, exit_code)
+
+
+# 1x1, Y = -1/2: Y has a trivial kernel, so the ground space is empty
+EMPTY_GROUND = {
+    "schema_version": 1,
+    "explicit": {
+        "dim": 1, "channels": 1, "Y": [[-0.5, 0]], "A": [[0, 0]], "B": [[0, 0]],
+        "F": [[[1, 0]]], "G": [[[0, 0]]], "W": [[[[1, 0]]]],
+    },
+}
+
+
+def test_converge_on_an_empty_ground_space_names_it(tmp_path, capsys):
+    path = write_json(tmp_path / "m.json", EMPTY_GROUND)
+    for command in ("check", "eliminate", "kurtz"):
+        assert run(capsys, [command, "--model", path])[0] == 0, command
+    code, out, err = run(capsys, ["converge", "--model", path])
+    assert (code, out) == (1, "")
+    assert err == "error: the ground space is empty (Y has a trivial kernel)\n"
 
 
 def readme_builtins():

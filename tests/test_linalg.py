@@ -308,18 +308,44 @@ def test_scipy_version_is_read_from_its_file():
     assert linalg._scipy_version(SCIPY_DIR) == tuple(int(part) for part in scipy.__version__.split(".")[:2])
 
 
-@pytest.mark.skipif(not KERNEL_ALONE, reason="this scipy's kernel is loaded by importing scipy.linalg")
-def test_expm_kernel_loads_from_its_file_alone(monkeypatch):
+@pytest.fixture
+def fresh_kernel():
+    """Makes expm load and check its kernel again, in the test and after it."""
+    linalg._kernel.cache_clear()
+    yield
+    linalg._kernel.cache_clear()
+
+
+@pytest.mark.skipif(not KERNEL_ALONE, reason="expm uses no kernel below scipy 1.17")
+def test_expm_kernel_loads_from_its_file_alone(monkeypatch, fresh_kernel):
     name = linalg._KERNEL_NAME
     imported = sys.modules[name]  # by scipy.linalg, imported above
-    assert linalg._load_kernel() is imported
+    assert linalg._kernel() is imported
     monkeypatch.delitem(sys.modules, name)
-    kernel = linalg._load_kernel()
+    kernel = linalg._load_alone(SCIPY_DIR)
     assert kernel is not imported and kernel.__file__ == imported.__file__
     assert sys.modules[name] is kernel
     assert linalg._checked(kernel) is kernel  # it has the interface expm calls
     monkeypatch.setattr(linalg, "_KERNEL_NAME", "scipy.linalg._no_such_kernel")
-    assert linalg._load_kernel() is None
+    assert linalg._load_alone(SCIPY_DIR) is None
+
+
+def test_expm_uses_no_kernel_below_scipy_1_17(monkeypatch, fresh_kernel):
+    monkeypatch.setattr(linalg, "_KERNEL_ALONE_SINCE", (10**6,))  # as on a scipy older than any
+    assert linalg._KERNEL_NAME in sys.modules  # by scipy.linalg, imported above
+    assert linalg._kernel() is None  # not reused either
+    M = random_complex(np.random.default_rng(13), 6)
+    assert same_bits(expm(M), scipy.linalg.expm(M))
+
+
+def test_expm_looks_for_its_kernel_once(monkeypatch, fresh_kernel):
+    calls = []
+    version = linalg._scipy_version
+    monkeypatch.setattr(linalg, "_scipy_version", lambda package: calls.append(package) or version(package))
+    M = random_complex(np.random.default_rng(17), 4)
+    for _ in range(3):
+        assert same_bits(expm(M), scipy.linalg.expm(M))
+    assert calls == [SCIPY_DIR]
 
 
 COLD_EXPM = """
@@ -334,14 +360,15 @@ E = linalg.expm(M)
 loaded = [name in sys.modules for name in ("scipy", "scipy.linalg")]
 import scipy.linalg
 same = E.dtype == complex and E.tobytes() == np.ascontiguousarray(scipy.linalg.expm(M)).tobytes()
-json.dump({"loaded": loaded, "kernel": linalg._kernel is not False, "same": same}, sys.stdout)
+json.dump({"loaded": loaded, "kernel": linalg._kernel() is not None, "same": same}, sys.stdout)
 """
 
 
 @pytest.mark.parametrize("way", ["file", "import"])
 def test_first_expm_in_a_fresh_interpreter_has_the_bits_of_scipy(way):
-    """The kernel's first load in a process that has no scipy yet: from its
-    file where this scipy allows that, else by importing scipy.linalg."""
+    """The first exponential in a process that has no scipy yet: by the kernel
+    loaded from its file where this scipy allows that, else by
+    scipy.linalg.expm."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(linalg.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", COLD_EXPM, way],
@@ -352,10 +379,12 @@ def test_first_expm_in_a_fresh_interpreter_has_the_bits_of_scipy(way):
     )
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
-    usable = linalg._checked(linalg._load_kernel()) is not False
-    assert seen["same"] and seen["kernel"] == usable
+    # whether this scipy's kernel passes the check
+    usable = linalg._checked(sys.modules.get(linalg._KERNEL_NAME)) is not None
+    kernel = way == "file" and KERNEL_ALONE and usable
+    assert seen["same"] and seen["kernel"] == kernel
     # [scipy, scipy.linalg] after the first exponential
-    assert seen["loaded"] == ([False, False] if way == "file" and KERNEL_ALONE and usable else [True, True])
+    assert seen["loaded"] == ([False, False] if kernel else [True, True])
 
 
 class ThreeArgumentKernel:
@@ -373,15 +402,17 @@ class SkippingKernel:
 
 
 @pytest.mark.parametrize("kernel", [None, ThreeArgumentKernel, SkippingKernel])
-def test_expm_without_a_usable_kernel_has_the_bits_of_scipy(kernel, monkeypatch):
-    monkeypatch.setattr(linalg, "_kernel", None)  # load and check again
-    monkeypatch.setattr(linalg, "_load_kernel", lambda: kernel)
+def test_expm_without_a_usable_kernel_has_the_bits_of_scipy(kernel, monkeypatch, fresh_kernel):
+    if kernel is None:
+        monkeypatch.setattr(linalg, "_KERNEL_NAME", "scipy.linalg._no_such_kernel")
+    else:
+        monkeypatch.setitem(sys.modules, linalg._KERNEL_NAME, kernel)  # reused, then checked
     rng = np.random.default_rng(11)
     plain = random_complex(rng, 6)
     stiff = random_complex(rng, 6) + np.diag([0.0] + [-2000.0] * 5)
     for M in (plain, stiff):
         assert same_bits(expm(M), scipy.linalg.expm(M))
-    assert linalg._kernel is False
+    assert linalg._kernel() is None
 
 
 class StatusKernel:
@@ -403,7 +434,8 @@ class StatusKernel:
     ],
 )
 def test_expm_kernel_failure_statuses_are_package_errors(m, info, error, monkeypatch):
-    monkeypatch.setattr(linalg, "_kernel", StatusKernel(m, info))
+    kernel = StatusKernel(m, info)
+    monkeypatch.setattr(linalg, "_kernel", lambda: kernel)  # used unchecked
     with pytest.raises(error, match=f"code {min(m, info) if m < 0 else info}"):
         expm(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 

@@ -223,6 +223,9 @@ def test_default_ground_vector_multirank_and_fallback():
     v = default_ground_vector(P0)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
     np.testing.assert_allclose(P0.matrix @ v, v, atol=1e-12)
+    # an empty ground space has no unit vector
+    with pytest.raises(InvalidArgument, match="ground space is empty"):
+        default_ground_vector(Projector(np.zeros((2, 2)), 0))
 
 
 def test_ground_vector_validation(two_level):
