@@ -29,7 +29,6 @@ from .model import (
     CoefficientSet,
     ScaledModel,
     check_hp_unitarity,
-    check_limit_unitarity,
     check_scaling_consistency,
     instantiate,
     norm_scale,
@@ -80,7 +79,6 @@ __all__ = [
     "instantiate",
     "norm_scale",
     "check_hp_unitarity",
-    "check_limit_unitarity",
     "check_scaling_consistency",
     "Decomposition",
     "EliminationResult",

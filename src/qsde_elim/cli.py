@@ -98,10 +98,6 @@ class ModelFileError(QsdeElimError, ValueError):
     """Schema violation in a model or drive file; message names the field."""
 
 
-class UsageError(QsdeElimError, ValueError):
-    """A command line the parser rejects; the usage has already been printed."""
-
-
 # ---------------------------------------------------------------------------
 # field readers: each takes a JSON value and the name of its field
 # (Python floats round-trip bit-identically through JSON)
@@ -596,7 +592,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise UsageError(message)
+        raise InvalidArgument(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

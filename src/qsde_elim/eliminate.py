@@ -26,12 +26,14 @@ Y1inv on both routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidArgument, NumericalFailure
 from .linalg import (
     DEFAULT_RANK_TOL,
+    PROJECTOR_TOL,
     RECORDED_ARITHMETIC_MAX_DIM,
     Projector,
     _inverse_on,
@@ -46,34 +48,46 @@ from .model import (
     CheckReport,
     CoefficientSet,
     ScaledModel,
-    check_limit_unitarity,
+    check_hp_unitarity,
     norm_scale,
 )
 
 
 @dataclass
 class Decomposition:
-    """Ground/excited split of a scaled model: P0, P1 = I - P0, Y1inv, and V0.
+    """Ground/excited split of a scaled model: P0, Y1inv, V0, and P1 = I - P0
+    derived from P0, the only record of the split.
 
     ``V0`` is an orthonormal d x d0 basis of range(P0): ``decompose`` keeps it
     from the SVD that found the kernel, and a decomposition built without one
-    takes the eigenvectors of P0.
+    takes the eigenvectors of P0.  A given one must span range(P0).
     """
 
     P0: Projector
-    P1: Projector
     Y1inv: np.ndarray
     warnings: list[str] = field(default_factory=list)
     V0: np.ndarray | None = None
 
     def __post_init__(self):
         self.Y1inv = as_operator(self.Y1inv, "Y1inv")
-        if not (self.P0.dim == self.P1.dim == self.Y1inv.shape[0]):
-            raise InvalidArgument("P0, P1 and Y1inv must share one dimension")
+        d, d0 = self.P0.dim, self.P0.rank
+        if d != self.Y1inv.shape[0]:
+            raise InvalidArgument("P0 and Y1inv must share one dimension")
         if self.V0 is None:
             self.V0 = self.P0.basis()
-        elif self.V0.shape != (self.P0.dim, self.P0.rank):
-            raise InvalidArgument(f"V0 has shape {self.V0.shape}, P0 has rank {self.P0.rank}")
+            return
+        self.V0 = np.asarray(self.V0, dtype=complex)
+        if self.V0.shape != (d, d0):
+            raise InvalidArgument(f"V0 has shape {self.V0.shape}, P0 has rank {d0}")
+        if not (  # a NaN entry fails too
+            np.linalg.norm(dagger(self.V0) @ self.V0 - np.eye(d0)) <= PROJECTOR_TOL
+            and np.linalg.norm(self.V0 @ dagger(self.V0) - self.P0.matrix) <= PROJECTOR_TOL
+        ):
+            raise InvalidArgument("V0 is not an orthonormal basis of range(P0)")
+
+    @cached_property
+    def P1(self) -> Projector:
+        return self.P0.complement()
 
 
 @dataclass
@@ -85,7 +99,10 @@ class EliminationResult:
     inverse_structure: CheckReport
     ground_support: CheckReport
     limit_unitarity: CheckReport
-    warnings: list[str] = field(default_factory=list)
+
+    @property
+    def warnings(self) -> list[str]:
+        return self.decomposition.warnings
 
     @property
     def assumptions_pass(self) -> bool:
@@ -118,8 +135,7 @@ def decompose(
     eigenvectors of P1, the arithmetic their outputs were recorded with.
     """
     P0, s, V = _kernel_split(m.Y, rank_tol)
-    d = m.dim
-    P1 = Projector(np.eye(d, dtype=complex) - P0.matrix, d - P0.rank)
+    d, d1 = m.dim, m.dim - P0.rank
 
     warnings: list[str] = []
     if s.size and s[0] > 0:
@@ -137,9 +153,9 @@ def decompose(
         if Y1inv.shape[0] != d:
             raise InvalidArgument("y1inv_override dimension does not match the model")
     else:
-        excited = P1.basis() if d <= RECORDED_ARITHMETIC_MAX_DIM else V[:, : P1.rank]
+        excited = P0.complement().basis() if d <= RECORDED_ARITHMETIC_MAX_DIM else V[:, :d1]
         Y1inv = _inverse_on(m.Y, excited, rank_tol)
-    return Decomposition(P0=P0, P1=P1, Y1inv=Y1inv, warnings=warnings, V0=V[:, P1.rank :])
+    return Decomposition(P0=P0, Y1inv=Y1inv, warnings=warnings, V0=V[:, d1:])
 
 
 def _channel_sum(L: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -274,7 +290,8 @@ def eliminate(
 ) -> EliminationResult:
     """Compute the strong-coupling limit coefficients and all check reports.
 
-    Raises NumericalFailure when a limit coefficient overflows float64.
+    The limit carries P0, on which its unitarity report closes.  Raises
+    NumericalFailure when a limit coefficient overflows float64.
     """
     dec = decompose(m, rank_tol, y1inv_override)
     P0m = dec.P0.matrix
@@ -298,14 +315,13 @@ def eliminate(
     with np.errstate(over="ignore", invalid="ignore"):
         inverse_structure = _inverse_structure(m, dec, tol, p)
         ground_support = check_ground_support(limit, dec.P1, tol)
-        limit_unitarity = check_limit_unitarity(limit, tol)
+        limit_unitarity = check_hp_unitarity(limit, tol)
     return EliminationResult(
         decomposition=dec,
         limit=limit,
         inverse_structure=inverse_structure,
         ground_support=ground_support,
         limit_unitarity=limit_unitarity,
-        warnings=list(dec.warnings),
     )
 
 
@@ -347,12 +363,11 @@ def displace_limit(c: CoefficientSet, alpha) -> CoefficientSet:
         K' = K + conj(a_i)(S_ij - delta_ij D) a_j + conj(a_i) L_i - a_j L_i† S_ij
         L_i' = L_i + (S_ij - delta_ij D) a_j
 
-    where D is the ground projector for limit models and the identity for
-    plain instantiated coefficient sets.  The delta subtraction in L' mirrors
-    the one in K': it keeps K' + K'† = -sum L'† L' exact for every amplitude,
-    and makes displacing a field-decoupled model a no-op.
+    where D is ``c.closure``, P0 for limit models and I for instantiated ones.
+    The delta subtraction in L' mirrors the one in K': it keeps
+    K' + K'† = -sum L'† L' exact for every amplitude, and makes displacing a
+    field-decoupled model a no-op.
     """
     a = as_amplitude(alpha, c.channels)
-    closure = c.ground.matrix if c.ground is not None else np.eye(c.dim, dtype=complex)
-    K2, L2 = _displaced(c.K, c.L, c.S, closure, a)
+    K2, L2 = _displaced(c.K, c.L, c.S, c.closure, a)
     return CoefficientSet(K=K2, L=L2, S=c.S, ground=c.ground)

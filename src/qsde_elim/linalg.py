@@ -69,6 +69,7 @@ DEFAULT_RANK_TOL = 1e-9
 # any branch, or the constant, needs a change to the benchmark that
 # re-records reference.json.
 RECORDED_ARITHMETIC_MAX_DIM = 8
+PROJECTOR_TOL = 1e-9  # Projector.validate's, and a ground basis V0's against P0
 
 
 def as_operator(M, name: str = "operator") -> np.ndarray:
@@ -108,7 +109,7 @@ class Projector:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self, tol: float = PROJECTOR_TOL) -> None:
         """Check P = P†, P² = P and trace(P) = rank, else raise InvalidArgument."""
         P = self.matrix
         if np.linalg.norm(P - dagger(P)) > tol:
@@ -119,6 +120,10 @@ class Projector:
             raise InvalidArgument(
                 f"trace {np.trace(P).real:.6g} does not match declared rank {self.rank}"
             )
+
+    def complement(self) -> "Projector":
+        """I - P, the projector onto the orthogonal complement of the range."""
+        return Projector(np.eye(self.dim, dtype=complex) - self.matrix, self.dim - self.rank)
 
     def basis(self) -> np.ndarray:
         """Orthonormal basis of the range: the eigenvectors of eigenvalue > 1/2.
@@ -169,7 +174,8 @@ def restricted_inverse(M, P1: Projector, tol: float = DEFAULT_RANK_TOL) -> np.nd
     SingularRestriction (carrying the offending singular value) when the
     restricted block is numerically singular, i.e. its smallest singular value
     is <= tol times its largest, and NumericalFailure when the inverse of a
-    nonsingular but tiny block (a subnormal one, say) overflows float64.
+    nonsingular but tiny block (a subnormal one, say) or the norm of M, against
+    which the residuals are certified, overflows float64.
     """
     M = as_operator(M, "M")
     if M.shape[0] != P1.dim:
@@ -207,7 +213,13 @@ def _inverse_on(M: np.ndarray, basis: np.ndarray, tol: float) -> np.ndarray:
             f"(smallest singular value of the restricted block {s[-1]:.3e})"
         )
 
-    scale = max(1.0, float(np.linalg.norm(M)))
+    # ||M|| in units of its largest real or imaginary part, so no square overflows
+    top = max(np.abs(M.real).max(), np.abs(M.imag).max())
+    scale = max(1.0, float(top) * float(np.linalg.norm(M / top)))
+    if not np.isfinite(scale):
+        raise NumericalFailure(
+            "the norm of M overflows float64, so the restricted inverse cannot be certified"
+        )
     res_right = np.linalg.norm(Mr @ Rr - eye)
     res_left = np.linalg.norm(Rr @ Mr - eye)
     if max(res_right, res_left) > tol * scale:

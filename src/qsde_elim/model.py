@@ -10,7 +10,8 @@ differential equations indexed by a coupling strength k:
 ``instantiate`` evaluates the family at one k.  The checkers report residuals
 of the algebraic identities the family must satisfy so that each member
 generates a unitary cocycle: the Hudson-Parthasarathy unitarity relations at
-fixed k, and their order-by-order (in k) counterparts for the whole family.
+fixed k, closing on I or on the ground projector P0 a limit set carries, and
+their order-by-order (in k) counterparts for the whole family.
 """
 
 from __future__ import annotations
@@ -94,9 +95,10 @@ class ScaledModel:
 class CoefficientSet:
     """QSDE coefficients (K, L_i, S_ij) at a single coupling value.
 
-    ``ground`` is set on eliminated limit models: the projector onto the
-    surviving ground space, on which the unitarity relations close with P0 in
-    place of the identity.  Values are treated as immutable: S may be shared.
+    ``ground`` is set on eliminated limit models: the projector P0 onto the
+    surviving ground space.  ``closure``, the δ_ij operator of the unitarity
+    relations and of displacements, is P0 there and the identity elsewhere.
+    Values are treated as immutable: S may be shared.
     """
 
     K: np.ndarray
@@ -125,6 +127,10 @@ class CoefficientSet:
     @property
     def channels(self) -> int:
         return self.L.shape[0]
+
+    @property
+    def closure(self) -> np.ndarray:
+        return np.eye(self.dim, dtype=complex) if self.ground is None else self.ground.matrix
 
 
 @dataclass
@@ -184,9 +190,10 @@ def _coefficients(m: ScaledModel, k) -> tuple[np.ndarray, np.ndarray]:
     return K, L
 
 
-def _unitarity_residuals(c: CoefficientSet, closure: np.ndarray, label: str):
-    """Residuals of the three unitarity identities with the given delta-closure."""
-    diag = np.arange(c.channels)
+def _unitarity_residuals(c: CoefficientSet):
+    """Residuals of the three unitarity identities, closing on ``c.closure``."""
+    diag, closure = np.arange(c.channels), c.closure
+    label = "I" if c.ground is None else "P0"
     r_drift = np.linalg.norm(c.K + dagger(c.K) + contract("iba,ibc->ac", c.L.conj(), c.L))
     # S_il S_jl† and S_li† S_lj less δ_ij·closure, worst case over (i, j)
     ssd = contract("ilab,jlcb->ijac", c.S, c.S.conj())
@@ -201,30 +208,15 @@ def _unitarity_residuals(c: CoefficientSet, closure: np.ndarray, label: str):
 
 
 def check_hp_unitarity(c: CoefficientSet, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Hudson-Parthasarathy unitarity relations with identity closure.
+    """Hudson-Parthasarathy unitarity relations, closing on ``c.closure``.
 
-    K+K† = -Σ L_i†L_i, Σ_l S_il S_jl† = δ_ij I, Σ_l S_li†S_lj = δ_ij I.
-    Tolerance is scaled by max(1, largest coefficient Frobenius norm).
+    K+K† = -Σ L_i†L_i, Σ_l S_il S_jl† = δ_ij D, Σ_l S_li†S_lj = δ_ij D, with D
+    a limit set's ground projector, validated first, or else I.  Tolerance is
+    scaled by max(1, largest coefficient Frobenius norm).
     """
     if c.ground is not None:
-        raise InvalidArgument(
-            "coefficient set carries a ground projector; use check_limit_unitarity"
-        )
-    identity = np.eye(c.dim, dtype=complex)
-    residuals = _unitarity_residuals(c, identity, "I")
-    return CheckReport.from_residuals(residuals, tol * norm_scale(c.K, c.L, c.S))
-
-
-def check_limit_unitarity(c: CoefficientSet, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Unitarity relations of a limit model, closing on the ground projector.
-
-    K+K† = -Σ L_i†L_i, Σ_l S_il S_jl† = δ_ij P0, Σ_l S_li†S_lj = δ_ij P0.
-    """
-    if c.ground is None:
-        raise InvalidArgument("limit coefficient set must carry a ground projector")
-    c.ground.validate(tol * max(1.0, float(c.dim)))
-    residuals = _unitarity_residuals(c, c.ground.matrix, "P0")
-    return CheckReport.from_residuals(residuals, tol * norm_scale(c.K, c.L, c.S))
+        c.ground.validate(tol * max(1.0, float(c.dim)))
+    return CheckReport.from_residuals(_unitarity_residuals(c), tol * norm_scale(c.K, c.L, c.S))
 
 
 def check_scaling_consistency(m: ScaledModel, tol: float = DEFAULT_TOL) -> CheckReport:

@@ -178,14 +178,13 @@ def default_ground_vector(P0: Projector) -> np.ndarray:
     """Deterministic unit vector in the ground space.
 
     The normalized projection of the all-ones vector, or where that vanishes
-    the leading eigenvector of P0.  Raises InvalidArgument when P0 = 0.
+    the last column of ``P0.basis()``.  Raises InvalidArgument when P0 = 0.
     """
     if P0.rank == 0:
         raise InvalidArgument("the ground space is empty (Y has a trivial kernel)")
     w = P0.matrix @ np.ones(P0.dim, dtype=complex)
     if np.linalg.norm(w) < 1e-8:
-        evals, evecs = np.linalg.eigh(P0.matrix)
-        w = evecs[:, -1]
+        w = P0.basis()[:, -1]
     return w / np.linalg.norm(w)
 
 

@@ -7,7 +7,6 @@ from qsde_elim import (
     InvalidArgument,
     catalog,
     check_hp_unitarity,
-    check_limit_unitarity,
     check_scaling_consistency,
     decompose,
     eliminate,
@@ -184,7 +183,7 @@ def test_lambda_limit_unitary_at_uneven_rates():
     # gamma != 1 distinguishes a sqrt(gamma) coupling from a gamma one
     for gamma, g, alpha in ((2.0, 1.5, 0.3), (0.5, -1.0, 0.2 + 0.1j)):
         c = catalog.lambda_limit(gamma, g, alpha, 3)
-        assert check_limit_unitarity(c).passed
+        assert check_hp_unitarity(c).passed
 
 
 def test_lambda_undriven_limit_is_pure_scattering():

@@ -394,6 +394,29 @@ def test_limit_coefficient_overflow_is_a_numerical_failure(tmp_path, capsys, com
     assert err.splitlines() == ["error: limit coefficient K overflowed to non-finite entries"]
 
 
+OVERFLOWING_SQUARES = {
+    "two_level": {"delta": 1e160, "gamma": 1.0, "alpha": 0.5},
+    "cavity_system": {"gamma": 1e300},
+    "lambda_system": {"gamma": 1.0, "g": 1e300, "alpha": 0.4},
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOWING_SQUARES))
+@pytest.mark.parametrize(
+    "command, expected", [("check", 2), ("eliminate", 2), ("converge", 3), ("kurtz", 0)]
+)
+def test_a_norm_of_y_whose_squares_overflow_prints_no_warning(tmp_path, capsys, name, command, expected):
+    # the entries of Y are finite but their squares are not: the restricted
+    # inverse is certified against ||Y|| taken in units of its largest entry
+    doc = {"schema_version": 1, "builtin": {"name": name, "parameters": OVERFLOWING_SQUARES[name]}}
+    path = write_json(tmp_path / "m.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        code, _, err = run(capsys, [command, "--model", path])
+    assert code == expected
+    assert "Warning" not in err
+
+
 SUBNORMAL_EXCITED_BLOCK = {
     "schema_version": 1,
     "explicit": {

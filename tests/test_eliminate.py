@@ -15,7 +15,6 @@ from qsde_elim import (
     check_ground_support,
     check_hp_unitarity,
     check_inverse_structure,
-    check_limit_unitarity,
     check_scaling_consistency,
     decompose,
     displace_limit,
@@ -178,10 +177,8 @@ def test_ground_support_check_direct():
 
 
 def test_decomposition_dimension_check():
-    with pytest.raises(InvalidArgument, match="P0, P1 and Y1inv must share one dimension"):
-        Decomposition(
-            P0=Projector(np.eye(2), 2), P1=Projector(np.zeros((2, 2)), 0), Y1inv=np.eye(3)
-        )
+    with pytest.raises(InvalidArgument, match="P0 and Y1inv must share one dimension"):
+        Decomposition(P0=Projector(np.eye(2), 2), Y1inv=np.eye(3))
 
 
 def test_as_amplitude_errors():
@@ -231,7 +228,7 @@ def test_displaced_models_remain_consistent():
             assert check_scaling_consistency(disp).passed
             assert check_hp_unitarity(instantiate(disp, 1.3)).passed
             lim = eliminate(m).limit
-            assert check_limit_unitarity(displace_limit(lim, a)).passed
+            assert check_hp_unitarity(displace_limit(lim, a)).passed
             inst = displace_limit(instantiate(m, 2.1), a)
             assert check_hp_unitarity(inst).passed
 
@@ -428,7 +425,7 @@ def planted_violation(plant, m, dec):
     P0m, P1m = dec.P0.matrix, dec.P1.matrix
     if plant == "y1inv":
         # Y1inv off the inverse of Y on the excited sector
-        wrong = Decomposition(P0=dec.P0, P1=dec.P1, Y1inv=dec.Y1inv + 1e-3 * P1m @ R @ P1m, V0=dec.V0)
+        wrong = Decomposition(P0=dec.P0, Y1inv=dec.Y1inv + 1e-3 * P1m @ R @ P1m, V0=dec.V0)
         return m, wrong
     if plant == "drive":
         # the drive has a ground-ground block
@@ -496,7 +493,7 @@ def test_hand_built_decomposition_finds_its_ground_basis():
     # without V0 the decomposition takes the eigenvectors of P0
     m = large_model(16, 3, seed=8)
     dec = decompose(m)
-    bare = Decomposition(P0=dec.P0, P1=dec.P1, Y1inv=dec.Y1inv)
+    bare = Decomposition(P0=dec.P0, Y1inv=dec.Y1inv)
     V0 = bare.V0
     np.testing.assert_array_equal(V0, dec.P0.basis())
     np.testing.assert_allclose(V0 @ dagger(V0), dec.P0.matrix, atol=1e-12)
@@ -507,9 +504,38 @@ def test_hand_built_decomposition_finds_its_ground_basis():
 
 def test_decomposition_rejects_a_ground_basis_of_the_wrong_shape():
     P0 = Projector(np.diag([1.0, 0.0]), 1)
-    P1 = Projector(np.diag([0.0, 1.0]), 1)
     with pytest.raises(InvalidArgument, match=r"V0 has shape \(2, 2\), P0 has rank 1"):
-        Decomposition(P0=P0, P1=P1, Y1inv=np.zeros((2, 2)), V0=np.eye(2))
+        Decomposition(P0=P0, Y1inv=np.zeros((2, 2)), V0=np.eye(2))
+
+
+def test_decomposition_rejects_a_ground_basis_that_does_not_span_range_p0():
+    # an orthonormal 16 x 4 basis of the wrong subspace: check_inverse_structure
+    # read its largest residual as 48.46 and k_sweep's sup distance at k = 5 as
+    # 1.41133394 instead of 0.94464351
+    rng = np.random.default_rng(3)
+    m = random_valid_model(rng, 4, 12, 2)
+    dec = decompose(m)
+    Q, _ = np.linalg.qr(rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4)))
+    for V0 in (Q, 2.0 * dec.V0, np.full((16, 4), np.nan)):
+        with pytest.raises(InvalidArgument, match=r"V0 is not an orthonormal basis of range\(P0\)"):
+            Decomposition(P0=dec.P0, Y1inv=dec.Y1inv, V0=V0)
+    # a rotated basis of the same range is a basis all the same
+    Qr, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    Decomposition(P0=dec.P0, Y1inv=dec.Y1inv, V0=dec.V0 @ Qr)
+    listed = Decomposition(P0=Projector(np.diag([1.0, 0.0]), 1), Y1inv=np.zeros((2, 2)), V0=[[1.0], [0.0]])
+    assert listed.V0.dtype == complex
+
+
+@pytest.mark.parametrize("d0, d1, n", [(1, 1, 1), (2, 6, 3), (0, 12, 2), (4, 12, 2), (3, 9, 1)])
+def test_decomposition_derives_its_excited_projector(d0, d1, n):
+    m = random_valid_model(np.random.default_rng(d0 + d1 + n), d0, d1, n)
+    dec = decompose(m)
+    d = m.dim
+    np.testing.assert_array_equal(dec.P1.matrix, np.eye(d) - dec.P0.matrix)
+    assert dec.P1.rank == d - dec.P0.rank == d1
+    assert dec.P1 is dec.P1  # derived once
+    e = eliminate(m)
+    assert e.warnings is e.decomposition.warnings
 
 
 def test_decompose_above_d8_solves_on_the_singular_vectors(monkeypatch):

@@ -156,6 +156,21 @@ def test_restricted_inverse_of_a_subnormal_block_is_a_numerical_failure():
         restricted_inverse(M, P1)
 
 
+def test_restricted_inverse_certifies_a_block_whose_squares_overflow():
+    # ||M||² overflows but ||M|| does not: certified against ||M||, unwarned
+    M = np.diag([1e160, -2e160, 0.0])
+    P1 = Projector(np.diag([1.0, 1.0, 0.0]), 2)
+    np.testing.assert_array_equal(restricted_inverse(M, P1), np.diag([1e-160, -5e-161, 0.0]))
+
+
+def test_restricted_inverse_against_an_infinite_norm_is_a_numerical_failure():
+    # every entry is finite, but ||M|| is not: nothing can be certified against it
+    M = np.diag([-1.7e308, -1.7e308, 0.0])
+    P1 = Projector(np.diag([1.0, 1.0, 0.0]), 2)
+    with pytest.raises(NumericalFailure, match="the norm of M overflows float64"):
+        restricted_inverse(M, P1)
+
+
 def test_projector_basis_spans_the_range():
     rng = np.random.default_rng(12)
     U = haar_unitary(rng, 4)

@@ -11,7 +11,6 @@ from qsde_elim import (
     ScaledModel,
     catalog,
     check_hp_unitarity,
-    check_limit_unitarity,
     check_scaling_consistency,
     instantiate,
     norm_scale,
@@ -87,20 +86,39 @@ def test_hp_unitarity_catalog_instantiations_pass():
             assert rep.passed, (k, rep.residuals)
 
 
-def test_hp_unitarity_rejects_limit_sets():
+def unitarity_names(label):
+    return ["K+K† = -ΣL†L", f"Σ S·S† = δ·{label}", f"Σ S†·S = δ·{label}"]
+
+
+def test_hp_unitarity_closes_limit_sets_on_their_ground_projector():
     c = catalog.two_level_limit(1.0, 1.0, 0.5)
-    with pytest.raises(InvalidArgument, match="use check_limit_unitarity"):
-        check_hp_unitarity(c)
+    np.testing.assert_array_equal(c.closure, c.ground.matrix)
+    rep = check_hp_unitarity(c)
+    assert rep.passed and [name for name, _ in rep.residuals] == unitarity_names("P0")
+    # the same coefficients without their projector close on I, which the
+    # scattering, a phase on |g><g| only, misses by the excited projector
+    bare = check_hp_unitarity(CoefficientSet(K=c.K, L=c.L, S=c.S))
+    assert [name for name, _ in bare.residuals] == unitarity_names("I")
+    assert not bare.passed and bare.residual("Σ S·S† = δ·I") == pytest.approx(1.0, abs=1e-12)
 
 
-def test_limit_unitarity_requires_ground_projector():
+def test_hp_unitarity_closes_instantiated_sets_on_the_identity():
     c = instantiate(scalar_model(), 1.0)
-    with pytest.raises(InvalidArgument, match="must carry a ground projector"):
-        check_limit_unitarity(c)
+    assert c.ground is None
+    np.testing.assert_array_equal(c.closure, np.eye(1))
+    rep = check_hp_unitarity(c)
+    assert rep.passed and [name for name, _ in rep.residuals] == unitarity_names("I")
+
+
+def test_hp_unitarity_validates_a_ground_projector():
+    c = catalog.two_level_limit(1.0, 1.0, 0.5)
+    not_a_projector = CoefficientSet(K=c.K, L=c.L, S=c.S, ground=Projector(np.diag([0.5, 0.0]), 1))
+    with pytest.raises(InvalidArgument, match="not idempotent"):
+        check_hp_unitarity(not_a_projector)
 
 
 def test_limit_unitarity_closed_form_two_level():
-    rep = check_limit_unitarity(catalog.two_level_limit(1.0, 1.0, 0.5))
+    rep = check_hp_unitarity(catalog.two_level_limit(1.0, 1.0, 0.5))
     assert rep.passed
     assert rep.max_residual < 1e-12
 
