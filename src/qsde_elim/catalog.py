@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
-from .linalg import Projector, as_operator, dagger
+from .errors import InvalidArgument, ResourceLimit
+from .linalg import GENERATOR_BUDGET_BYTES, Projector, as_operator, dagger
 from .model import CoefficientSet, ScaledModel
 
 
@@ -93,6 +93,19 @@ def oscillator_ops(N: int) -> OscillatorOps:
         raise InvalidArgument(f"oscillator truncation must be at least 2, got {N}")
     b = np.diag(np.sqrt(np.arange(1, N, dtype=float)), k=1).astype(complex)
     return OscillatorOps(N=N, b=b, bdag=dagger(b), number=dagger(b) @ b)
+
+
+def _check_size(d: int, channels: int) -> None:
+    """Refuse with ResourceLimit, before anything is allocated, a model whose
+    3 + 2n + n² operators (Y, A, B, F_i, G_i, W_ij) of dimension d would
+    together exceed GENERATOR_BUDGET_BYTES."""
+    operators = 3 + 2 * channels + channels**2
+    need = 16 * d * d * operators
+    if need > GENERATOR_BUDGET_BYTES:
+        raise ResourceLimit(
+            f"a model of dimension {d:,} with {channels} channel(s) needs {need:,} bytes "
+            f"for its {operators} operators, over the budget of {GENERATOR_BUDGET_BYTES:,} bytes"
+        )
 
 
 def _eye(d):
@@ -208,7 +221,9 @@ def cavity_system(
     cavity block of Y stays invertible.
 
     Y = (-i E11 - gamma/2) x b†b, A = -i (E10 x b† + E01 x b),
-    B = -i E00 x I, F = sqrt(gamma) I x b, G = 0, W = I.
+    B = -i E00 x I, F = sqrt(gamma) I x b, G = 0, W = I.  A truncation whose
+    operators would exceed GENERATOR_BUDGET_BYTES raises ResourceLimit
+    before any of them is built.
     """
     if gamma <= 0:
         raise InvalidArgument(f"cavity decay rate must be positive, got {gamma}")
@@ -231,6 +246,7 @@ def cavity_system(
             f"(got {np.linalg.norm(e11, 2):.3g} >= {gamma / 2.0:.3g})"
         )
     e01 = dagger(e10)
+    _check_size(dh * int(n_trunc), 1)
     osc = oscillator_ops(n_trunc)
     d = dh * osc.N
     Y = np.kron(-1j * e11 - (gamma / 2.0) * _eye(dh), osc.number)
@@ -283,12 +299,15 @@ def lambda_system(gamma: float, g: float, alpha: complex, n_trunc: int = 4) -> S
 
     Y = -(gamma/2) I x b†b + g (|e><+| x b - |+><e| x b†),
     A = (alpha |e><-| - conj(alpha) |-><e|) x I, B = 0,
-    F = sqrt(gamma) I x b, G = 0, W = I.
+    F = sqrt(gamma) I x b, G = 0, W = I.  A truncation whose operators would
+    exceed GENERATOR_BUDGET_BYTES raises ResourceLimit before any of them is
+    built.
     """
     if gamma <= 0:
         raise InvalidArgument(f"cavity decay rate must be positive, got {gamma}")
     if g == 0:
         raise InvalidArgument("coupling g must be non-zero")
+    _check_size(3 * int(n_trunc), 1)
     lam = lambda_ops()
     osc = oscillator_ops(n_trunc)
     N = osc.N

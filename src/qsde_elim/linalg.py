@@ -22,11 +22,14 @@ with.  That is numpy's einsum loop for channel contractions, the restricted
 inverse on the eigenvectors of P1, P0 as the ground factor of every
 inverse-structure residual in its written association (P0·X·P1, see
 ``eliminate.check_inverse_structure``), and the full d x d state in
-propagation.  A BLAS product sums in another order, with fused multiply-adds,
-and a product by a ground basis V0 instead of by P0 rounds differently:
-either moves the last bits of recorded outputs.  The comment on the constant
-names the outputs each of the four kernels pins.  A stacked matmul keeps the
-bits: each of its matrices equals the 2-d product.
+propagation, every step a dense exponential.  Above that dimension
+propagation steps the ground rows, and a step that :func:`expm` would call
+stiff goes to the slow/fast split of the semigroup module.  A BLAS product
+sums in another order, with fused multiply-adds, and a product by a ground
+basis V0 instead of by P0 rounds differently: either moves the last bits of
+recorded outputs.  The comment on the constant names the outputs each of the
+four kernels pins.  A stacked matmul keeps the bits: each of its matrices
+equals the 2-d product.
 
 Only numpy and the standard library are imported here.  On scipy 1.17 or
 later the first :func:`expm` call loads scipy's compiled expm kernel from its
@@ -69,7 +72,14 @@ DEFAULT_RANK_TOL = 1e-9
 # any branch, or the constant, needs a change to the benchmark that
 # re-records reference.json.
 RECORDED_ARITHMETIC_MAX_DIM = 8
+# expm's stiff gate: a mean decay rate -Re tr(M)/n beyond -ln of the smallest
+# normal double, so that some mode of exp(M) must underflow
+STIFF_DECAY = 708.0
 PROJECTOR_TOL = 1e-9  # Projector.validate's, and a ground basis V0's against P0
+# Largest generator matrix assembled: 32 MiB, a 1448 x 1448 complex matrix.
+# expm needs at most 9 times its input (measured), so one expm peaks near 288 MiB.
+# A catalog model's operators together are held to the same budget.
+GENERATOR_BUDGET_BYTES = 32 * 2**20
 
 
 def as_operator(M, name: str = "operator") -> np.ndarray:
@@ -255,8 +265,8 @@ def expm(M) -> np.ndarray:
         return np.diag(np.exp(M.diagonal()))
     if not (lower and upper):
         return _scipy_expm(M)
-    decay = -float((M.diagonal().real / len(M)).sum())  # divided first: cannot overflow
-    if decay <= 708.0:
+    decay = mean_decay(M)
+    if decay <= STIFF_DECAY:
         return _pade_exp(M)
     r = int(np.log2(decay / 4.25)) - 1  # >= 6
     E = _pade_exp(M * 2.0**-r)
@@ -265,6 +275,12 @@ def expm(M) -> np.ndarray:
         size = np.abs(E)
         E[size < 2.0**-300 * size.max()] = 0.0
     return E
+
+
+def mean_decay(M: np.ndarray) -> float:
+    """-Re tr(M)/n, the mean decay rate that :func:`expm` calls stiff beyond
+    :data:`STIFF_DECAY`; divided first, so it cannot overflow."""
+    return -float((M.diagonal().real / len(M)).sum())
 
 
 def _scipy_expm(A: np.ndarray) -> np.ndarray:

@@ -25,10 +25,9 @@ drive of amplitude zero on [0, horizon], and within a segment the state is
 stepped along the time grid by its differences.  What does not depend on k,
 the displacement of each segment and the compression of its limit
 coefficients, happens once per sweep; each coupling only instantiates and
-assembles.  The earlier segments
-act as one product matrix, one multiplication per segment.  build_generators
-gives the dense d^2 x d^2 skew generator from the same terms; no distance goes
-through it.
+assembles.  The earlier segments act as one product matrix, one
+multiplication per segment.  build_generators gives the dense d^2 x d^2 skew
+generator from the same terms; no distance goes through it.
 
 The state never leaves the ground rows.  Every left factor of the skew
 generator, K† and L_i† of the limit (displaced or not), maps into range(P0),
@@ -38,11 +37,25 @@ orthonormal d x d0 basis of range(P0) that the decomposition holds (from the
 SVD of Y), the stepper carries Z = V0† X from Z0 = V0†: each left factor l
 becomes V0† l V0 and T = V0 Z.  The generator then has (d0 d)^2 entries
 instead of d^4.  Models of dimension at most RECORDED_ARITHMETIC_MAX_DIM keep
-the full d x d state.  A generator over GENERATOR_BUDGET_BYTES is refused
-with ResourceLimit before it is assembled, and so is a sweep whose time grid
-and distance array together would exceed it.  A time step h so long that the
-rounding of exp(h G), about eps h ||G||_1, leaves no digit of a mode that has
-not decayed is refused with NumericalFailure.
+the full d x d state and a dense exponential for every step.
+
+Above that dimension, a step that expm would call stiff (-Re tr(h G)/n > 708)
+is not a dense exponential of h G.  In the limit the excited states decay at
+rate k^2, so such a step is decided by the slow/fast split of the ground-row
+generator (_SlowFast): the Chang decoupling of its slow and fast blocks,
+every matrix O(1), with the fast term dropped once it has decayed below eps.
+The split takes the structural zeros that eliminate certifies as exact, so it
+gives the distance of the exactly structured model.  Its k-free parts are
+built at a segment's first stiff step and kept for every coupling of the
+sweep; the basis they share does not depend on the drive.  Where a
+structural block is above tolerance, a fixed point does not converge (small
+k) or k = 0, the dense exponential stands.
+
+A generator over GENERATOR_BUDGET_BYTES is refused with ResourceLimit before
+it is assembled, and so is a sweep whose time grid and distance array
+together would exceed it.  A time step h so long that the rounding of
+exp(h G), about eps h ||G||_1, leaves no digit of a mode that has not decayed
+is refused with NumericalFailure, before either kernel.
 
 The Kurtz corrector makes the generator convergence explicit: for a ground
 observable X there are X1, X2 with Lk(X + X1/k + X2/k^2) -> L(X) at rate 1/k.
@@ -51,30 +64,38 @@ observable X there are X1, X2 with Lk(X + X1/k + X2/k^2) -> L(X) at rate 1/k.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
 from .errors import ClampExceeded, InvalidArgument, NumericalFailure, ResourceLimit
 from .eliminate import EliminationResult, displace_limit, displace_scaled
 from .linalg import (
+    GENERATOR_BUDGET_BYTES,
     RECORDED_ARITHMETIC_MAX_DIM,
+    STIFF_DECAY,
     Projector,
     as_operator,
     dagger,
     expm,
     frobenius_norms,
+    mean_decay,
     vec,
 )
-from .model import ScaledModel, _coefficients, instantiate
+from .model import DEFAULT_TOL, ScaledModel, _coefficients, instantiate
 
 CLAMP_ABORT = 1e-6
 GROUND_VECTOR_TOL = 1e-9
 DEFAULT_STEPS = 101
-# Largest generator matrix assembled: 32 MiB, a 1448 x 1448 complex matrix.
-# expm needs at most 9 times its input (measured), so one expm peaks near 288 MiB.
-GENERATOR_BUDGET_BYTES = 32 * 2**20
+EPS = float(np.finfo(float).eps)
+# the slow/fast split: structural zeros hold to SPLIT_TOL·scale, and a fixed
+# point is reached within SPLIT_MAX_ITER steps once its residual is at most
+# FIXED_POINT_TOL of the size of its terms
+SPLIT_TOL = DEFAULT_TOL
+SPLIT_MAX_ITER = 50
+FIXED_POINT_TOL = 2.0**-46
 
 
 @dataclass
@@ -156,6 +177,18 @@ def _superoperator(terms: Terms, d: int) -> np.ndarray:
         np.kron((eye_right if r is None else r).T, eye_left if l is None else l) for l, r in terms
     )
     return reduce(np.add, mats)
+
+
+def _stacked_superoperator(terms: Terms, rows: int, d: int) -> np.ndarray:
+    """The matrix of :func:`_superoperator`, on rows x d states, as one BLAS
+    product of the right factors (transposed, as columns) against the left
+    ones (as rows): faster than the sum of krons, but rounded otherwise.  For
+    the k-free parts of the slow/fast split, whose bits nothing records."""
+    eye_left, eye_right = np.eye(rows), np.eye(d)
+    right = np.stack([(eye_right if r is None else r).T.ravel() for _, r in terms], axis=1)
+    left = np.stack([(eye_left if l is None else l).ravel() for l, _ in terms])
+    product = (right @ left).reshape(d, d, rows, rows)
+    return product.transpose(0, 2, 1, 3).reshape(rows * d, rows * d)
 
 
 def _apply_terms(terms: Terms, X: np.ndarray) -> np.ndarray:
@@ -243,7 +276,186 @@ def _segments(
     return [(Vh @ limit.K @ V0, Vh @ limit.L @ V0, scaled) for limit, scaled in pairs]
 
 
-def _step_exponential(h: float, gen: np.ndarray, norm1: float, k: float, horizon: float):
+class _Rotation:
+    """What the slow/fast splits of one sweep share, none of it dependent on
+    the drive (displacement keeps Y): the unitary V = [V1 V0] of the right
+    index, and in that basis the fast-fast block of G₂, the largest
+    eigenvalue of its Hermitian part, and the norms of G₂ and of its other
+    blocks.  vec(Z V) holds the d0·d1 fast entries first."""
+
+    def __init__(self, Y: np.ndarray, V0: np.ndarray):
+        d, d0 = V0.shape
+        d1 = d - d0
+        self.d, self.d0, self.nf = d, d0, d0 * d1
+        # V1 completes the decomposition's V0, which stays the slow columns
+        complete = np.linalg.qr(V0, mode="complete")[0]
+        self.V = np.concatenate([complete[:, d0:], V0], axis=1)
+        Yr = self.rotate(Y)
+        # G₂ = kron(Y'^T, I) repeats each entry of Y' = V†YV d0 times: its
+        # slow rows hold those of V†·Y·V0 and its fast-slow block those of
+        # V0†·Y·V1
+        self.G2_norm = math.sqrt(d0) * float(np.linalg.norm(Yr))
+        off = np.concatenate([Yr[:, d1:].ravel(), Yr[d1:, :d1].ravel()])
+        self.G2_off = math.sqrt(d0) * float(np.linalg.norm(off))
+        self.G2ff = _stacked_superoperator([(None, Yr[:d1, :d1])], d0, d1)
+        self.G2ff_top = float(np.linalg.eigvalsh(0.5 * (Yr[:d1, :d1] + dagger(Yr[:d1, :d1])))[-1])
+
+    def rotate(self, X: np.ndarray) -> np.ndarray:
+        """V† X V, of an operator or of a stack."""
+        return dagger(self.V) @ X @ self.V
+
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """Q†·X, with Q = kron(V^T, I) the rotation vec(Z) -> vec(Z V)."""
+        return (self.V.conj() @ X.reshape(self.d, -1)).reshape(X.shape)
+
+    def cols(self, X: np.ndarray) -> np.ndarray:
+        """X·Q."""
+        return (self.V @ X.reshape(len(X), self.d, self.d0)).reshape(X.shape)
+
+
+class _SlowFast:
+    """exp(h·G) of one segment's ground-row generator by the Chang decoupling
+    of its slow and fast blocks (Kokotović, Khalil & O'Reilly, *Singular
+    Perturbation Methods in Control*, 1986, ch. 2), every matrix O(1).
+
+    With the right index rotated by V, G = k²G₂ + kG₁ + G₀ has k-free parts.
+    The identities that eliminate certifies (Y·V0 = 0, P0·Y·P1 = 0,
+    P0·A·P0 = 0, F_i·P0 = 0) leave G₂ only a fast-fast block and G₁ no
+    slow-slow block; they are checked against SPLIT_TOL·scale and then taken
+    as exact zeros, so the split propagates the exactly structured model.  With
+    f and s the fast and slow blocks, per coupling
+
+        M_f = G₂ff + G₁ff/k + G₀ff/k²,  N_fs = G₁fs + G₀fs/k,
+        N_sf = G₁sf + G₀sf/k,  A_ss = G₀ss,
+
+    the Riccati solution H = M_f⁻¹(-N_fs + (H·A_ss + H·N_sf·H)/k²) gives the
+    slow generator A_s = A_ss + N_sf·H, the Sylvester solution
+    P·(M_f - H·N_sf/k²) = N_sf + A_s·P/k² and the fast generator
+    A_f = k²M_f - H·N_sf.  Both are fixed points, each step corrected by
+    M_f⁻¹.  With L = H/k and M = P/k the exponential in the rotated basis is
+
+        [L; I]·exp(hA_s)·[-M, I + M·L] + [L·M + I; M]·exp(hA_f)·[I, -L]
+
+    (see :class:`_Decoupled`).  :meth:`exp` gives None, for the dense
+    exponential instead, where a structural block is above tolerance or a
+    fixed point has not converged within SPLIT_MAX_ITER steps.
+    """
+
+    def __init__(self, rotation: Callable[[], _Rotation], K, L, scaled: ScaledModel):
+        # rotation gives the sweep's shared _Rotation, built at its first call
+        self.rotation, self.K, self.L, self.scaled = rotation, K, L, scaled
+        self.k = self.terms = None  # the coupling the terms were decoupled at, and they
+
+    @cached_property
+    def parts(self) -> tuple[_Rotation, np.ndarray, np.ndarray] | None:
+        """The rotation, G₁ and G₀, or None where the structure fails."""
+        rot, m = self.rotation(), self.scaled
+        g1 = _sandwich_terms(None, self.L, rot.rotate(m.A), rot.rotate(m.F))
+        g0 = _sandwich_terms(self.K, self.L, rot.rotate(m.B), rot.rotate(m.G))
+        G1, G0 = (_stacked_superoperator(g, rot.d0, rot.d) for g in (g1, g0))
+        scale = max(1.0, rot.G2_norm, float(np.linalg.norm(G1)), float(np.linalg.norm(G0)))
+        zeros = max(rot.G2_off, float(np.linalg.norm(G1[rot.nf :, rot.nf :])))
+        return (rot, G1, G0) if zeros <= SPLIT_TOL * scale else None
+
+    def exp(self, h: float, k: float) -> np.ndarray | None:
+        """exp(h·G) at coupling k, or None where the split does not hold."""
+        if self.k != k:
+            self.k, self.terms = k, self._decouple(k)
+        return None if self.terms is None else self.terms.exp(h)
+
+    def _decouple(self, k: float) -> _Decoupled | None:
+        """The two terms at coupling k; None where the split does not hold,
+        and at k = 0, where no fast block decays."""
+        if k == 0 or self.parts is None:
+            return None
+        rot, G1, G0 = self.parts
+        f, s = slice(0, rot.nf), slice(rot.nf, None)
+        kk = k * k
+        E = G1[f, f] + G0[f, f] / k
+        M_f = rot.G2ff + E / k
+        N_fs, N_sf, A_ss = G1[f, s] + G0[f, s] / k, G1[s, f] + G0[s, f] / k, G0[s, s]
+        try:
+            Mi = np.linalg.inv(M_f)
+        except np.linalg.LinAlgError:
+            return None
+
+        def riccati(H):
+            MH = M_f @ H
+            return H @ (A_ss + N_sf @ H) / kk - N_fs - MH, float(np.linalg.norm(MH))
+
+        H = _fixed_point(riccati, lambda r: Mi @ r, -Mi @ N_fs)
+        if H is None:
+            return None
+        A_s = A_ss + N_sf @ H
+
+        def sylvester(P):
+            PM = P @ M_f
+            return N_sf + (A_s @ P + P @ H @ N_sf) / kk - PM, float(np.linalg.norm(PM))
+
+        P = _fixed_point(sylvester, lambda r: r @ Mi, N_sf @ Mi)
+        if P is None:
+            return None
+        return _Decoupled(rot, k, H / k, P / k, A_s, k * E - H @ N_sf)
+
+
+class _Decoupled:
+    """The split at one coupling, [L; I]·exp(hA_s)·[-M, I + M·L] +
+    [L·M + I; M]·exp(hA_f)·[I, -L] in the rotated basis, with the rotation
+    folded into the outer factors.
+
+    The second term is dropped where a bound on it is below eps: the product
+    of its outer factors' norms times exp(hμ), with μ at least the largest
+    eigenvalue of (A_f + A_f†)/2, so that ‖exp(hA_f)‖ <= exp(hμ).  μ is first
+    k²λ + ‖A_f - k²G₂ff‖, with λ that eigenvalue of G₂ff; where that keeps
+    the term, the eigenvalue itself.
+    """
+
+    def __init__(self, rot: _Rotation, k: float, L, M, A_s, rest_f):
+        self.rot, self.L, self.M = rot, L, M
+        eye_s = np.eye(len(A_s))
+        self.A_s, self.A_f = A_s, k * k * rot.G2ff + rest_f
+        self.left = rot.rows(np.concatenate([L, eye_s]))
+        self.right = rot.cols(np.concatenate([-M, eye_s + M @ L], axis=1))
+        # Q is unitary, so the fast factors' norms are those of their blocks,
+        # and ‖L·M + I‖ <= ‖L‖·‖M‖ + √n_f
+        nL, nM, nf = float(np.linalg.norm(L)), float(np.linalg.norm(M)), len(rest_f)
+        norms2 = ((nL * nM + math.sqrt(nf)) ** 2 + nM**2) * (nf + nL**2)
+        self.log_margin = 0.5 * math.log(norms2) - math.log(EPS)  # log(bound / eps) at h = 0
+        self.mu = k * k * rot.G2ff_top + float(np.linalg.norm(rest_f))
+
+    @cached_property
+    def mu_exact(self) -> float:
+        return float(np.linalg.eigvalsh(0.5 * (self.A_f + dagger(self.A_f)))[-1])
+
+    @cached_property
+    def fast_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        L, M, eye_f = self.L, self.M, np.eye(self.rot.nf)
+        left = self.rot.rows(np.concatenate([L @ M + eye_f, M]))
+        return left, self.rot.cols(np.concatenate([eye_f, -L], axis=1))
+
+    def exp(self, h: float) -> np.ndarray:
+        E = self.left @ (expm(h * self.A_s) @ self.right)
+        if self.log_margin + h * self.mu >= 0 and self.log_margin + h * self.mu_exact >= 0:
+            left_f, right_f = self.fast_factors
+            E += left_f @ (expm(h * self.A_f) @ right_f)
+        return E
+
+
+def _fixed_point(residual, correct, X: np.ndarray) -> np.ndarray | None:
+    """X iterated by X <- X + correct(r) until the residual r, of residual(X)
+    = (r, size), is at most FIXED_POINT_TOL·size; None where SPLIT_MAX_ITER
+    steps do not get there."""
+    for _ in range(SPLIT_MAX_ITER):
+        r, size = residual(X)
+        if float(np.linalg.norm(r)) <= FIXED_POINT_TOL * size:
+            return X
+        X = X + correct(r)
+    return None
+
+
+def _step_exponential(
+    h: float, gen: np.ndarray, norm1: float, k: float, horizon: float, split=None
+):
     """exp(h·gen), refused with NumericalFailure where rounding decides the result.
 
     expm's backward error is about eps·h·‖gen‖₁.  From 1 on, it leaves no digit
@@ -251,25 +463,30 @@ def _step_exponential(h: float, gen: np.ndarray, norm1: float, k: float, horizon
     every eigenvalue λ, shifted by that error, still decays below the smallest
     double: h·(max Re λ + eps·‖gen‖₁) < -745.  Then exp(h·gen) is 0 whatever
     the phases.  A step h·gen that is not finite, from an overflow, is refused
-    with InvalidArgument naming the horizon.
+    with InvalidArgument naming the horizon.  A step that expm would take as
+    stiff goes to the segment's slow/fast split where one is given and holds.
     """
-    eps = float(np.finfo(float).eps)
-    if eps * h * norm1 >= 1.0 and math.isfinite(norm1):
+    if EPS * h * norm1 >= 1.0 and math.isfinite(norm1):
         slowest = float(np.linalg.eigvals(gen).real.max())
-        if not h * (slowest + eps * norm1) < -745.0:
+        if not h * (slowest + EPS * norm1) < -745.0:
             raise NumericalFailure(
                 f"horizon {horizon:g} at coupling {k:g}: the rounding error of a time step, "
-                f"eps·h·|G| = {eps * h * norm1:.3g}, leaves no digit of a mode with "
+                f"eps·h·|G| = {EPS * h * norm1:.3g}, leaves no digit of a mode with "
                 f"Re λ = {slowest:.3g}"
             )
     step = h * gen
     if not np.isfinite(step).all():
         raise InvalidArgument(f"horizon {horizon:g} overflows float64 in a time step")
+    if split is not None and mean_decay(step) > STIFF_DECAY:
+        E = split.exp(h, k)
+        if E is not None:
+            return E
     return expm(step)
 
 
 def _propagate(
-    gens, breakpoints, Z0: np.ndarray, V0: np.ndarray | None, v: np.ndarray, t_grid, k: float
+    gens, splits, breakpoints, Z0: np.ndarray, V0: np.ndarray | None, v: np.ndarray, t_grid,
+    k: float,
 ):
     """Distances along t_grid and the largest clamp, one skew generator per segment.
 
@@ -285,8 +502,8 @@ def _propagate(
     the segment start by the grid differences, one expm per distinct float
     step.  A time on a breakpoint belongs to the segment it ends; times past
     the last breakpoint are clamped to it.  Every exponential goes through
-    _step_exponential, with ‖gen‖₁ taken once per generator; k names the
-    coupling in its error.
+    _step_exponential, with ‖gen‖₁ taken once per generator and splits[j - 1]
+    for its stiff steps; k names the coupling in its error.
     """
     w0 = vec(Z0).astype(complex)
     out = np.empty(t_grid.size, dtype=float)
@@ -295,7 +512,7 @@ def _propagate(
     idx = 0
     last = len(gens) - 1
     horizon = float(t_grid[-1])
-    for j, gen in enumerate(gens):
+    for j, (gen, split) in enumerate(zip(gens, splits)):
         start, end = float(breakpoints[j]), float(breakpoints[j + 1])
         norm1 = float(np.linalg.norm(gen, 1))
         cache: dict[float, np.ndarray] = {}
@@ -305,7 +522,7 @@ def _propagate(
             dt = t - prev
             if dt > 0:
                 if dt not in cache:
-                    cache[dt] = _step_exponential(dt, gen, norm1, k, horizon)
+                    cache[dt] = _step_exponential(dt, gen, norm1, k, horizon, split)
                 w = cache[dt] @ w
             Z = (w if head is None else head @ w).reshape(Z0.shape, order="F")
             out[idx], clamp = _distance_from_transported(Z if V0 is None else V0 @ Z, v)
@@ -314,7 +531,7 @@ def _propagate(
             idx += 1
         if idx == t_grid.size:
             break
-        M = _step_exponential(end - start, gen, norm1, k, horizon)
+        M = _step_exponential(end - start, gen, norm1, k, horizon, split)
         head = M if head is None else head @ M
     return out, max_clamp
 
@@ -438,6 +655,12 @@ def k_sweep(
     V0 = dec.V0 if m.dim > RECORDED_ARITHMETIC_MAX_DIM else None
     Z0 = dec.P0.matrix if V0 is None else dagger(V0)
     segments = _segments(m, e, drive, V0)
+    # stiff steps above RECORDED_ARITHMETIC_MAX_DIM take the slow/fast split
+    # where there is a fast sector; its parts are built at the first of them
+    splits = [None] * len(segments)
+    if V0 is not None and V0.shape[1] < m.dim:
+        rotation = cache(lambda: _Rotation(m.Y, V0))
+        splits = [_SlowFast(rotation, *segment) for segment in segments]
 
     distances = np.empty((ks.size, steps))
     max_clamp = 0.0
@@ -448,7 +671,9 @@ def k_sweep(
             gens.append(_superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim))
         # an overflow in propagation is reported: a step's as InvalidArgument, else as ClampExceeded
         with np.errstate(over="ignore", invalid="ignore"):
-            distances[i], clamp = _propagate(gens, drive.breakpoints, Z0, V0, v, t_grid, k)
+            distances[i], clamp = _propagate(
+                gens, splits, drive.breakpoints, Z0, V0, v, t_grid, k
+            )
         max_clamp = max(max_clamp, clamp)
     return ConvergenceReport(
         ks=ks,

@@ -461,6 +461,36 @@ def test_generator_over_budget_exits_1(tmp_path, capsys, monkeypatch):
     ]
 
 
+# a builtin at n_trunc 100000, and the dimension it would have
+OVERSIZED_BUILTINS = {
+    "cavity_system": ({"n_trunc": 100000}, "200,000"),
+    "lambda_system": ({"n_trunc": 100000, "gamma": 1.0, "g": 2.0, "alpha": 0.4}, "300,000"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "converge"])
+@pytest.mark.parametrize("name", sorted(OVERSIZED_BUILTINS))
+def test_oversized_builtin_is_refused_before_allocation(tmp_path, capsys, monkeypatch, command, name):
+    # 6 operators of 16·d² bytes each, far over the 32 MiB budget: refused
+    # before any d x d array (np.diag builds the ladder, np.kron the operators)
+    def fail(*args, **kwargs):
+        raise AssertionError("a d x d array was being built")
+
+    parameters, dim = OVERSIZED_BUILTINS[name]
+    path = write_json(tmp_path / "m.json", {
+        "schema_version": 1,
+        "builtin": {"name": name, "parameters": parameters},
+    })
+    monkeypatch.setattr(np, "diag", fail)
+    monkeypatch.setattr(np, "kron", fail)
+    code, out, err = run(capsys, [command, "--model", path])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: a model of dimension {dim} with 1 channel(s) needs ")
+    assert err.rstrip().endswith("over the budget of 33,554,432 bytes")
+
+
 def test_check_singular_restriction_suggests_override(tmp_path, capsys):
     # nilpotent Y: kernel projector exists but the restricted block is singular
     z = [[0.0, 0.0]] * 4

@@ -21,6 +21,7 @@ from qsde_elim import (
     default_ground_vector,
     eliminate,
     expm,
+    instantiate,
     k_sweep,
     kernel_projector,
     restricted_inverse,
@@ -28,7 +29,7 @@ from qsde_elim import (
 )
 from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM, _BLAS_FORMS, blocks, contract, frobenius_norms
 from qsde_elim import linalg, semigroup
-from qsde_elim.semigroup import _superoperator
+from qsde_elim.semigroup import _sandwich_terms, _superoperator
 from factories import haar_unitary
 
 
@@ -249,14 +250,24 @@ def cavity_d32():
     return m, e, default_ground_vector(e.decomposition.P0)
 
 
-def test_stiff_expm_flushes_what_decayed_away(cavity_d32, monkeypatch):
+def first_ground_row_step(m, e, k: float, steps: int = 6) -> np.ndarray:
+    """h·G of the first step of a vacuum sweep above d = 8, with G the
+    ground-row generator that k_sweep assembles (the same terms, the same
+    bits) and h the first grid difference."""
+    drive = StepDrive([0.0, 1.0], np.zeros((1, m.channels)))
+    ((K, L, scaled),) = semigroup._segments(m, e, drive, e.decomposition.V0)
+    right = instantiate(scaled, k)
+    gen = _superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim)
+    return np.linspace(0.0, 1.0, steps)[1] * gen
+
+
+def test_stiff_expm_flushes_what_decayed_away(cavity_d32):
     # the first step of the d = 32 cavity at k = 1e4: scipy leaves about 255
-    # subnormal entries; flushing moves nothing above 1e-14 of the largest
+    # subnormal entries; flushing moves nothing above 1e-14 of the largest.
+    # The sweep itself takes that step by the slow/fast split, so the matrix
+    # comes from the ground-row generator it assembles.
     m, e, v = cavity_d32
-    seen = []
-    monkeypatch.setattr(semigroup, "expm", lambda M: (seen.append(M), scipy.linalg.expm(M))[1])
-    k_sweep(m, e, v, [1e4], 1.0, 6)
-    M = seen[0]
+    M = first_ground_row_step(m, e, 1e4)
     assert M.shape == (64, 64) and is_stiff(M)
     E, ref = expm(M), scipy.linalg.expm(M)
     tiny = np.finfo(float).tiny
@@ -269,6 +280,21 @@ def test_stiff_expm_flushes_what_decayed_away(cavity_d32, monkeypatch):
 
 def test_stiff_sweep_has_the_bits_of_scipy(cavity_d32, monkeypatch):
     m, e, v = cavity_d32
+    rep = k_sweep(m, e, v, [1e4], 1.0, 6)
+    monkeypatch.setattr(semigroup, "expm", scipy.linalg.expm)
+    ref = k_sweep(m, e, v, [1e4], 1.0, 6)
+    assert same_bits(rep.distances, ref.distances)
+    assert rep.max_clamp == ref.max_clamp
+
+
+def test_stiff_sweep_at_d8_has_the_bits_of_scipy(monkeypatch):
+    # the n_trunc 4 cavity (d = 8) keeps the dense path: its three 64 x 64
+    # steps at k = 1e4 take expm's stiff branch, with scipy's bits
+    m = catalog.default_cavity_system(n_trunc=4)
+    mats = sweep_exponents(monkeypatch, m, [1e4])
+    assert len(mats) == 3 and all(M.shape == (64, 64) and is_stiff(M) for M in mats)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
     rep = k_sweep(m, e, v, [1e4], 1.0, 6)
     monkeypatch.setattr(semigroup, "expm", scipy.linalg.expm)
     ref = k_sweep(m, e, v, [1e4], 1.0, 6)

@@ -152,6 +152,22 @@ def test_superoperator_and_operator_action_agree():
             )
 
 
+def test_stacked_superoperator_matches_the_kron_sum():
+    # the split's parts are assembled as one BLAS product, on ground rows
+    # (d0 x d states, d0 < d) and on square states alike
+    rng = np.random.default_rng(12)
+    for d0, d, n in ((2, 5, 1), (3, 4, 2), (4, 4, 3)):
+        c = random_coefficients(rng, d0, n)
+        right = random_coefficients(rng, d, n)
+        for terms in (
+            _sandwich_terms(c.K, c.L, right.K, right.L),
+            _sandwich_terms(None, c.L, right.K, right.L),
+        ):
+            dense = _superoperator([(np.eye(d0) if l is None else l, r) for l, r in terms], d)
+            stacked = semigroup._stacked_superoperator(terms, d0, d)
+            np.testing.assert_allclose(stacked, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+
+
 def test_build_generators_rejects_negative_coupling(two_level):
     m, e, _ = two_level
     with pytest.raises(ValueError):
@@ -652,6 +668,20 @@ def record_expm_shapes(monkeypatch):
     return shapes
 
 
+def record_splits(monkeypatch):
+    """(h, k, split taken) of every step that goes to the slow/fast split."""
+    calls = []
+    real_exp = semigroup._SlowFast.exp
+
+    def recording_exp(self, h, k):
+        E = real_exp(self, h, k)
+        calls.append((h, k, E is not None))
+        return E
+
+    monkeypatch.setattr(semigroup._SlowFast, "exp", recording_exp)
+    return calls
+
+
 def test_ground_rows_shrink_the_exponentials(monkeypatch):
     # the n_trunc 16 cavity (d = 32, ground rank 2) steps a 2 x 32 state, so
     # every exponential is 64 x 64 where the full state needs 1024 x 1024
@@ -659,14 +689,23 @@ def test_ground_rows_shrink_the_exponentials(monkeypatch):
     e = eliminate(m)
     v = default_ground_vector(e.decomposition.P0)
     shapes = record_expm_shapes(monkeypatch)
-    k_sweep(m, e, v, [1e4], horizon=1.0, steps=6)
+    k_sweep(m, e, v, [5.0], horizon=1.0, steps=6)
     assert shapes and set(shapes) == {(64, 64)}
+    # at k = 1e4 every step is stiff and takes the slow/fast split: its only
+    # exponentials are of the 4 x 4 slow block
+    shapes.clear()
+    splits = record_splits(monkeypatch)
+    k_sweep(m, e, v, [1e4], horizon=1.0, steps=6)
+    assert splits and all(taken for _, _, taken in splits)
+    assert shapes and set(shapes) == {(4, 4)}
     # two_level (d = 2) keeps its full 2 x 2 state and its 4 x 4 exponentials
     shapes.clear()
+    splits.clear()
     m = catalog.two_level_atom(1.0, 1.0, 0.5)
     e = eliminate(m)
     k_sweep(m, e, default_ground_vector(e.decomposition.P0), [1e4], horizon=1.0, steps=6)
     assert shapes and set(shapes) == {(4, 4)}
+    assert splits == []
 
 
 def test_ground_rows_reach_d64(monkeypatch):
@@ -676,8 +715,12 @@ def test_ground_rows_reach_d64(monkeypatch):
     e = eliminate(m)
     v = default_ground_vector(e.decomposition.P0)
     shapes = record_expm_shapes(monkeypatch)
-    rep = k_sweep(m, e, v, [100.0], horizon=1.0, steps=6)
+    k_sweep(m, e, v, [5.0], horizon=1.0, steps=6)
     assert set(shapes) == {(128, 128)}
+    # at k = 100 the steps are stiff and take the slow/fast split
+    splits = record_splits(monkeypatch)
+    rep = k_sweep(m, e, v, [100.0], horizon=1.0, steps=6)
+    assert splits and all(taken for _, _, taken in splits)
     assert 100.0 * rep.sup_distance[0] == pytest.approx(0.54868, abs=5e-6)
     assert rep.max_clamp == 0.0
 
@@ -743,3 +786,127 @@ def test_corrected_slope_needs_two_distinct_couplings(ks):
         ks=np.array([10.0, 100.0]), corrected=np.array([0.1, 0.01]), uncorrected=np.ones(2)
     )
     assert two.corrected_slope() == pytest.approx(-1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the slow/fast split of stiff steps above d = 8
+
+
+def same_bits(A: np.ndarray, B: np.ndarray) -> bool:
+    return A.shape == B.shape and np.array_equal(A.view(np.uint64), B.view(np.uint64))
+
+
+def no_split(monkeypatch):
+    """Every stiff step takes the dense exponential, as below d = 8."""
+    monkeypatch.setattr(semigroup._SlowFast, "exp", lambda self, h, k: None)
+
+
+# k·sup at k = 1e4 on the 6-point vacuum grid (horizon 1, default ground
+# vector) from an mpmath run with k kept exact (ROADMAP item 1).  n_trunc 4 and
+# 8 agree to 16 digits there, so the n_trunc 8 value stands for n_trunc 16.
+SPLIT_ORACLE = {
+    "lambda-d12": (lambda: catalog.lambda_system(1.0, 2.0, 0.4, 4), 0.20574429),
+    "cavity-d16": (lambda: catalog.default_cavity_system(n_trunc=8), 0.54867633),
+    "cavity-d32": (lambda: catalog.default_cavity_system(n_trunc=16), 0.54867633),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_ORACLE))
+def test_split_meets_the_oracle_at_k_1e4(name, monkeypatch):
+    build, truth = SPLIT_ORACLE[name]
+    m = build()
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    splits = record_splits(monkeypatch)
+    rep = k_sweep(m, e, v, [1e4], horizon=1.0, steps=6)
+    assert splits and all(taken for _, _, taken in splits)
+    assert 1e4 * rep.sup_distance[0] == pytest.approx(truth, rel=2e-6)
+    assert rep.max_clamp == 0.0
+
+
+def test_split_keeps_the_driven_lambda_distance_flat_in_k():
+    # the driven-catalog drive on its 101-point grid: from k = 1e3 on every
+    # step is stiff; k·sup may move by O(1/k) only
+    m = catalog.lambda_system(1.0, 2.0, 0.4, 4)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    drive = StepDrive([0.0, 0.5, 1.0], [[0.3], [-0.2]])
+    rep = k_sweep(m, e, v, [1e3, 1e4], horizon=1.0, steps=101, drive=drive)
+    low, high = rep.ks * rep.sup_distance
+    assert high == pytest.approx(low, rel=1e-5)
+    assert rep.max_clamp == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(GROUND_ROW_MODELS))
+@pytest.mark.parametrize("drive_name", sorted(GROUND_ROW_DRIVES))
+def test_split_agrees_with_the_dense_path_up_to_k_100(name, drive_name, monkeypatch):
+    m = GROUND_ROW_MODELS[name]()
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    drive = None
+    if GROUND_ROW_DRIVES[drive_name] is not None:
+        breakpoints, amps = GROUND_ROW_DRIVES[drive_name]
+        drive = StepDrive(breakpoints, [[a] * m.channels for a in amps])
+    splits = record_splits(monkeypatch)
+    rep = k_sweep(m, e, v, [20.0, 100.0], horizon=1.0, steps=6, drive=drive)
+    assert splits and all(taken for _, _, taken in splits)
+    no_split(monkeypatch)
+    dense = k_sweep(m, e, v, [20.0, 100.0], horizon=1.0, steps=6, drive=drive)
+    np.testing.assert_allclose(rep.distances, dense.distances, rtol=0, atol=1e-8)
+    assert rep.max_clamp == dense.max_clamp == 0.0
+
+
+def test_split_is_reached_only_by_stiff_steps_above_d8(monkeypatch):
+    def fail(self, h, k):
+        raise AssertionError("the slow/fast split was reached")
+
+    def sweeps(m, ks):
+        e = eliminate(m)
+        v = default_ground_vector(e.decomposition.P0)
+        breakpoints, amps = GROUND_ROW_DRIVES["driven"]
+        for drive in (None, StepDrive(breakpoints, [[a] * m.channels for a in amps])):
+            k_sweep(m, e, v, ks, horizon=1.0, steps=6, drive=drive)
+
+    monkeypatch.setattr(semigroup._SlowFast, "exp", fail)
+    small = [
+        catalog.two_level_atom(1.0, 1.0, 0.5),
+        catalog.alkali_atom(1.0, 1.0, 0.2, 0.0, 0.4),
+        catalog.default_cavity_system(n_trunc=4),
+    ]
+    for m in small:
+        assert m.dim <= RECORDED_ARITHMETIC_MAX_DIM
+        sweeps(m, [5.0, 100.0, 1e4])
+    for build in GROUND_ROW_MODELS.values():
+        sweeps(build(), [5.0])
+
+
+def test_a_planted_slow_slow_block_falls_back_to_the_dense_path(monkeypatch):
+    # P0·A·P0 = 1e-6i·P0 gives G₁ a slow-slow block far above tolerance: the
+    # split refuses every step, and the sweep has the bits of the dense path
+    base = catalog.default_cavity_system(n_trunc=8)
+    P0m = eliminate(base).decomposition.P0.matrix
+    m = ScaledModel(Y=base.Y, A=base.A + 1e-6j * P0m, B=base.B, F=base.F, G=base.G, W=base.W)
+    e = eliminate(m)
+    assert e.inverse_structure.residual("zero: P0·A·P0") > 1e-7
+    v = default_ground_vector(e.decomposition.P0)
+    splits = record_splits(monkeypatch)
+    rep = k_sweep(m, e, v, [100.0], horizon=1.0, steps=6)
+    assert splits and not any(taken for _, _, taken in splits)
+    no_split(monkeypatch)
+    dense = k_sweep(m, e, v, [100.0], horizon=1.0, steps=6)
+    assert same_bits(rep.distances, dense.distances)
+    assert rep.max_clamp == dense.max_clamp
+
+
+def test_a_stiff_step_at_coupling_zero_takes_the_dense_path(monkeypatch):
+    # at k = 0 the generator is G₀ alone: a step long enough to be stiff has no
+    # fast block to split off, and the split must not divide by k
+    m = catalog.default_cavity_system(n_trunc=8)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    splits = record_splits(monkeypatch)
+    rep = k_sweep(m, e, v, [0.0], horizon=1e6, steps=3)
+    assert splits and not any(taken for _, _, taken in splits)
+    no_split(monkeypatch)
+    dense = k_sweep(m, e, v, [0.0], horizon=1e6, steps=3)
+    assert same_bits(rep.distances, dense.distances)
