@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, ResourceLimit
-from .linalg import GENERATOR_BUDGET_BYTES, Projector, as_operator, dagger
+from .linalg import PEAK_BUDGET_BYTES, Projector, as_operator, dagger
 from .model import CoefficientSet, ScaledModel
 
 
@@ -98,13 +98,14 @@ def oscillator_ops(N: int) -> OscillatorOps:
 def _check_size(d: int, channels: int) -> None:
     """Refuse with ResourceLimit, before anything is allocated, a model whose
     3 + 2n + n² operators (Y, A, B, F_i, G_i, W_ij) of dimension d would
-    together exceed GENERATOR_BUDGET_BYTES."""
+    together exceed PEAK_BUDGET_BYTES, the most one exponential of a generator
+    at its budget may take."""
     operators = 3 + 2 * channels + channels**2
     need = 16 * d * d * operators
-    if need > GENERATOR_BUDGET_BYTES:
+    if need > PEAK_BUDGET_BYTES:
         raise ResourceLimit(
             f"a model of dimension {d:,} with {channels} channel(s) needs {need:,} bytes "
-            f"for its {operators} operators, over the budget of {GENERATOR_BUDGET_BYTES:,} bytes"
+            f"for its {operators} operators, over the budget of {PEAK_BUDGET_BYTES:,} bytes"
         )
 
 
@@ -222,7 +223,7 @@ def cavity_system(
 
     Y = (-i E11 - gamma/2) x b†b, A = -i (E10 x b† + E01 x b),
     B = -i E00 x I, F = sqrt(gamma) I x b, G = 0, W = I.  A truncation whose
-    operators would exceed GENERATOR_BUDGET_BYTES raises ResourceLimit
+    operators would exceed PEAK_BUDGET_BYTES raises ResourceLimit
     before any of them is built.
     """
     if gamma <= 0:
@@ -300,7 +301,7 @@ def lambda_system(gamma: float, g: float, alpha: complex, n_trunc: int = 4) -> S
     Y = -(gamma/2) I x b†b + g (|e><+| x b - |+><e| x b†),
     A = (alpha |e><-| - conj(alpha) |-><e|) x I, B = 0,
     F = sqrt(gamma) I x b, G = 0, W = I.  A truncation whose operators would
-    exceed GENERATOR_BUDGET_BYTES raises ResourceLimit before any of them is
+    exceed PEAK_BUDGET_BYTES raises ResourceLimit before any of them is
     built.
     """
     if gamma <= 0:

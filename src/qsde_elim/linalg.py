@@ -77,9 +77,11 @@ RECORDED_ARITHMETIC_MAX_DIM = 8
 STIFF_DECAY = 708.0
 PROJECTOR_TOL = 1e-9  # Projector.validate's, and a ground basis V0's against P0
 # Largest generator matrix assembled: 32 MiB, a 1448 x 1448 complex matrix.
-# expm needs at most 9 times its input (measured), so one expm peaks near 288 MiB.
-# A catalog model's operators together are held to the same budget.
+# expm needs at most 9 times its input (measured), so one expm peaks near
+# PEAK_BUDGET_BYTES, 288 MiB.  A catalog model's operators together are held
+# to that peak: they are allocated once, the generator's at every coupling.
 GENERATOR_BUDGET_BYTES = 32 * 2**20
+PEAK_BUDGET_BYTES = 9 * GENERATOR_BUDGET_BYTES
 
 
 def as_operator(M, name: str = "operator") -> np.ndarray:

@@ -47,9 +47,10 @@ every matrix O(1), with the fast term dropped once it has decayed below eps.
 The split takes the structural zeros that eliminate certifies as exact, so it
 gives the distance of the exactly structured model.  Its k-free parts are
 built at a segment's first stiff step and kept for every coupling of the
-sweep; the basis they share does not depend on the drive.  Where a
-structural block is above tolerance, a fixed point does not converge (small
-k) or k = 0, the dense exponential stands.
+sweep; the basis they share does not depend on the drive.  Where the blocks
+it takes as zero are, at that coupling, above the rounding that the dense
+step commits anyway, where a fixed point does not converge (small k), or
+at k = 0, the dense exponential stands.
 
 A generator over GENERATOR_BUDGET_BYTES is refused with ResourceLimit before
 it is assembled, and so is a sweep whose time grid and distance array
@@ -64,9 +65,8 @@ observable X there are X1, X2 with Lk(X + X1/k + X2/k^2) -> L(X) at rate 1/k.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -84,16 +84,14 @@ from .linalg import (
     mean_decay,
     vec,
 )
-from .model import DEFAULT_TOL, ScaledModel, _coefficients, instantiate
+from .model import ScaledModel, _coefficients, instantiate
 
 CLAMP_ABORT = 1e-6
 GROUND_VECTOR_TOL = 1e-9
 DEFAULT_STEPS = 101
 EPS = float(np.finfo(float).eps)
-# the slow/fast split: structural zeros hold to SPLIT_TOL·scale, and a fixed
-# point is reached within SPLIT_MAX_ITER steps once its residual is at most
-# FIXED_POINT_TOL of the size of its terms
-SPLIT_TOL = DEFAULT_TOL
+# the slow/fast split: a fixed point is reached within SPLIT_MAX_ITER steps
+# once its residual is at most FIXED_POINT_TOL of the size of its terms
 SPLIT_MAX_ITER = 50
 FIXED_POINT_TOL = 2.0**-46
 
@@ -157,14 +155,15 @@ def _sandwich_terms(K_left, L_left, K_right, L_right) -> Terms:
     return terms
 
 
-def _superoperator(terms: Terms, d: int) -> np.ndarray:
-    """Matrix of the terms acting on vec(X), X of shape rows x d, where rows is
-    the size of the first left factor (d when that factor is None).
+def _superoperator(terms: Terms, d: int, rows: int | None = None) -> np.ndarray:
+    """Matrix of the terms acting on vec(X), X of shape rows x d, where rows
+    defaults to the size of the first left factor (d when that factor is None).
 
     Raises ResourceLimit, before anything is assembled, when the matrix would
     take more than GENERATOR_BUDGET_BYTES.
     """
-    rows = d if terms[0][0] is None else len(terms[0][0])
+    if rows is None:
+        rows = d if terms[0][0] is None else len(terms[0][0])
     n = rows * d
     if 16 * n * n > GENERATOR_BUDGET_BYTES:
         raise ResourceLimit(
@@ -177,18 +176,6 @@ def _superoperator(terms: Terms, d: int) -> np.ndarray:
         np.kron((eye_right if r is None else r).T, eye_left if l is None else l) for l, r in terms
     )
     return reduce(np.add, mats)
-
-
-def _stacked_superoperator(terms: Terms, rows: int, d: int) -> np.ndarray:
-    """The matrix of :func:`_superoperator`, on rows x d states, as one BLAS
-    product of the right factors (transposed, as columns) against the left
-    ones (as rows): faster than the sum of krons, but rounded otherwise.  For
-    the k-free parts of the slow/fast split, whose bits nothing records."""
-    eye_left, eye_right = np.eye(rows), np.eye(d)
-    right = np.stack([(eye_right if r is None else r).T.ravel() for _, r in terms], axis=1)
-    left = np.stack([(eye_left if l is None else l).ravel() for l, _ in terms])
-    product = (right @ left).reshape(d, d, rows, rows)
-    return product.transpose(0, 2, 1, 3).reshape(rows * d, rows * d)
 
 
 def _apply_terms(terms: Terms, X: np.ndarray) -> np.ndarray:
@@ -277,28 +264,16 @@ def _segments(
 
 
 class _Rotation:
-    """What the slow/fast splits of one sweep share, none of it dependent on
-    the drive (displacement keeps Y): the unitary V = [V1 V0] of the right
-    index, and in that basis the fast-fast block of G₂, the largest
-    eigenvalue of its Hermitian part, and the norms of G₂ and of its other
-    blocks.  vec(Z V) holds the d0·d1 fast entries first."""
+    """The unitary V = [V1 V0] of the right index that the slow/fast splits
+    of one sweep share: it does not depend on the drive.  vec(Z V) holds the
+    d0·d1 fast entries first."""
 
-    def __init__(self, Y: np.ndarray, V0: np.ndarray):
+    def __init__(self, V0: np.ndarray):
         d, d0 = V0.shape
-        d1 = d - d0
-        self.d, self.d0, self.nf = d, d0, d0 * d1
+        self.d, self.d0, self.nf = d, d0, d0 * (d - d0)
         # V1 completes the decomposition's V0, which stays the slow columns
         complete = np.linalg.qr(V0, mode="complete")[0]
         self.V = np.concatenate([complete[:, d0:], V0], axis=1)
-        Yr = self.rotate(Y)
-        # G₂ = kron(Y'^T, I) repeats each entry of Y' = V†YV d0 times: its
-        # slow rows hold those of V†·Y·V0 and its fast-slow block those of
-        # V0†·Y·V1
-        self.G2_norm = math.sqrt(d0) * float(np.linalg.norm(Yr))
-        off = np.concatenate([Yr[:, d1:].ravel(), Yr[d1:, :d1].ravel()])
-        self.G2_off = math.sqrt(d0) * float(np.linalg.norm(off))
-        self.G2ff = _stacked_superoperator([(None, Yr[:d1, :d1])], d0, d1)
-        self.G2ff_top = float(np.linalg.eigvalsh(0.5 * (Yr[:d1, :d1] + dagger(Yr[:d1, :d1])))[-1])
 
     def rotate(self, X: np.ndarray) -> np.ndarray:
         """V† X V, of an operator or of a stack."""
@@ -318,12 +293,15 @@ class _SlowFast:
     of its slow and fast blocks (Kokotović, Khalil & O'Reilly, *Singular
     Perturbation Methods in Control*, 1986, ch. 2), every matrix O(1).
 
-    With the right index rotated by V, G = k²G₂ + kG₁ + G₀ has k-free parts.
-    The identities that eliminate certifies (Y·V0 = 0, P0·Y·P1 = 0,
-    P0·A·P0 = 0, F_i·P0 = 0) leave G₂ only a fast-fast block and G₁ no
-    slow-slow block; they are checked against SPLIT_TOL·scale and then taken
-    as exact zeros, so the split propagates the exactly structured model.  With
-    f and s the fast and slow blocks, per coupling
+    With the right index rotated by V, G = k²G₂ + kG₁ + G₀ has k-free parts,
+    built at the segment's first stiff step.  The identities that
+    eliminate certifies (Y·V0 = 0, P0·Y·P1 = 0, P0·A·P0 = 0, F_i·P0 = 0) leave
+    G₂ only a fast-fast block and G₁ no slow-slow block.  The split takes
+    those blocks as exact zeros, so it propagates the exactly structured
+    model; it does so at coupling k only where k² times G₂'s other blocks plus
+    k times G₁'s slow-slow block is within n·eps·‖G‖ (Frobenius, n the order
+    of G), the rounding of one product by G that the dense step commits
+    anyway.  With f and s the fast and slow blocks, per coupling
 
         M_f = G₂ff + G₁ff/k + G₀ff/k²,  N_fs = G₁fs + G₀fs/k,
         N_sf = G₁sf + G₀sf/k,  A_ss = G₀ss,
@@ -337,25 +315,26 @@ class _SlowFast:
         [L; I]·exp(hA_s)·[-M, I + M·L] + [L·M + I; M]·exp(hA_f)·[I, -L]
 
     (see :class:`_Decoupled`).  :meth:`exp` gives None, for the dense
-    exponential instead, where a structural block is above tolerance or a
-    fixed point has not converged within SPLIT_MAX_ITER steps.
+    exponential instead, where the blocks taken as zero are above that
+    rounding or a fixed point has not converged within SPLIT_MAX_ITER steps.
     """
 
-    def __init__(self, rotation: Callable[[], _Rotation], K, L, scaled: ScaledModel):
-        # rotation gives the sweep's shared _Rotation, built at its first call
-        self.rotation, self.K, self.L, self.scaled = rotation, K, L, scaled
+    def __init__(self, rot: _Rotation, K, L, scaled: ScaledModel):
+        self.rot, self.K, self.L, self.scaled = rot, K, L, scaled
         self.k = self.terms = None  # the coupling the terms were decoupled at, and they
 
     @cached_property
-    def parts(self) -> tuple[_Rotation, np.ndarray, np.ndarray] | None:
-        """The rotation, G₁ and G₀, or None where the structure fails."""
-        rot, m = self.rotation(), self.scaled
+    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """G₂'s fast-fast block, G₁ and G₀, and the norms of the blocks taken
+        as zero: G₂ off its fast-fast block, and G₁'s slow-slow block."""
+        rot, m = self.rot, self.scaled
+        f, s = slice(0, rot.nf), slice(rot.nf, None)
+        g2 = [(None, rot.rotate(m.Y))]
         g1 = _sandwich_terms(None, self.L, rot.rotate(m.A), rot.rotate(m.F))
         g0 = _sandwich_terms(self.K, self.L, rot.rotate(m.B), rot.rotate(m.G))
-        G1, G0 = (_stacked_superoperator(g, rot.d0, rot.d) for g in (g1, g0))
-        scale = max(1.0, rot.G2_norm, float(np.linalg.norm(G1)), float(np.linalg.norm(G0)))
-        zeros = max(rot.G2_off, float(np.linalg.norm(G1[rot.nf :, rot.nf :])))
-        return (rot, G1, G0) if zeros <= SPLIT_TOL * scale else None
+        G2, G1, G0 = (_superoperator(g, rot.d, rows=rot.d0) for g in (g2, g1, g0))
+        G2_off = math.hypot(float(np.linalg.norm(G2[f, s])), float(np.linalg.norm(G2[s])))
+        return G2[f, f], G1, G0, G2_off, float(np.linalg.norm(G1[s, s]))
 
     def exp(self, h: float, k: float) -> np.ndarray | None:
         """exp(h·G) at coupling k, or None where the split does not hold."""
@@ -366,14 +345,20 @@ class _SlowFast:
     def _decouple(self, k: float) -> _Decoupled | None:
         """The two terms at coupling k; None where the split does not hold,
         and at k = 0, where no fast block decays."""
-        if k == 0 or self.parts is None:
+        if k == 0:
             return None
-        rot, G1, G0 = self.parts
+        rot = self.rot
+        G2ff, G1, G0, G2_off, G1_ss = self.parts
         f, s = slice(0, rot.nf), slice(rot.nf, None)
         kk = k * k
         E = G1[f, f] + G0[f, f] / k
-        M_f = rot.G2ff + E / k
+        M_f = G2ff + E / k
         N_fs, N_sf, A_ss = G1[f, s] + G0[f, s] / k, G1[s, f] + G0[s, f] / k, G0[s, s]
+        size = math.sqrt(
+            sum(float(np.linalg.norm(X)) ** 2 for X in (kk * M_f, k * N_fs, k * N_sf, A_ss))
+        )
+        if kk * G2_off + k * G1_ss > len(G1) * EPS * size:
+            return None
         try:
             Mi = np.linalg.inv(M_f)
         except np.linalg.LinAlgError:
@@ -395,7 +380,7 @@ class _SlowFast:
         P = _fixed_point(sylvester, lambda r: r @ Mi, N_sf @ Mi)
         if P is None:
             return None
-        return _Decoupled(rot, k, H / k, P / k, A_s, k * E - H @ N_sf)
+        return _Decoupled(rot, H / k, P / k, A_s, kk * G2ff + k * E - H @ N_sf)
 
 
 class _Decoupled:
@@ -404,28 +389,21 @@ class _Decoupled:
     folded into the outer factors.
 
     The second term is dropped where a bound on it is below eps: the product
-    of its outer factors' norms times exp(hμ), with μ at least the largest
-    eigenvalue of (A_f + A_f†)/2, so that ‖exp(hA_f)‖ <= exp(hμ).  μ is first
-    k²λ + ‖A_f - k²G₂ff‖, with λ that eigenvalue of G₂ff; where that keeps
-    the term, the eigenvalue itself.
+    of its outer factors' norms times exp(hμ), with μ the largest eigenvalue
+    of (A_f + A_f†)/2, so that ‖exp(hA_f)‖ <= exp(hμ).
     """
 
-    def __init__(self, rot: _Rotation, k: float, L, M, A_s, rest_f):
-        self.rot, self.L, self.M = rot, L, M
+    def __init__(self, rot: _Rotation, L, M, A_s, A_f):
+        self.rot, self.L, self.M, self.A_s, self.A_f = rot, L, M, A_s, A_f
         eye_s = np.eye(len(A_s))
-        self.A_s, self.A_f = A_s, k * k * rot.G2ff + rest_f
         self.left = rot.rows(np.concatenate([L, eye_s]))
         self.right = rot.cols(np.concatenate([-M, eye_s + M @ L], axis=1))
         # Q is unitary, so the fast factors' norms are those of their blocks,
         # and ‖L·M + I‖ <= ‖L‖·‖M‖ + √n_f
-        nL, nM, nf = float(np.linalg.norm(L)), float(np.linalg.norm(M)), len(rest_f)
+        nL, nM, nf = float(np.linalg.norm(L)), float(np.linalg.norm(M)), len(A_f)
         norms2 = ((nL * nM + math.sqrt(nf)) ** 2 + nM**2) * (nf + nL**2)
         self.log_margin = 0.5 * math.log(norms2) - math.log(EPS)  # log(bound / eps) at h = 0
-        self.mu = k * k * rot.G2ff_top + float(np.linalg.norm(rest_f))
-
-    @cached_property
-    def mu_exact(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.A_f + dagger(self.A_f)))[-1])
+        self.mu = float(np.linalg.eigvalsh(0.5 * (A_f + dagger(A_f)))[-1])
 
     @cached_property
     def fast_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +413,7 @@ class _Decoupled:
 
     def exp(self, h: float) -> np.ndarray:
         E = self.left @ (expm(h * self.A_s) @ self.right)
-        if self.log_margin + h * self.mu >= 0 and self.log_margin + h * self.mu_exact >= 0:
+        if self.log_margin + h * self.mu >= 0:
             left_f, right_f = self.fast_factors
             E += left_f @ (expm(h * self.A_f) @ right_f)
         return E
@@ -656,10 +634,10 @@ def k_sweep(
     Z0 = dec.P0.matrix if V0 is None else dagger(V0)
     segments = _segments(m, e, drive, V0)
     # stiff steps above RECORDED_ARITHMETIC_MAX_DIM take the slow/fast split
-    # where there is a fast sector; its parts are built at the first of them
+    # where there is a fast sector; a segment's parts are built at its first
     splits = [None] * len(segments)
     if V0 is not None and V0.shape[1] < m.dim:
-        rotation = cache(lambda: _Rotation(m.Y, V0))
+        rotation = _Rotation(V0)
         splits = [_SlowFast(rotation, *segment) for segment in segments]
 
     distances = np.empty((ks.size, steps))

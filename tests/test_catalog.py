@@ -5,6 +5,7 @@ import pytest
 
 from qsde_elim import (
     InvalidArgument,
+    ResourceLimit,
     catalog,
     check_hp_unitarity,
     check_scaling_consistency,
@@ -136,6 +137,30 @@ def test_cavity_parameter_validation():
         catalog.cavity_system(1.0, e00, e10, 0.6 * p.sigma_z)
     with pytest.raises(InvalidArgument, match="interaction blocks must act on one system dimension"):
         catalog.cavity_system(1.0, np.zeros((3, 3)), e10, e11)
+
+
+@pytest.mark.parametrize(
+    "build, accepted, refused",
+    [
+        # six operators of 16·d² bytes against the 288 MiB peak: d <= 1773
+        (lambda n: catalog.default_cavity_system(n_trunc=n), 300, 887),
+        (lambda n: catalog.lambda_system(1.0, 2.0, 0.4, n), 241, 592),
+    ],
+    ids=["cavity", "lambda"],
+)
+def test_truncation_is_held_to_the_peak_budget(build, accepted, refused, monkeypatch):
+    # sizes that fit build as before (the cavity at n_trunc 300 is d = 600,
+    # about 35 MB of operators); the first size over the peak is refused
+    # before any d x d array is built
+    assert build(accepted).dim in (600, 723)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a d x d array was being built")
+
+    monkeypatch.setattr(np, "diag", fail)
+    monkeypatch.setattr(np, "kron", fail)
+    with pytest.raises(ResourceLimit, match="over the budget of 301,989,888 bytes"):
+        build(refused)
 
 
 def test_cavity_hermiticity_check_does_not_overflow():

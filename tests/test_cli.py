@@ -471,7 +471,7 @@ OVERSIZED_BUILTINS = {
 @pytest.mark.parametrize("command", ["check", "converge"])
 @pytest.mark.parametrize("name", sorted(OVERSIZED_BUILTINS))
 def test_oversized_builtin_is_refused_before_allocation(tmp_path, capsys, monkeypatch, command, name):
-    # 6 operators of 16·d² bytes each, far over the 32 MiB budget: refused
+    # 6 operators of 16·d² bytes each, far over the 288 MiB peak: refused
     # before any d x d array (np.diag builds the ladder, np.kron the operators)
     def fail(*args, **kwargs):
         raise AssertionError("a d x d array was being built")
@@ -488,7 +488,7 @@ def test_oversized_builtin_is_refused_before_allocation(tmp_path, capsys, monkey
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {path}: a model of dimension {dim} with 1 channel(s) needs ")
-    assert err.rstrip().endswith("over the budget of 33,554,432 bytes")
+    assert err.rstrip().endswith("over the budget of 301,989,888 bytes")
 
 
 def test_check_singular_restriction_suggests_override(tmp_path, capsys):

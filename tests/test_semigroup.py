@@ -152,22 +152,6 @@ def test_superoperator_and_operator_action_agree():
             )
 
 
-def test_stacked_superoperator_matches_the_kron_sum():
-    # the split's parts are assembled as one BLAS product, on ground rows
-    # (d0 x d states, d0 < d) and on square states alike
-    rng = np.random.default_rng(12)
-    for d0, d, n in ((2, 5, 1), (3, 4, 2), (4, 4, 3)):
-        c = random_coefficients(rng, d0, n)
-        right = random_coefficients(rng, d, n)
-        for terms in (
-            _sandwich_terms(c.K, c.L, right.K, right.L),
-            _sandwich_terms(None, c.L, right.K, right.L),
-        ):
-            dense = _superoperator([(np.eye(d0) if l is None else l, r) for l, r in terms], d)
-            stacked = semigroup._stacked_superoperator(terms, d0, d)
-            np.testing.assert_allclose(stacked, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
-
-
 def test_build_generators_rejects_negative_coupling(two_level):
     m, e, _ = two_level
     with pytest.raises(ValueError):
@@ -888,6 +872,28 @@ def test_a_planted_slow_slow_block_falls_back_to_the_dense_path(monkeypatch):
     m = ScaledModel(Y=base.Y, A=base.A + 1e-6j * P0m, B=base.B, F=base.F, G=base.G, W=base.W)
     e = eliminate(m)
     assert e.inverse_structure.residual("zero: P0·A·P0") > 1e-7
+    v = default_ground_vector(e.decomposition.P0)
+    splits = record_splits(monkeypatch)
+    rep = k_sweep(m, e, v, [100.0], horizon=1.0, steps=6)
+    assert splits and not any(taken for _, _, taken in splits)
+    no_split(monkeypatch)
+    dense = k_sweep(m, e, v, [100.0], horizon=1.0, steps=6)
+    assert same_bits(rep.distances, dense.distances)
+    assert rep.max_clamp == dense.max_clamp
+
+
+def test_a_residual_the_split_would_drop_falls_back_at_k_100(monkeypatch):
+    # P0·Y·P1 = 1e-11·‖Y‖ passes eliminate, but at k = 100 it stands for a term
+    # of k²·1e-11 in the generator, far above the dense step's own rounding:
+    # the split refuses, and the sweep has the bits of the dense path
+    base = catalog.default_cavity_system(n_trunc=8)
+    dec = eliminate(base).decomposition
+    w = dec.P1.matrix[:, -1] / np.linalg.norm(dec.P1.matrix[:, -1])
+    planted = 1e-11 * np.linalg.norm(base.Y) * np.outer(dec.V0[:, 0], w.conj())
+    m = ScaledModel(Y=base.Y + planted, A=base.A, B=base.B, F=base.F, G=base.G, W=base.W)
+    e = eliminate(m)
+    assert e.assumptions_pass
+    assert e.inverse_structure.residual("zero: P0·Y·P1") > 1e-12
     v = default_ground_vector(e.decomposition.P0)
     splits = record_splits(monkeypatch)
     rep = k_sweep(m, e, v, [100.0], horizon=1.0, steps=6)
