@@ -22,14 +22,12 @@ with.  That is numpy's einsum loop for channel contractions, the restricted
 inverse on the eigenvectors of P1, P0 as the ground factor of every
 inverse-structure residual in its written association (P0·X·P1, see
 ``eliminate.check_inverse_structure``), and the full d x d state in
-propagation, every step a dense exponential.  Above that dimension
-propagation steps the ground rows, and a step that :func:`expm` would call
-stiff goes to the slow/fast split of the semigroup module.  A BLAS product
-sums in another order, with fused multiply-adds, and a product by a ground
-basis V0 instead of by P0 rounds differently: either moves the last bits of
-recorded outputs.  The comment on the constant names the outputs each of the
-four kernels pins.  A stacked matmul keeps the bits: each of its matrices
-equals the 2-d product.
+propagation.  Above that dimension propagation steps the ground rows.  A
+BLAS product sums in another order, with fused multiply-adds, and a product
+by a ground basis V0 instead of by P0 rounds differently: either moves the
+last bits of recorded outputs.  The comment on the constant names the
+outputs each of the four kernels pins.  A stacked matmul keeps the bits:
+each of its matrices equals the 2-d product.
 
 Only numpy and the standard library are imported here.  On scipy 1.17 or
 later the first :func:`expm` call loads scipy's compiled expm kernel from its
@@ -72,14 +70,12 @@ DEFAULT_RANK_TOL = 1e-9
 # any branch, or the constant, needs a change to the benchmark that
 # re-records reference.json.
 RECORDED_ARITHMETIC_MAX_DIM = 8
-# expm's stiff gate: a mean decay rate -Re tr(M)/n beyond -ln of the smallest
-# normal double, so that some mode of exp(M) must underflow
-STIFF_DECAY = 708.0
 PROJECTOR_TOL = 1e-9  # Projector.validate's, and a ground basis V0's against P0
 # Largest generator matrix assembled: 32 MiB, a 1448 x 1448 complex matrix.
-# expm needs at most 9 times its input (measured), so one expm peaks near
-# PEAK_BUDGET_BYTES, 288 MiB.  A catalog model's operators together are held
-# to that peak: they are allocated once, the generator's at every coupling.
+# expm allocates at most 8 times its input (measured); with the input itself
+# one expm peaks near PEAK_BUDGET_BYTES, 288 MiB.  A catalog model's operators
+# together are held to that peak: they are allocated once, the generator's at
+# every coupling.
 GENERATOR_BUDGET_BYTES = 32 * 2**20
 PEAK_BUDGET_BYTES = 9 * GENERATOR_BUDGET_BYTES
 
@@ -244,45 +240,22 @@ def _inverse_on(M: np.ndarray, basis: np.ndarray, tol: float) -> np.ndarray:
 
 
 def expm(M) -> np.ndarray:
-    """scipy.linalg.expm (Al-Mohy & Higham 2009), bit for bit, with its last r
-    squarings done here when -Re tr(M) > 708·n (708 ≈ -ln of the smallest
-    normal double) and M is not triangular.
+    """scipy.linalg.expm (Al-Mohy & Higham 2009), bit for bit.
 
     A 1x1 or diagonal M is exponentiated entrywise, as scipy does.  A
     triangular one goes to scipy.linalg.expm itself, whose squarings recompute
     the diagonal (Code Fragment 2.1 of the paper).  Every other M goes to
-    scipy's compiled Padé kernel (see :func:`_pade_exp`).
-
-    As scipy's norm estimate >= ρ(M) >= |tr M|/n, r = floor(log2(-Re tr M /
-    (4.25 n))) - 1 is below its s squarings: on the exact M·2^-r it does s - r
-    of them, and its loop is the E = E @ E here.  Zeroing entries below
-    2^-300·max|E| after each keeps out subnormals and moves E by at most
-    n·2^-300·max|E|, far below rounding; where nothing is zeroed, E is
-    scipy's.  A failure status of the kernel is ResourceLimit (an allocation)
-    or NumericalFailure (a LAPACK solve)."""
+    scipy's compiled Padé kernel (see :func:`_pade_exp`).  A failure status of
+    the kernel is ResourceLimit (an allocation) or NumericalFailure (a LAPACK
+    solve)."""
     M = as_operator(M, "M")
     below = np.tri(len(M), k=-1, dtype=bool)
-    lower, upper = M[below].any(), M.T[below].any()  # M·2^-r has the same zeros
+    lower, upper = M[below].any(), M.T[below].any()
     if not (lower or upper):
         return np.diag(np.exp(M.diagonal()))
     if not (lower and upper):
         return _scipy_expm(M)
-    decay = mean_decay(M)
-    if decay <= STIFF_DECAY:
-        return _pade_exp(M)
-    r = int(np.log2(decay / 4.25)) - 1  # >= 6
-    E = _pade_exp(M * 2.0**-r)
-    for _ in range(r):
-        E = E @ E
-        size = np.abs(E)
-        E[size < 2.0**-300 * size.max()] = 0.0
-    return E
-
-
-def mean_decay(M: np.ndarray) -> float:
-    """-Re tr(M)/n, the mean decay rate that :func:`expm` calls stiff beyond
-    :data:`STIFF_DECAY`; divided first, so it cannot overflow."""
-    return -float((M.diagonal().real / len(M)).sum())
+    return _pade_exp(M)
 
 
 def _scipy_expm(A: np.ndarray) -> np.ndarray:

@@ -37,20 +37,21 @@ orthonormal d x d0 basis of range(P0) that the decomposition holds (from the
 SVD of Y), the stepper carries Z = V0† X from Z0 = V0†: each left factor l
 becomes V0† l V0 and T = V0 Z.  The generator then has (d0 d)^2 entries
 instead of d^4.  Models of dimension at most RECORDED_ARITHMETIC_MAX_DIM keep
-the full d x d state and a dense exponential for every step.
+the full d x d state X = V0 Z.
 
-Above that dimension, a step that expm would call stiff (-Re tr(h G)/n > 708)
-is not a dense exponential of h G.  In the limit the excited states decay at
-rate k^2, so such a step is decided by the slow/fast split of the ground-row
-generator (_SlowFast): the Chang decoupling of its slow and fast blocks,
-every matrix O(1), with the fast term dropped once it has decayed below eps.
-The split takes the structural zeros that eliminate certifies as exact, so it
-gives the distance of the exactly structured model.  Its k-free parts are
-built at a segment's first stiff step and kept for every coupling of the
-sweep; the basis they share does not depend on the drive.  Where the blocks
-it takes as zero are, at that coupling, above the rounding that the dense
-step commits anyway, where a fixed point does not converge (small k), or
-at k = 0, the dense exponential stands.
+A stiff step (-Re tr(h G)/n > STIFF_DECAY) is not a dense exponential of
+h G.  In the limit the excited states decay at rate k^2, so such a step is
+decided by the slow/fast split of the ground-row generator (_SlowFast): the
+Chang decoupling of its slow and fast blocks, every matrix O(1), with the
+fast term dropped once it has decayed below eps.  On the full state its
+exponential E is lifted to kron(I, V0)·E·kron(I, V0†), folded into its outer
+factors.  The split takes the structural zeros that eliminate certifies as
+exact, so it gives the distance of the exactly structured model.  Its k-free
+parts are built at a segment's first stiff step and kept for every coupling
+of the sweep; the basis they share does not depend on the drive.  Where the
+blocks it takes as zero are, at that coupling, above the rounding that the
+dense step commits anyway, where a fixed point does not converge (small k),
+or at k = 0, the dense exponential stands.
 
 A generator over GENERATOR_BUDGET_BYTES is refused with ResourceLimit before
 it is assembled, and so is a sweep whose time grid and distance array
@@ -75,13 +76,11 @@ from .eliminate import EliminationResult, displace_limit, displace_scaled
 from .linalg import (
     GENERATOR_BUDGET_BYTES,
     RECORDED_ARITHMETIC_MAX_DIM,
-    STIFF_DECAY,
     Projector,
     as_operator,
     dagger,
     expm,
     frobenius_norms,
-    mean_decay,
     vec,
 )
 from .model import ScaledModel, _coefficients, instantiate
@@ -90,6 +89,10 @@ CLAMP_ABORT = 1e-6
 GROUND_VECTOR_TOL = 1e-9
 DEFAULT_STEPS = 101
 EPS = float(np.finfo(float).eps)
+# a step h G is stiff, and goes to the slow/fast split, when its mean decay rate
+# -Re tr(h G)/n (each term divided by n first, so the sum cannot overflow) is beyond
+# -ln of the smallest normal double: some mode of exp(h G) must underflow
+STIFF_DECAY = 708.0
 # the slow/fast split: a fixed point is reached within SPLIT_MAX_ITER steps
 # once its residual is at most FIXED_POINT_TOL of the size of its terms
 SPLIT_MAX_ITER = 50
@@ -243,49 +246,61 @@ def _validate_couplings(ks, positive: bool) -> np.ndarray:
     return ks
 
 
-def _segments(
-    m: ScaledModel, e: EliminationResult, drive: StepDrive, V0: np.ndarray | None
-) -> list[tuple[np.ndarray, np.ndarray, ScaledModel]]:
+Segments = list[tuple[np.ndarray, np.ndarray, ScaledModel]]
+
+
+def _segments(m: ScaledModel, e: EliminationResult, drive: StepDrive) -> Segments:
     """The coupling-free half of each drive segment's skew generator.
 
     One (K, L, scaled) per segment: the displaced limit coefficients, the
     left factors, and the displaced scaled model that k instantiates on the
     right.  The vacuum is one segment of amplitude zero, whose displacement
-    changes no coefficient.  With a ground basis V0 the state is Z = V0† X,
-    so K and L are compressed to V0† · V0.
+    changes no coefficient.
     """
     pairs = [
         (displace_limit(e.limit, alpha), displace_scaled(m, alpha)) for alpha in drive.amplitudes
     ]
-    if V0 is None:
-        return [(limit.K, limit.L, scaled) for limit, scaled in pairs]
+    return [(limit.K, limit.L, scaled) for limit, scaled in pairs]
+
+
+def _ground_rows(segments: Segments, V0: np.ndarray) -> Segments:
+    """The segments for the state Z = V0† X: K and L compressed to V0† · V0."""
     Vh = dagger(V0)
-    return [(Vh @ limit.K @ V0, Vh @ limit.L @ V0, scaled) for limit, scaled in pairs]
+    return [(Vh @ K @ V0, Vh @ L @ V0, scaled) for K, L, scaled in segments]
 
 
 class _Rotation:
     """The unitary V = [V1 V0] of the right index that the slow/fast splits
     of one sweep share: it does not depend on the drive.  vec(Z V) holds the
-    d0·d1 fast entries first."""
+    d0·d1 fast entries first.  On the full state X = V0 Z (lift), the outer
+    factors also take vec(X) to vec(Z) and back."""
 
-    def __init__(self, V0: np.ndarray):
+    def __init__(self, V0: np.ndarray, lift: bool):
         d, d0 = V0.shape
         self.d, self.d0, self.nf = d, d0, d0 * (d - d0)
         # V1 completes the decomposition's V0, which stays the slow columns
         complete = np.linalg.qr(V0, mode="complete")[0]
         self.V = np.concatenate([complete[:, d0:], V0], axis=1)
+        self.lift = V0 if lift else None
 
     def rotate(self, X: np.ndarray) -> np.ndarray:
         """V† X V, of an operator or of a stack."""
         return dagger(self.V) @ X @ self.V
 
     def rows(self, X: np.ndarray) -> np.ndarray:
-        """Q†·X, with Q = kron(V^T, I) the rotation vec(Z) -> vec(Z V)."""
-        return (self.V.conj() @ X.reshape(self.d, -1)).reshape(X.shape)
+        """Q†·X, with Q = kron(V^T, I) the rotation vec(Z) -> vec(Z V); lifted,
+        kron(I, V0)·Q†·X."""
+        Y = self.V.conj() @ X.reshape(self.d, -1)
+        if self.lift is not None:
+            Y = self.lift @ Y.reshape(self.d, self.d0, -1)
+        return Y.reshape(-1, X.shape[1])
 
     def cols(self, X: np.ndarray) -> np.ndarray:
-        """X·Q."""
-        return (self.V @ X.reshape(len(X), self.d, self.d0)).reshape(X.shape)
+        """X·Q; lifted, X·Q·kron(I, V0†)."""
+        Y = self.V @ X.reshape(len(X), self.d, self.d0)
+        if self.lift is not None:
+            Y = Y @ dagger(self.lift)
+        return Y.reshape(len(X), -1)
 
 
 class _SlowFast:
@@ -385,8 +400,8 @@ class _SlowFast:
 
 class _Decoupled:
     """The split at one coupling, [L; I]·exp(hA_s)·[-M, I + M·L] +
-    [L·M + I; M]·exp(hA_f)·[I, -L] in the rotated basis, with the rotation
-    folded into the outer factors.
+    [L·M + I; M]·exp(hA_f)·[I, -L] in the rotated basis, with the rotation,
+    and on the full state the lift, folded into the outer factors.
 
     The second term is dropped where a bound on it is below eps: the product
     of its outer factors' norms times exp(hμ), with μ the largest eigenvalue
@@ -440,11 +455,14 @@ def _step_exponential(
     of the phase of a mode that has not decayed, so the step is taken only if
     every eigenvalue λ, shifted by that error, still decays below the smallest
     double: h·(max Re λ + eps·‖gen‖₁) < -745.  Then exp(h·gen) is 0 whatever
-    the phases.  A step h·gen that is not finite, from an overflow, is refused
-    with InvalidArgument naming the horizon.  A step that expm would take as
-    stiff goes to the segment's slow/fast split where one is given and holds.
+    the phases, and the step returns that 0 without an expm, which on norms
+    beyond about 1e30 can return entries of order 1 or NaN.  A step h·gen that is not
+    finite, from an overflow, is refused with InvalidArgument naming the
+    horizon.  A stiff step goes to the segment's slow/fast split where one is
+    given and holds.
     """
-    if EPS * h * norm1 >= 1.0 and math.isfinite(norm1):
+    decayed = EPS * h * norm1 >= 1.0 and math.isfinite(norm1)
+    if decayed:
         slowest = float(np.linalg.eigvals(gen).real.max())
         if not h * (slowest + EPS * norm1) < -745.0:
             raise NumericalFailure(
@@ -455,7 +473,9 @@ def _step_exponential(
     step = h * gen
     if not np.isfinite(step).all():
         raise InvalidArgument(f"horizon {horizon:g} overflows float64 in a time step")
-    if split is not None and mean_decay(step) > STIFF_DECAY:
+    if decayed:
+        return np.zeros_like(step)
+    if split is not None and -float((step.diagonal().real / len(step)).sum()) > STIFF_DECAY:
         E = split.exp(h, k)
         if E is not None:
             return E
@@ -630,15 +650,19 @@ def k_sweep(
     t_grid = np.linspace(0.0, horizon, steps)
     dec = e.decomposition
     v = _require_ground_vector(v, dec.P1.matrix)
-    V0 = dec.V0 if m.dim > RECORDED_ARITHMETIC_MAX_DIM else None
-    Z0 = dec.P0.matrix if V0 is None else dagger(V0)
-    segments = _segments(m, e, drive, V0)
-    # stiff steps above RECORDED_ARITHMETIC_MAX_DIM take the slow/fast split
-    # where there is a fast sector; a segment's parts are built at its first
+    full_state = m.dim <= RECORDED_ARITHMETIC_MAX_DIM
+    segments = _segments(m, e, drive)
+    ground = _ground_rows(segments, dec.V0)
+    # stiff steps take the slow/fast split where there is a fast sector; a
+    # segment's parts are built at its first
     splits = [None] * len(segments)
-    if V0 is not None and V0.shape[1] < m.dim:
-        rotation = _Rotation(V0)
-        splits = [_SlowFast(rotation, *segment) for segment in segments]
+    if dec.V0.shape[1] < m.dim:
+        rotation = _Rotation(dec.V0, lift=full_state)
+        splits = [_SlowFast(rotation, *segment) for segment in ground]
+    if full_state:
+        V0, Z0 = None, dec.P0.matrix
+    else:
+        V0, Z0, segments = dec.V0, dagger(dec.V0), ground
 
     distances = np.empty((ks.size, steps))
     max_clamp = 0.0

@@ -731,6 +731,32 @@ def test_converge_to_file_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def converge_k_sup(tmp_path, capsys, doc, ks: str, steps: str) -> dict[float, float]:
+    """k·sup per coupling from a converge call in CSV."""
+    mpath = write_json(tmp_path / "m.json", doc)
+    code, out, err = run(capsys, ["converge", "--model", mpath, "--ks", ks, "--steps", steps])
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.split("\n\n")[1].splitlines()[1:]]
+    return {float(k): float(k) * float(sup) for k, sup in rows}
+
+
+def test_converge_at_large_k_meets_the_two_level_oracle(tmp_path, capsys):
+    # every step is stiff at these couplings; k·sup on the 6-point grid holds
+    # the 50-digit value at 1e4 (bench/data/stiff_oracle.json), 0.66332496
+    k_sup = converge_k_sup(tmp_path, capsys, two_level_doc(), "1e4,1e5", "6")
+    assert k_sup == pytest.approx({1e4: 0.66332496, 1e5: 0.66332496}, rel=1e-5)
+
+
+def test_converge_at_large_k_keeps_the_cavity_distance_flat(tmp_path, capsys):
+    # the default cavity (d = 8) on 21 points: k·sup at 1e4 and 1e5 is its
+    # value at k = 100, 0.55494, up to O(1/k)
+    doc = {"schema_version": 1, "builtin": {"name": "cavity_system", "parameters": {}}}
+    k_sup = converge_k_sup(tmp_path, capsys, doc, "100,1e4,1e5", "21")
+    assert k_sup[100.0] == pytest.approx(0.55494, abs=1e-5)
+    for k in (1e4, 1e5):
+        assert k_sup[k] == pytest.approx(k_sup[100.0], rel=1e-4)
+
+
 def test_converge_overflow_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     # an exponential that overflowed to NaN: the quadratic form is NaN, not a distance
     monkeypatch.setattr(semigroup, "expm", lambda M: np.full(M.shape, np.nan, dtype=complex))
@@ -959,9 +985,8 @@ def test_every_public_name_resolves():
     assert len(set(qsde_elim.__all__)) == len(qsde_elim.__all__)
 
 
-@pytest.mark.parametrize("item", list(CLI_REFERENCE))
-def test_cli_bytes_match_recorded_reference(item, tmp_path, capsys):
-    # every cli-cold call prints the bytes recorded in bench/data/reference.json
+def assert_recorded_bytes(item, tmp_path, capsys):
+    """The cli-cold call ``item`` exits and prints as recorded in reference.json."""
     command, model = item.split(":")
     path = tmp_path / f"{model}.json"
     path.write_text(json.dumps({"schema_version": 1, "builtin": CLI_COLD.MODELS[model]}))
@@ -969,6 +994,24 @@ def test_cli_bytes_match_recorded_reference(item, tmp_path, capsys):
     want = CLI_REFERENCE[item]
     assert code == want["exit_code"]
     assert hashlib.sha256(out.encode()).hexdigest() == want["stdout_sha256"]
+
+
+@pytest.mark.parametrize("item", list(CLI_REFERENCE))
+def test_cli_bytes_match_recorded_reference(item, tmp_path, capsys):
+    # every cli-cold call prints the bytes recorded in bench/data/reference.json
+    assert_recorded_bytes(item, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("model", sorted(CLI_COLD.MODELS))
+def test_recorded_converge_calls_never_reach_the_split(model, tmp_path, capsys, monkeypatch):
+    # the slow/fast split takes only stiff steps, and at the CLI defaults
+    # (k <= 100, 101 points) no step of the recorded models is stiff: their
+    # bytes come from dense exponentials alone
+    def fail(self, h, k):
+        raise AssertionError("the slow/fast split was reached")
+
+    monkeypatch.setattr(semigroup._SlowFast, "exp", fail)
+    assert_recorded_bytes(f"converge:{model}", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("ks, fmt", [("100", "json"), ("100,100", "json"), ("100", "csv")])

@@ -683,13 +683,20 @@ def test_ground_rows_shrink_the_exponentials(monkeypatch):
     assert splits and all(taken for _, _, taken in splits)
     assert shapes and set(shapes) == {(4, 4)}
     # two_level (d = 2) keeps its full 2 x 2 state and its 4 x 4 exponentials
+    # at k = 5; at k = 1e4 the split takes every step, and its exponentials
+    # are of the 1 x 1 slow and fast blocks
     shapes.clear()
     splits.clear()
     m = catalog.two_level_atom(1.0, 1.0, 0.5)
     e = eliminate(m)
-    k_sweep(m, e, default_ground_vector(e.decomposition.P0), [1e4], horizon=1.0, steps=6)
+    v = default_ground_vector(e.decomposition.P0)
+    k_sweep(m, e, v, [5.0], horizon=1.0, steps=6)
     assert shapes and set(shapes) == {(4, 4)}
     assert splits == []
+    shapes.clear()
+    k_sweep(m, e, v, [1e4], horizon=1.0, steps=6)
+    assert splits and all(taken for _, _, taken in splits)
+    assert shapes and set(shapes) == {(1, 1)}
 
 
 def test_ground_rows_reach_d64(monkeypatch):
@@ -737,6 +744,25 @@ def fail_at_linspace(*args, **kwargs):
     raise AssertionError("np.linspace reached: the time grid was being allocated")
 
 
+@pytest.mark.parametrize("n_trunc", [4, 8])
+def test_a_step_past_every_decay_is_zero(n_trunc, monkeypatch):
+    # At k = 5 every mode of the cavity decays, the slowest at Re λ ≈ -1e-6, so
+    # at t = 5e99 or 5e299 exp(t·G) is 0 and the distance √2; an expm of a
+    # norm that large, dense or of the split's slow block, is not to be trusted
+    m = catalog.default_cavity_system(n_trunc=n_trunc)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+
+    def no_expm(M):
+        raise AssertionError("expm reached: the step is past every decay")
+
+    monkeypatch.setattr(semigroup, "expm", no_expm)
+    for horizon in (1e100, 1e300):
+        rep = k_sweep(m, e, v, [5.0], horizon=horizon, steps=3)
+        assert rep.distances[0] == pytest.approx([0.0, np.sqrt(2.0), np.sqrt(2.0)], abs=1e-15)
+        assert rep.max_clamp == 0.0
+
+
 def test_a_step_that_rounding_decides_is_refused_before_expm(two_level, monkeypatch):
     # At k = 1e9 a step of 0.5 has eps·h·|G|₁ ≈ 124, so exp(h·G) keeps no digit
     # of a mode that has not decayed, and the skew generator has one: as k grows
@@ -773,7 +799,7 @@ def test_corrected_slope_needs_two_distinct_couplings(ks):
 
 
 # ---------------------------------------------------------------------------
-# the slow/fast split of stiff steps above d = 8
+# the slow/fast split of stiff steps
 
 
 def same_bits(A: np.ndarray, B: np.ndarray) -> bool:
@@ -781,14 +807,17 @@ def same_bits(A: np.ndarray, B: np.ndarray) -> bool:
 
 
 def no_split(monkeypatch):
-    """Every stiff step takes the dense exponential, as below d = 8."""
+    """Every stiff step takes the dense exponential, as where the split declines."""
     monkeypatch.setattr(semigroup._SlowFast, "exp", lambda self, h, k: None)
 
 
 # k·sup at k = 1e4 on the 6-point vacuum grid (horizon 1, default ground
-# vector) from an mpmath run with k kept exact (ROADMAP item 1).  n_trunc 4 and
-# 8 agree to 16 digits there, so the n_trunc 8 value stands for n_trunc 16.
+# vector) from an mpmath run with k kept exact (ROADMAP item 1; two_level's is
+# bench/data/stiff_oracle.json).  n_trunc 4 and 8 agree to 16 digits there, so
+# the n_trunc 8 value stands for n_trunc 16.
 SPLIT_ORACLE = {
+    "two_level": (lambda: catalog.two_level_atom(1.0, 1.0, 0.5), 0.66332496),
+    "cavity-d8": (lambda: catalog.default_cavity_system(n_trunc=4), 0.54867633),
     "lambda-d12": (lambda: catalog.lambda_system(1.0, 2.0, 0.4, 4), 0.20574429),
     "cavity-d16": (lambda: catalog.default_cavity_system(n_trunc=8), 0.54867633),
     "cavity-d32": (lambda: catalog.default_cavity_system(n_trunc=16), 0.54867633),
@@ -840,16 +869,10 @@ def test_split_agrees_with_the_dense_path_up_to_k_100(name, drive_name, monkeypa
     assert rep.max_clamp == dense.max_clamp == 0.0
 
 
-def test_split_is_reached_only_by_stiff_steps_above_d8(monkeypatch):
+def test_split_is_reached_only_by_stiff_steps(monkeypatch):
+    # at k = 5 no step of any of these models is stiff, vacuum or driven
     def fail(self, h, k):
         raise AssertionError("the slow/fast split was reached")
-
-    def sweeps(m, ks):
-        e = eliminate(m)
-        v = default_ground_vector(e.decomposition.P0)
-        breakpoints, amps = GROUND_ROW_DRIVES["driven"]
-        for drive in (None, StepDrive(breakpoints, [[a] * m.channels for a in amps])):
-            k_sweep(m, e, v, ks, horizon=1.0, steps=6, drive=drive)
 
     monkeypatch.setattr(semigroup._SlowFast, "exp", fail)
     small = [
@@ -857,11 +880,12 @@ def test_split_is_reached_only_by_stiff_steps_above_d8(monkeypatch):
         catalog.alkali_atom(1.0, 1.0, 0.2, 0.0, 0.4),
         catalog.default_cavity_system(n_trunc=4),
     ]
-    for m in small:
-        assert m.dim <= RECORDED_ARITHMETIC_MAX_DIM
-        sweeps(m, [5.0, 100.0, 1e4])
-    for build in GROUND_ROW_MODELS.values():
-        sweeps(build(), [5.0])
+    breakpoints, amps = GROUND_ROW_DRIVES["driven"]
+    for m in small + [build() for build in GROUND_ROW_MODELS.values()]:
+        e = eliminate(m)
+        v = default_ground_vector(e.decomposition.P0)
+        for drive in (None, StepDrive(breakpoints, [[a] * m.channels for a in amps])):
+            k_sweep(m, e, v, [5.0], horizon=1.0, steps=6, drive=drive)
 
 
 def test_a_planted_slow_slow_block_falls_back_to_the_dense_path(monkeypatch):
