@@ -29,9 +29,10 @@ files are JSON with ``schema_version`` 1 and exactly one of ``builtin`` or
                   "y1inv_override": matrix (optional)}}
 
 Builtin names (the ``BUILTINS`` table): two_level (delta, gamma, alpha),
-alkali (delta, gamma, bx, by, bz), cavity_system (gamma, n_trunc, optional
-e00/e10/e11 with dim_h), lambda_system (gamma, g, alpha, n_trunc).  A
-parameter left out takes the catalog default.  Complex scalars may be
+alkali (delta, gamma, bx, by, bz), cavity_system (every parameter optional:
+gamma, n_trunc, and e00/e10/e11 with dim_h, all four or none), lambda_system
+(gamma, g, alpha, optional n_trunc).  The other parameters are required; an
+optional one left out takes the catalog default.  Complex scalars may be
 written as [re, im].  Unknown fields anywhere are rejected.
 
 A drive file for ``converge --drive`` is a step drive: the field amplitudes,
@@ -199,7 +200,7 @@ def _cavity(gamma: float = 1.0, dim_h=None, e00=None, e10=None, e11=None, **trun
 
 
 # name -> (builder, a reader per parameter in the order they are read, the
-# optional parameters); a parameter left out takes the builder's default
+# optional parameters); an optional parameter left out takes the builder's default
 BUILTINS = {
     "two_level": (catalog.two_level_atom, dict(alpha=_complex, delta=_real, gamma=_real), set()),
     "alkali": (catalog.alkali_atom, dict.fromkeys("delta gamma bx by bz".split(), _real), set()),

@@ -42,10 +42,11 @@ def _as_operator_stack(arr, name: str, dim: int | None) -> np.ndarray:
 
 def norm_scale(*arrays) -> float:
     """max(1, largest Frobenius norm of an operator or of one matrix of a stack)
-    used to scale check tolerances."""
+    used to scale check tolerances.  The norms are taken array by array, each
+    with the bits of np.linalg.norm, so no copy of all the operators is made."""
     d = np.shape(arrays[0])[-1]
-    stack = np.concatenate([np.reshape(a, (-1, d, d)) for a in arrays])
-    return max(1.0, float(frobenius_norms(stack).max()))
+    largest = [frobenius_norms(np.reshape(a, (-1, d, d))).max() for a in arrays]
+    return max(1.0, float(np.max(largest)))
 
 
 @dataclass

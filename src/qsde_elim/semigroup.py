@@ -21,13 +21,14 @@ Coherent states enter through Weyl displacement: a piecewise-constant drive
 gives one displaced generator per segment, composed with the earliest segment
 outermost:  T(f)_t = T(a_1)_{t1-t0} o ... o T(a_m)_{t-t_{m-1}}.  One stepper
 propagates every distance, and k_sweep is its one entry: the vacuum is the
-drive of amplitude zero on [0, horizon], and within a segment the state is
-stepped along the time grid by its differences.  What does not depend on k,
-the displacement of each segment and the compression of its limit
-coefficients, happens once per sweep; each coupling only instantiates and
-assembles.  The earlier segments act as one product matrix, one
-multiplication per segment.  build_generators gives the dense d^2 x d^2 skew
-generator from the same terms; no distance goes through it.
+drive of amplitude zero on [0, horizon], a drive is cut at the horizon (its
+segments that start before it, the last one ending at it), and within a
+segment the state is stepped along the time grid by its differences.  What
+does not depend on k, the displacement of each segment and the compression
+of its limit coefficients, happens once per sweep; each coupling only forms
+K(k) and L(k) and assembles.  The earlier segments act as one product
+matrix, one multiplication per segment.  build_generators gives the dense
+d^2 x d^2 skew generator from the same terms; no distance goes through it.
 
 The state never leaves the ground rows.  Every left factor of the skew
 generator, K† and L_i† of the limit (displaced or not), maps into range(P0),
@@ -246,29 +247,6 @@ def _validate_couplings(ks, positive: bool) -> np.ndarray:
     return ks
 
 
-Segments = list[tuple[np.ndarray, np.ndarray, ScaledModel]]
-
-
-def _segments(m: ScaledModel, e: EliminationResult, drive: StepDrive) -> Segments:
-    """The coupling-free half of each drive segment's skew generator.
-
-    One (K, L, scaled) per segment: the displaced limit coefficients, the
-    left factors, and the displaced scaled model that k instantiates on the
-    right.  The vacuum is one segment of amplitude zero, whose displacement
-    changes no coefficient.
-    """
-    pairs = [
-        (displace_limit(e.limit, alpha), displace_scaled(m, alpha)) for alpha in drive.amplitudes
-    ]
-    return [(limit.K, limit.L, scaled) for limit, scaled in pairs]
-
-
-def _ground_rows(segments: Segments, V0: np.ndarray) -> Segments:
-    """The segments for the state Z = V0† X: K and L compressed to V0† · V0."""
-    Vh = dagger(V0)
-    return [(Vh @ K @ V0, Vh @ L @ V0, scaled) for K, L, scaled in segments]
-
-
 class _Rotation:
     """The unitary V = [V1 V0] of the right index that the slow/fast splits
     of one sweep share: it does not depend on the drive.  vec(Z V) holds the
@@ -446,9 +424,7 @@ def _fixed_point(residual, correct, X: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _step_exponential(
-    h: float, gen: np.ndarray, norm1: float, k: float, horizon: float, split=None
-):
+def _step_exponential(h: float, gen: np.ndarray, norm1: float, k: float, horizon: float, split):
     """exp(h·gen), refused with NumericalFailure where rounding decides the result.
 
     expm's backward error is about eps·h·‖gen‖₁.  From 1 on, it leaves no digit
@@ -498,8 +474,9 @@ def _propagate(
     earliest segment acts outermost.  H, the earlier segments as one matrix,
     takes one product per segment.  Within a segment vec(Z0) is stepped from
     the segment start by the grid differences, one expm per distinct float
-    step.  A time on a breakpoint belongs to the segment it ends; times past
-    the last breakpoint are clamped to it.  Every exponential goes through
+    step.  A time on a breakpoint belongs to the segment it ends; the last
+    breakpoint is the last grid time, so every time falls in a segment and the
+    last segment needs no full-duration matrix.  Every exponential goes through
     _step_exponential, with ‖gen‖₁ taken once per generator and splits[j - 1]
     for its stiff steps; k names the coupling in its error.
     """
@@ -508,15 +485,14 @@ def _propagate(
     max_clamp = 0.0
     head = None  # H, None while no segment has ended
     idx = 0
-    last = len(gens) - 1
     horizon = float(t_grid[-1])
     for j, (gen, split) in enumerate(zip(gens, splits)):
         start, end = float(breakpoints[j]), float(breakpoints[j + 1])
         norm1 = float(np.linalg.norm(gen, 1))
         cache: dict[float, np.ndarray] = {}
         w, prev = w0, start
-        while idx < t_grid.size and (j == last or t_grid[idx] <= end):
-            t = min(float(t_grid[idx]), end)
+        while idx < t_grid.size and t_grid[idx] <= end:
+            t = float(t_grid[idx])
             dt = t - prev
             if dt > 0:
                 if dt not in cache:
@@ -619,12 +595,14 @@ def k_sweep(
     """Convergence distances over couplings ks and a uniform grid on [0, horizon].
 
     Each distance is sqrt(<v, (2I - T_t(P0) - T_t(P0)†) v>) for the ground vector v:
-    vacuum by default; with a drive, coherent (the drive window must cover the horizon,
-    short of it by at most 1e-12 of the horizon).  Tiny negative values of the quadratic
-    form are clamped to zero; a clamp beyond CLAMP_ABORT or a non-finite value aborts
-    with ClampExceeded, a time step whose rounding leaves no digit of a mode that has not
-    decayed with NumericalFailure, a time step t·G that overflows float64 with
-    InvalidArgument.
+    vacuum by default; with a drive, coherent.  The drive window must cover the horizon,
+    short of it by at most 1e-12 of the horizon.  The sweep takes the segments that start
+    before the horizon, the last of them held to it, and displaces and compresses each
+    once; per coupling it only forms K(k), L(k) and the generators.  Tiny negative values
+    of the quadratic form are clamped to zero; a clamp beyond CLAMP_ABORT or a non-finite
+    value aborts with ClampExceeded, a time step whose rounding leaves no digit of a mode
+    that has not decayed with NumericalFailure, a time step t·G that overflows float64
+    with InvalidArgument.
     Reports per-k suprema and the largest clamp applied anywhere in the sweep.  A grid
     over GENERATOR_BUDGET_BYTES raises ResourceLimit before it is allocated.
     """
@@ -651,31 +629,31 @@ def k_sweep(
     dec = e.decomposition
     v = _require_ground_vector(v, dec.P1.matrix)
     full_state = m.dim <= RECORDED_ARITHMETIC_MAX_DIM
-    segments = _segments(m, e, drive)
-    ground = _ground_rows(segments, dec.V0)
+    # the drive on [0, horizon]: the segments that start before it, the last ending at it
+    reached = min(int(np.searchsorted(drive.breakpoints, horizon)), len(drive.amplitudes))
+    breakpoints = np.append(drive.breakpoints[:reached], horizon)
     # stiff steps take the slow/fast split where there is a fast sector; a
     # segment's parts are built at its first
-    splits = [None] * len(segments)
-    if dec.V0.shape[1] < m.dim:
-        rotation = _Rotation(dec.V0, lift=full_state)
-        splits = [_SlowFast(rotation, *segment) for segment in ground]
-    if full_state:
-        V0, Z0 = None, dec.P0.matrix
-    else:
-        V0, Z0, segments = dec.V0, dagger(dec.V0), ground
+    rotation = _Rotation(dec.V0, lift=full_state) if dec.V0.shape[1] < m.dim else None
+    Vh = dagger(dec.V0)
+    segments, splits = [], []  # per segment: left factors K, L and the displaced scaled model
+    for alpha in drive.amplitudes[:reached]:
+        limit, scaled = displace_limit(e.limit, alpha), displace_scaled(m, alpha)
+        K, L = Vh @ limit.K @ dec.V0, Vh @ limit.L @ dec.V0  # compressed to the ground rows
+        splits.append(None if rotation is None else _SlowFast(rotation, K, L, scaled))
+        segments.append((limit.K, limit.L, scaled) if full_state else (K, L, scaled))
+    V0, Z0 = (None, dec.P0.matrix) if full_state else (dec.V0, Vh)
 
     distances = np.empty((ks.size, steps))
     max_clamp = 0.0
     for i, k in enumerate(ks):
-        gens = []
-        for K, L, scaled in segments:
-            right = instantiate(scaled, k)
-            gens.append(_superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim))
+        gens = [
+            _superoperator(_sandwich_terms(K, L, *_coefficients(scaled, k)), m.dim)
+            for K, L, scaled in segments
+        ]
         # an overflow in propagation is reported: a step's as InvalidArgument, else as ClampExceeded
         with np.errstate(over="ignore", invalid="ignore"):
-            distances[i], clamp = _propagate(
-                gens, splits, drive.breakpoints, Z0, V0, v, t_grid, k
-            )
+            distances[i], clamp = _propagate(gens, splits, breakpoints, Z0, V0, v, t_grid, k)
         max_clamp = max(max_clamp, clamp)
     return ConvergenceReport(
         ks=ks,

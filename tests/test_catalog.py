@@ -82,6 +82,21 @@ def test_two_level_undamped_decouples_from_field():
 def test_two_level_limit_requires_nonzero_fast_part():
     with pytest.raises(InvalidArgument, match="limit undefined when delta = gamma = 0"):
         catalog.two_level_limit(0.0, 0.0, 0.5)
+    with pytest.raises(InvalidArgument, match="limit undefined when delta = gamma = 0"):
+        catalog.alkali_limit(0.0, 0.0, 0.1, 0.2, 0.3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: catalog.two_level_atom(1.0, -0.5, 0.5),
+        lambda: catalog.alkali_atom(1.0, -0.5, 0.1, 0.2, 0.3),
+    ],
+    ids=["two_level", "alkali"],
+)
+def test_a_negative_decay_rate_is_refused(build):
+    with pytest.raises(InvalidArgument, match="decay rate must be non-negative, got -0.5"):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -691,8 +691,12 @@ def test_converge_drive_file(tmp_path, capsys):
         ({"breakpoints": [0.0, 0.5], "amplitudes": [[0.3]], "phase": 1}, "drive: unknown field"),
         ({"breakpoints": [0.0, 0.5], "amplitudes": [["x"]]}, "drive.amplitudes[0][0]"),
         ({"breakpoints": [0.5, 1.0], "amplitudes": [[0.3]]}, "breakpoints must start at 0"),
+        (
+            {"breakpoints": [0.0, 0.5], "amplitudes": [0.3]},
+            "drive.amplitudes[0]: expected a list of channel amplitudes",
+        ),
     ],
-    ids=["short-window", "unknown-field", "bad-amplitude", "late-start"],
+    ids=["short-window", "unknown-field", "bad-amplitude", "late-start", "row-not-a-list"],
 )
 def test_bad_drive_file_is_an_input_error(tmp_path, capsys, drive, message):
     mpath = write_json(tmp_path / "m.json", two_level_doc())
@@ -701,6 +705,7 @@ def test_bad_drive_file_is_an_input_error(tmp_path, capsys, drive, message):
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
+    assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and message in err
 
 
@@ -1068,6 +1073,13 @@ def cavity_doc(**parameters):
     return {"schema_version": 1, "builtin": {"name": "cavity_system", "parameters": parameters}}
 
 
+def explicit_doc(first_y_entry):
+    """two_level as an explicit model, with the first entry of Y replaced."""
+    doc = model_to_document(catalog.two_level_atom(1.0, 1.0, 0.5))
+    doc["explicit"]["Y"][0] = first_y_entry
+    return doc
+
+
 @pytest.mark.parametrize(
     "model, argv, message",
     [
@@ -1080,8 +1092,21 @@ def cavity_doc(**parameters):
         ),
         (two_level_doc(alpha=10**400), ["kurtz"], "builtin.parameters.alpha: expected a number"),
         (two_level_doc(), ["converge", "--ks", "5", "--steps", str(10**15)], "over the budget"),
+        (explicit_doc([0.0]), ["check"], "explicit.Y[0]: expected an [re, im] pair of numbers"),
+        ({"schema_version": 1, "builtin": 5}, ["check"], "builtin: expected an object"),
+        (
+            {"schema_version": 1, "builtin": {"name": "two_level", "parameters": [1]}},
+            ["check"],
+            "builtin.parameters: expected an object",
+        ),
+        # Python's json writes and reads Infinity
+        (explicit_doc([float("inf"), 0.0]), ["check"], "explicit: Y contains non-finite entries"),
     ],
-    ids=["dim_h-not-integer", "dim_h-without-blocks", "negative-dim_h", "huge-integer", "huge-steps"],
+    ids=[
+        "dim_h-not-integer", "dim_h-without-blocks", "negative-dim_h", "huge-integer", "huge-steps",
+        "matrix-entry-not-a-pair", "builtin-not-an-object", "parameters-not-an-object",
+        "explicit-infinity",
+    ],
 )
 def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, model, argv, message):
     path = write_json(tmp_path / "m.json", model)
@@ -1248,3 +1273,24 @@ def test_a_builtin_parameter_is_optional_where_its_builder_has_a_default():
                 signature[key].default is not inspect.Parameter.empty
             )
             assert has_default == (key in optional), (name, key)
+
+
+def test_readme_library_quick_start_runs():
+    # the "Quick start (library)" block of README, run as written
+    text = README.read_text()
+    start = text.index("```python\n", text.index("## Quick start (library)")) + len("```python\n")
+    code = text[start:text.index("```", start)]
+    src = str(Path(qsde_elim.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-3:] == [
+        "k=     5  max distance on the grid = 0.139398",
+        "k=    20  max distance on the grid = 0.033142",
+        "k=   100  max distance on the grid = 0.006633",
+    ]

@@ -19,6 +19,8 @@ from qsde_elim import (
     catalog,
     dagger,
     default_ground_vector,
+    displace_limit,
+    displace_scaled,
     eliminate,
     expm,
     instantiate,
@@ -252,8 +254,9 @@ def first_ground_row_step(m, e, k: float, steps: int = 6) -> np.ndarray:
     """h·G of the first step of a vacuum sweep above d = 8, with G the
     ground-row generator that k_sweep assembles (the same terms, the same
     bits) and h the first grid difference."""
-    drive = StepDrive([0.0, 1.0], np.zeros((1, m.channels)))
-    ((K, L, scaled),) = semigroup._ground_rows(semigroup._segments(m, e, drive), e.decomposition.V0)
+    zero, V0 = np.zeros(m.channels), e.decomposition.V0
+    limit, scaled = displace_limit(e.limit, zero), displace_scaled(m, zero)
+    K, L = dagger(V0) @ limit.K @ V0, dagger(V0) @ limit.L @ V0
     right = instantiate(scaled, k)
     gen = _superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim)
     return np.linspace(0.0, 1.0, steps)[1] * gen

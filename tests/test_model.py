@@ -1,5 +1,7 @@
 """Tests for scaled-model containers, instantiation, and the algebraic checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,14 @@ def test_scaled_model_validation_errors():
         ScaledModel(Y=ok.Y, A=ok.A, B=ok.B, F=ok.F, G=ok.G, W=np.zeros((2, 2, 1, 1)))
     with pytest.raises(InvalidArgument, match="Y contains non-finite entries"):
         ScaledModel(Y=[[np.inf]], A=ok.A, B=ok.B, F=ok.F, G=ok.G, W=ok.W)
+    with pytest.raises(InvalidArgument, match=r"F must be a sequence of square matrices, got shape"):
+        ScaledModel(Y=ok.Y, A=ok.A, B=ok.B, F=[[1.0]], G=ok.G, W=ok.W)
+    with pytest.raises(InvalidArgument, match="G has dimension 2, expected 1"):
+        ScaledModel(Y=ok.Y, A=ok.A, B=ok.B, F=ok.F, G=np.zeros((1, 2, 2)), W=ok.W)
+    with pytest.raises(InvalidArgument, match="F contains non-finite entries"):
+        ScaledModel(Y=ok.Y, A=ok.A, B=ok.B, F=[[[np.nan]]], G=ok.G, W=ok.W)
+    with pytest.raises(InvalidArgument, match="W contains non-finite entries"):
+        ScaledModel(Y=ok.Y, A=ok.A, B=ok.B, F=ok.F, G=ok.G, W=[[[[np.inf]]]])
 
 
 def test_zero_channels_or_dimension_rejected():
@@ -211,6 +221,8 @@ def test_zero_channels_or_dimension_rejected():
 def test_coefficient_set_validation_errors():
     with pytest.raises(InvalidArgument, match=r"S must have shape \(1, 1, 2, 2\)"):
         CoefficientSet(K=np.eye(2), L=np.zeros((1, 2, 2)), S=np.zeros((2, 2, 2, 2)))
+    with pytest.raises(InvalidArgument, match="S contains non-finite entries"):
+        CoefficientSet(K=np.eye(2), L=np.zeros((1, 2, 2)), S=np.full((1, 1, 2, 2), np.nan))
     with pytest.raises(InvalidArgument, match="ground projector dimension does not match K"):
         CoefficientSet(
             K=np.eye(2),
@@ -225,6 +237,23 @@ def test_norm_scale():
     assert norm_scale(3.0 * np.eye(2)) == pytest.approx(3.0 * np.sqrt(2.0))
     stack = np.stack([np.eye(2), 5.0 * np.eye(2)])
     assert norm_scale(np.zeros((2, 2)), stack) == pytest.approx(5.0 * np.sqrt(2.0))
+
+
+def test_norm_scale_copies_no_operator():
+    # the default cavity at n_trunc 300 (d = 600) has 34 MB of operators; the
+    # norms are taken array by array, so the scale allocates next to nothing,
+    # and it is the largest np.linalg.norm of one matrix, bit for bit
+    m = catalog.default_cavity_system(n_trunc=300)
+    operators = (m.Y, m.A, m.B, m.F, m.G, m.W)
+    tracemalloc.start()
+    try:
+        scale = norm_scale(*operators)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    matrices = [M for a in operators for M in np.reshape(a, (-1, m.dim, m.dim))]
+    assert scale == max(1.0, max(float(np.linalg.norm(M)) for M in matrices))
 
 
 @pytest.mark.parametrize("k", [1e160, 1e200, float("inf")])

@@ -414,11 +414,8 @@ def test_driven_sweep_matches_pointwise_coherent_distance(two_level):
         np.testing.assert_allclose(rep.distances[i], np.sqrt(np.maximum(q, 0.0)), atol=1e-10)
 
 
-def test_a_sweep_displaces_each_segment_once(two_level, monkeypatch):
-    # displacement does not depend on k: three couplings of a 2-segment drive
-    # displace twice, not once per coupling and segment; the vacuum, one
-    # segment of amplitude zero, once
-    m, e, v = two_level
+def count_displacements(monkeypatch):
+    """Names of the displace_limit and displace_scaled calls k_sweep makes."""
     calls = []
 
     def counted(name):
@@ -427,12 +424,44 @@ def test_a_sweep_displaces_each_segment_once(two_level, monkeypatch):
 
     for name in ("displace_limit", "displace_scaled"):
         monkeypatch.setattr(semigroup, name, counted(name))
+    return calls
+
+
+def test_a_sweep_displaces_each_segment_once(two_level, monkeypatch):
+    # displacement does not depend on k: three couplings of a 2-segment drive
+    # displace twice, not once per coupling and segment; the vacuum, one
+    # segment of amplitude zero, once
+    m, e, v = two_level
+    calls = count_displacements(monkeypatch)
     drive = StepDrive(breakpoints=[0.0, 0.5, 1.0], amplitudes=[[0.3], [-0.2]])
     k_sweep(m, e, v, [5.0, 20.0, 100.0], horizon=1.0, steps=11, drive=drive)
     assert sorted(calls) == ["displace_limit"] * 2 + ["displace_scaled"] * 2
     calls.clear()
     k_sweep(m, e, v, [5.0, 20.0, 100.0], horizon=1.0, steps=11)
     assert sorted(calls) == ["displace_limit", "displace_scaled"]
+
+
+@pytest.mark.parametrize(
+    "n_trunc, breakpoints, horizon",
+    [(4, np.linspace(0.0, 100.0, 201), 1.0), (8, [0.0, 0.3, 0.55, 1.0], 0.7)],
+    ids=["cavity-d8-200-segments", "cavity-d16-3-segments"],
+)
+def test_a_drive_past_the_horizon_is_cut_there(n_trunc, breakpoints, horizon, monkeypatch):
+    # only the segments that start before the horizon are displaced, and the
+    # sweep has the bits of the same drive cut at the horizon
+    m = catalog.default_cavity_system(n_trunc=n_trunc)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    amps = 0.3 * np.random.default_rng(5).standard_normal((len(breakpoints) - 1, m.channels))
+    long = StepDrive(breakpoints, amps)
+    reached = int(np.sum(long.breakpoints < horizon))
+    cut = StepDrive(list(long.breakpoints[:reached]) + [horizon], amps[:reached])
+    calls = count_displacements(monkeypatch)
+    rep = k_sweep(m, e, v, [5.0, 100.0], horizon, 101, long)
+    assert sorted(calls) == ["displace_limit"] * reached + ["displace_scaled"] * reached
+    ref = k_sweep(m, e, v, [5.0, 100.0], horizon, 101, cut)
+    assert same_bits(rep.distances, ref.distances)
+    assert rep.max_clamp == ref.max_clamp
 
 
 def test_driven_sweep_requires_covering_window(two_level):
@@ -444,8 +473,13 @@ def test_driven_sweep_requires_covering_window(two_level):
     short = StepDrive(breakpoints=[0.0, 5e-13], amplitudes=[[0.3]])
     with pytest.raises(InvalidArgument, match="before the horizon"):
         k_sweep(m, e, v, [5.0], horizon=1e-12, steps=5, drive=short)
-    # while a window short of the horizon by rounding still covers it
-    k_sweep(m, e, v, [5.0], horizon=0.5 * (1.0 + 1e-13), steps=5, drive=drive)
+    # while a window short of the horizon by rounding still covers it: its last
+    # amplitude holds to the horizon, as in a window that ends there
+    horizon = 0.5 * (1.0 + 1e-13)
+    rep = k_sweep(m, e, v, [5.0], horizon=horizon, steps=5, drive=drive)
+    exact = StepDrive(breakpoints=[0.0, horizon], amplitudes=[[0.3]])
+    ref = k_sweep(m, e, v, [5.0], horizon=horizon, steps=5, drive=exact)
+    assert same_bits(rep.distances, ref.distances)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +508,8 @@ def test_kurtz_corrector_rejects_non_ground_observable(two_level):
     m, e, _ = two_level
     with pytest.raises(InvalidArgument):
         kurtz_corrector(e, m, np.eye(2))
+    with pytest.raises(InvalidArgument, match="X dimension does not match the model"):
+        kurtz_corrector(e, m, np.eye(3))
 
 
 def test_kurtz_corrector_identities_on_random_model():
@@ -940,3 +976,30 @@ def test_a_stiff_step_at_coupling_zero_takes_the_dense_path(monkeypatch):
     no_split(monkeypatch)
     dense = k_sweep(m, e, v, [0.0], horizon=1e6, steps=3)
     assert same_bits(rep.distances, dense.distances)
+
+
+@pytest.mark.parametrize("n_trunc", [4, 8])
+def test_a_fixed_point_that_does_not_converge_takes_the_dense_path(n_trunc, monkeypatch):
+    # at k = 0.5 and 1 a 5000-long step is stiff, but the Riccati iteration does
+    # not converge within SPLIT_MAX_ITER steps: the split gives None, and the
+    # sweep has the bits of the dense path
+    m = catalog.default_cavity_system(n_trunc=n_trunc)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    fixed_points, real_fixed_point = [], semigroup._fixed_point
+
+    def recording_fixed_point(*args):
+        fixed_points.append(real_fixed_point(*args))
+        return fixed_points[-1]
+
+    monkeypatch.setattr(semigroup, "_fixed_point", recording_fixed_point)
+    splits = record_splits(monkeypatch)
+    rep = k_sweep(m, e, v, [0.5, 1.0], horizon=1e4, steps=3)
+    assert [taken for _, _, taken in splits] == [False, False]
+    assert [X is None for X in fixed_points] == [True, True]
+    no_split(monkeypatch)
+    dense = k_sweep(m, e, v, [0.5, 1.0], horizon=1e4, steps=3)
+    assert same_bits(rep.distances, dense.distances)
+    assert rep.max_clamp == dense.max_clamp
+    if n_trunc == 4:
+        np.testing.assert_allclose(rep.distances[1], [0.0, 1.33966611, 1.40581944], atol=1e-8)
