@@ -20,8 +20,9 @@ both derived from that list.
 Coherent states enter through Weyl displacement: a piecewise-constant drive
 gives one displaced generator per segment, composed with the earliest segment
 outermost:  T(f)_t = T(a_1)_{t1-t0} o ... o T(a_m)_{t-t_{m-1}}.  One stepper
-propagates every distance, and k_sweep is its one entry: the vacuum is the
-drive of amplitude zero on [0, horizon], a drive is cut at the horizon (its
+yields the state at every grid time, and k_sweep, its one caller, is the one
+readout: it lifts each state to T_t(P0) and evaluates the form.  The vacuum is
+the drive of amplitude zero on [0, horizon], a drive is cut at the horizon (its
 segments that start before it, the last one ending at it), and within a
 segment the state is stepped along the time grid by its differences.  What
 does not depend on k, the displacement of each segment and the compression
@@ -36,9 +37,9 @@ because K = P0(...)P0 and L_i = (...)P0 by construction and displacement
 keeps K'P1 = L'_iP1 = 0.  So T_t(P0) = P0 T_t(P0) exactly, and with V0 the
 orthonormal d x d0 basis of range(P0) that the decomposition holds (from the
 SVD of Y), the stepper carries Z = V0† X from Z0 = V0†: each left factor l
-becomes V0† l V0 and T = V0 Z.  The generator then has (d0 d)^2 entries
-instead of d^4.  Models of dimension at most RECORDED_ARITHMETIC_MAX_DIM keep
-the full d x d state X = V0 Z.
+becomes V0† l V0, and k_sweep lifts T = V0 Z.  The generator then has (d0 d)^2
+entries instead of d^4.  For models of dimension at most
+RECORDED_ARITHMETIC_MAX_DIM k_sweep keeps the full d x d state X = V0 Z.
 
 A stiff step (-Re tr(h G)/n > STIFF_DECAY) is not a dense exponential of
 h G.  In the limit the excited states decay at rate k^2, so such a step is
@@ -216,6 +217,8 @@ def _require_ground_vector(v, P1m: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex).ravel()
     if v.size != P1m.shape[0]:
         raise InvalidArgument(f"vector length {v.size} does not match dimension {P1m.shape[0]}")
+    if not np.all(np.isfinite(v)):
+        raise InvalidArgument("vector entries must be finite")
     if abs(np.linalg.norm(v) - 1.0) > GROUND_VECTOR_TOL:
         raise InvalidArgument(f"vector norm {np.linalg.norm(v):.12g} is not 1")
     leak = float(np.linalg.norm(P1m @ v))
@@ -237,6 +240,15 @@ def _distance_from_transported(T: np.ndarray, v: np.ndarray) -> tuple[float, flo
             f"squared distance came out {val:.3e}; propagation is numerically unreliable"
         )
     return float(np.sqrt(max(val, 0.0))), clamp
+
+
+def _require_same_model(m: ScaledModel, e: EliminationResult) -> None:
+    """Refuses an elimination result whose limit has another dimension or channel count."""
+    if (e.limit.dim, e.limit.channels) != (m.dim, m.channels):
+        raise InvalidArgument(
+            f"the elimination result has dimension {e.limit.dim} and {e.limit.channels} "
+            f"channel(s), the model {m.dim} and {m.channels}"
+        )
 
 
 def _validate_couplings(ks, positive: bool) -> np.ndarray:
@@ -458,31 +470,24 @@ def _step_exponential(h: float, gen: np.ndarray, norm1: float, k: float, horizon
     return expm(step)
 
 
-def _propagate(
-    gens, splits, breakpoints, Z0: np.ndarray, V0: np.ndarray | None, v: np.ndarray, t_grid,
-    k: float,
-):
-    """Distances along t_grid and the largest clamp, one skew generator per segment.
+def _propagate(gens, splits, breakpoints, w0: np.ndarray, t_grid, k: float):
+    """Yield (grid index, w) at each time of t_grid, w the vec state w0 stepped there.
 
-    The state is Z from Z0 (V0† when V0 is given, else P0), lifted back by
-    T = V0 Z, or T = Z when V0 is None.  With breakpoints t_0 = 0 < t_1 < ...,
-    segment j runs from t_{j-1} to t_j and carries gens[j - 1]; for t in it
+    With breakpoints t_0 = 0 < t_1 < ..., segment j runs from t_{j-1} to t_j
+    and carries gens[j - 1]; for t in it
 
-        vec(Z_t) = H_{j-1} M_j(t - t_{j-1}) vec(Z0),  H_{j-1} = M_1(D_1) ... M_{j-1}(D_{j-1})
+        w_t = H_{j-1} M_j(t - t_{j-1}) w0,  H_{j-1} = M_1(D_1) ... M_{j-1}(D_{j-1})
 
     with M_i(s) = exp(s * gen_i) and D_i the full segment durations, so the
     earliest segment acts outermost.  H, the earlier segments as one matrix,
-    takes one product per segment.  Within a segment vec(Z0) is stepped from
-    the segment start by the grid differences, one expm per distinct float
-    step.  A time on a breakpoint belongs to the segment it ends; the last
-    breakpoint is the last grid time, so every time falls in a segment and the
-    last segment needs no full-duration matrix.  Every exponential goes through
+    takes one product per segment.  Within a segment w0 is stepped from the
+    segment start by the grid differences, one expm per distinct float step.
+    A time on a breakpoint belongs to the segment it ends; the last breakpoint
+    is the last grid time, so every time falls in a segment and the last
+    segment needs no full-duration matrix.  Every exponential goes through
     _step_exponential, with ‖gen‖₁ taken once per generator and splits[j - 1]
     for its stiff steps; k names the coupling in its error.
     """
-    w0 = vec(Z0).astype(complex)
-    out = np.empty(t_grid.size, dtype=float)
-    max_clamp = 0.0
     head = None  # H, None while no segment has ended
     idx = 0
     horizon = float(t_grid[-1])
@@ -498,16 +503,13 @@ def _propagate(
                 if dt not in cache:
                     cache[dt] = _step_exponential(dt, gen, norm1, k, horizon, split)
                 w = cache[dt] @ w
-            Z = (w if head is None else head @ w).reshape(Z0.shape, order="F")
-            out[idx], clamp = _distance_from_transported(Z if V0 is None else V0 @ Z, v)
-            max_clamp = max(max_clamp, clamp)
+            yield idx, (w if head is None else head @ w)
             prev = t
             idx += 1
         if idx == t_grid.size:
-            break
+            return
         M = _step_exponential(end - start, gen, norm1, k, horizon, split)
         head = M if head is None else head @ M
-    return out, max_clamp
 
 
 def kurtz_corrector(e: EliminationResult, m: ScaledModel, X) -> tuple[np.ndarray, np.ndarray]:
@@ -517,7 +519,11 @@ def kurtz_corrector(e: EliminationResult, m: ScaledModel, X) -> tuple[np.ndarray
     (K, L_i the limit coefficients),
 
         X1 = -L1(X) Y1inv P1,   X2 = -(L0(X) + L1(X1)) Y1inv P1.
+
+    An e whose limit is not of m's dimension and channel count is refused with
+    InvalidArgument, here and in generator_convergence_check and k_sweep.
     """
+    _require_same_model(m, e)
     X = as_operator(X, "X")
     if X.shape[0] != m.dim:
         raise InvalidArgument("X dimension does not match the model")
@@ -558,11 +564,11 @@ def generator_convergence_check(
     """Residuals ||Lk(X + X1/k + X2/k^2) - L(X)|| and ||Lk(X) - L(X)|| per k.
 
     The corrected residual decays like 1/k when the structural identities
-    hold; couplings must be positive.  A residual that overflows float64
-    comes out infinite or NaN, without a numpy warning.  The couplings go
-    through as one stack, split into batches only where their K(k) and L(k)
-    would exceed GENERATOR_BUDGET_BYTES; every residual has the bits of the
-    same sum at one scalar k.
+    hold; couplings must be positive, and e must match m (see kurtz_corrector).
+    A residual that overflows float64 comes out infinite or NaN, without a
+    numpy warning.  The couplings go through as one stack, split into batches
+    only where their K(k) and L(k) would exceed GENERATOR_BUDGET_BYTES; every
+    residual has the bits of the same sum at one scalar k.
     """
     ks = _validate_couplings(ks, positive=True)
     X = as_operator(X, "X")
@@ -598,16 +604,21 @@ def k_sweep(
     vacuum by default; with a drive, coherent.  The drive window must cover the horizon,
     short of it by at most 1e-12 of the horizon.  The sweep takes the segments that start
     before the horizon, the last of them held to it, and displaces and compresses each
-    once; per coupling it only forms K(k), L(k) and the generators.  Tiny negative values
-    of the quadratic form are clamped to zero; a clamp beyond CLAMP_ABORT or a non-finite
-    value aborts with ClampExceeded, a time step whose rounding leaves no digit of a mode
-    that has not decayed with NumericalFailure, a time step t·G that overflows float64
-    with InvalidArgument.
-    Reports per-k suprema and the largest clamp applied anywhere in the sweep.  A grid
-    over GENERATOR_BUDGET_BYTES raises ResourceLimit before it is allocated.
+    once; per coupling it only forms K(k), L(k) and the generators.  The stepper yields
+    each grid time's state, X or its ground rows Z = V0† X, and k_sweep alone reads it: it
+    lifts Z to T_t(P0) = V0 Z and evaluates the form.  Tiny negative values of the form are
+    clamped to zero; a clamp beyond CLAMP_ABORT or a non-finite value aborts with
+    ClampExceeded, a time step whose rounding leaves no digit of a mode that has not decayed
+    with NumericalFailure, a time step t·G that overflows float64 with InvalidArgument.
+    steps must be a whole number.  Reports per-k suprema and the largest clamp applied
+    anywhere in the sweep.  A grid over GENERATOR_BUDGET_BYTES raises ResourceLimit
+    before it is allocated.
     """
     ks = _validate_couplings(ks, positive=False)
+    _require_same_model(m, e)
     horizon = float(horizon)
+    if not (isinstance(steps, (int, np.integer)) or float(steps).is_integer()):
+        raise InvalidArgument(f"steps must be a whole number of grid points, got {steps}")
     steps = int(steps)
     if not (np.isfinite(horizon) and horizon > 0) or steps < 2:
         raise InvalidArgument(
@@ -642,7 +653,8 @@ def k_sweep(
         K, L = Vh @ limit.K @ dec.V0, Vh @ limit.L @ dec.V0  # compressed to the ground rows
         splits.append(None if rotation is None else _SlowFast(rotation, K, L, scaled))
         segments.append((limit.K, limit.L, scaled) if full_state else (K, L, scaled))
-    V0, Z0 = (None, dec.P0.matrix) if full_state else (dec.V0, Vh)
+    Z0 = dec.P0.matrix if full_state else Vh  # the full state X, or its ground rows V0† X
+    w0 = vec(Z0).astype(complex)
 
     distances = np.empty((ks.size, steps))
     max_clamp = 0.0
@@ -651,10 +663,13 @@ def k_sweep(
             _superoperator(_sandwich_terms(K, L, *_coefficients(scaled, k)), m.dim)
             for K, L, scaled in segments
         ]
-        # an overflow in propagation is reported: a step's as InvalidArgument, else as ClampExceeded
+        # each next() steps here; an overflow is InvalidArgument in a step, else ClampExceeded
         with np.errstate(over="ignore", invalid="ignore"):
-            distances[i], clamp = _propagate(gens, splits, breakpoints, Z0, V0, v, t_grid, k)
-        max_clamp = max(max_clamp, clamp)
+            for idx, w in _propagate(gens, splits, breakpoints, w0, t_grid, k):
+                Z = w.reshape(Z0.shape, order="F")
+                T = Z if full_state else dec.V0 @ Z  # T_t(P0)
+                distances[i, idx], clamp = _distance_from_transported(T, v)
+                max_clamp = max(max_clamp, clamp)
     return ConvergenceReport(
         ks=ks,
         t_grid=t_grid,

@@ -314,6 +314,39 @@ def test_k_sweep_argument_validation(two_level):
             k_sweep(m, e, v, ks)
     with pytest.raises(InvalidArgument):
         k_sweep(m, e, v, [1.0], horizon=np.nan)
+    # a non-finite ground vector is refused, not blamed on propagation
+    for bad in ([np.nan, np.nan], [0.0, np.nan], [np.inf, 0.0]):
+        with pytest.raises(InvalidArgument, match="vector entries must be finite"):
+            k_sweep(m, e, bad, [1.0], steps=2)
+    # a fractional grid is refused, not truncated
+    for steps in (2.7, np.nan, np.inf):
+        with pytest.raises(InvalidArgument, match="steps must be a whole number"):
+            k_sweep(m, e, v, [1.0], steps=steps)
+    assert k_sweep(m, e, v, [1.0], steps=3.0).distances.shape == (1, 3)
+    # an integer too large for a float is still a grid, refused by its size
+    with pytest.raises(ResourceLimit):
+        k_sweep(m, e, v, [1.0], steps=10**400)
+
+
+def test_an_elimination_of_another_model_is_refused(two_level):
+    # the two-level result against the cavity (d = 8, one channel), alkali
+    # (d = 4, three channels) and a d = 2 model with two channels: refused by
+    # name, not by numpy's matmul
+    _, e, v = two_level
+    others = [
+        catalog.default_cavity_system(n_trunc=4),
+        catalog.alkali_atom(1.0, 1.0, 0.2, 0.0, 0.4),
+        random_valid_model(np.random.default_rng(0), 1, 1, 2),
+    ]
+    for m in others:
+        shape = rf"dimension 2 and 1 channel\(s\), the model {m.dim} and {m.channels}"
+        X = np.eye(m.dim)
+        with pytest.raises(InvalidArgument, match=shape):
+            k_sweep(m, e, v, [10.0], steps=3)
+        with pytest.raises(InvalidArgument, match=shape):
+            generator_convergence_check(m, e, X, [10.0])
+        with pytest.raises(InvalidArgument, match=shape):
+            kurtz_corrector(e, m, X)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +513,70 @@ def test_driven_sweep_requires_covering_window(two_level):
     exact = StepDrive(breakpoints=[0.0, horizon], amplitudes=[[0.3]])
     ref = k_sweep(m, e, v, [5.0], horizon=horizon, steps=5, drive=exact)
     assert same_bits(rep.distances, ref.distances)
+
+
+# ---------------------------------------------------------------------------
+# exact symmetries of the QSDE (Hudson & Parthasarathy, Commun. Math. Phys. 93,
+# 301, 1984): the sweep checked against itself, with no oracle
+
+
+SYMMETRY_MODELS = {
+    "two_level": lambda: catalog.two_level_atom(1.0, 1.0, 0.5),
+    "alkali": lambda: catalog.alkali_atom(1.0, 1.0, 0.2, 0.0, 0.4),
+    "cavity-d16": lambda: catalog.default_cavity_system(n_trunc=8),
+    "random-d8": lambda: random_valid_model(np.random.default_rng(0), 2, 6, 2),
+}
+SYMMETRY_KS = ([5.0, 100.0], [1e4])
+
+
+def symmetry_distances(m, scale=1.0, mix=None):
+    """k_sweep distances on 21 points of [0, 1] at each of SYMMETRY_KS times
+    scale, under vacuum and under a two-segment drive whose amplitude rows
+    are multiplied by the channel unitary mix where it is given."""
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    amps = np.array([[0.3] * m.channels, [-0.2j] * m.channels])
+    drive = StepDrive([0.0, 0.45, 1.0], amps if mix is None else amps @ mix.T)
+    return [
+        k_sweep(m, e, v, np.multiply(ks, scale), 1.0, 21, d).distances
+        for d in (None, drive)
+        for ks in SYMMETRY_KS
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRY_MODELS))
+def test_rescaling_the_coupling_keeps_every_bit(name):
+    # Y/c², A/c and F/c at coupling c·k give the same K(k) = k²Y + kA + B and
+    # L(k) = kF + G; with c a power of two no product rounds differently
+    m = SYMMETRY_MODELS[name]()
+    base = symmetry_distances(m)
+    for c in (2.0, 4.0):
+        scaled = ScaledModel(Y=m.Y / c**2, A=m.A / c, B=m.B, F=m.F / c, G=m.G, W=m.W)
+        for got, want in zip(symmetry_distances(scaled, scale=c), base):
+            assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", ["alkali", "random-d8"])
+def test_rotating_the_channels_keeps_the_distances(name):
+    # F → u·F, G → u·G, W → u·W·u† and the drive α → u·α, for a unitary u, are
+    # the same QSDE in another channel basis; k·d moves by rounding only
+    m = SYMMETRY_MODELS[name]()
+    rng = np.random.default_rng(0)
+    n = m.channels
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    rotated = ScaledModel(
+        Y=m.Y,
+        A=m.A,
+        B=m.B,
+        F=np.einsum("ij,jab->iab", u, m.F),
+        G=np.einsum("ij,jab->iab", u, m.G),
+        W=np.einsum("ia,abxy,jb->ijxy", u, m.W, u.conj()),
+    )
+    assert np.abs(rotated.F - m.F).max() > 0.1
+    pairs = zip(SYMMETRY_KS * 2, symmetry_distances(m), symmetry_distances(rotated, mix=u))
+    for ks, got, want in pairs:
+        k = np.array(ks)[:, None]
+        np.testing.assert_allclose(k * got, k * want, rtol=0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
