@@ -15,12 +15,15 @@ and forbid transitions that would survive into the fast sector) and when the
 limit coefficients are supported on the ground sector
 (:func:`check_ground_support`).  ``eliminate`` always evaluates the formulas
 verbatim and returns the check reports alongside, so a failing model yields
-an explicit diagnosis rather than a silent fallback.
+an explicit diagnosis rather than a silent fallback.  The reports are computed
+when first read, from the model as passed (models are treated as immutable),
+so a caller that reads only the limit pays for none of them.
 
 Weyl displacement of the driving fields maps scaled models to scaled models
 (:func:`displace_scaled`) and limit models to limit models
 (:func:`displace_limit`); elimination commutes with it, with the same P0 and
-Y1inv on both routes.
+Y1inv on both routes.  The limit depends on Y only through P0 and Y1inv, so
+``eliminate`` reuses its last split for a Y of the same bytes.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .model import (
     CheckReport,
     CoefficientSet,
     ScaledModel,
+    _require_tol,
     check_hp_unitarity,
     norm_scale,
 )
@@ -60,7 +64,9 @@ class Decomposition:
 
     ``V0`` is an orthonormal d x d0 basis of range(P0): ``decompose`` keeps it
     from the SVD that found the kernel, and a decomposition built without one
-    takes the eigenvectors of P0.  A given one must span range(P0).
+    takes the eigenvectors of P0.  A given one must span range(P0).  Values
+    are treated as immutable: ``eliminate`` hands one decomposition to every
+    result of a Y with the same bytes, with P0, Y1inv, V0 and P1 read-only.
     """
 
     P0: Projector
@@ -87,18 +93,43 @@ class Decomposition:
 
     @cached_property
     def P1(self) -> Projector:
-        return self.P0.complement()
+        P1 = self.P0.complement()
+        P1.matrix.flags.writeable = self.P0.matrix.flags.writeable  # read-only when shared
+        return P1
 
 
 @dataclass
 class EliminationResult:
-    """Limit coefficients plus every structural check report."""
+    """Limit coefficients, the split they were formed on, and the three
+    structural check reports.
+
+    Each report is computed on its first read, from the model as passed to
+    :func:`eliminate` and its ``tol``, and then kept.  A residual or norm
+    scale that overflows fails its report without a numpy warning.  Only the
+    model and ``tol`` are kept for them: the inverse-structure check forms
+    its (2n + 1) d x d products when read, so a result held through a sweep
+    holds none of them.
+    """
 
     decomposition: Decomposition
     limit: CoefficientSet
-    inverse_structure: CheckReport
-    ground_support: CheckReport
-    limit_unitarity: CheckReport
+    _model: ScaledModel = field(repr=False)
+    _tol: float = field(repr=False)
+
+    @cached_property
+    def inverse_structure(self) -> CheckReport:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return check_inverse_structure(self._model, self.decomposition, self._tol)
+
+    @cached_property
+    def ground_support(self) -> CheckReport:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return check_ground_support(self.limit, self.decomposition.P1, self._tol)
+
+    @cached_property
+    def limit_unitarity(self) -> CheckReport:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return check_hp_unitarity(self.limit, self._tol)
 
     @property
     def warnings(self) -> list[str]:
@@ -163,24 +194,15 @@ def _channel_sum(L: np.ndarray, S: np.ndarray) -> np.ndarray:
     return contract("iba,ijbc->jac", L.conj(), S)
 
 
-def _channel_sums(m: ScaledModel):
-    """(F†W)_j and (G†W)_j."""
-    return _channel_sum(m.F, m.W), _channel_sum(m.G, m.W)
+def _limit_products(m: ScaledModel, Yi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The channel sums (F†W)_j and the stack a·Y1inv for a = (A, F_1..F_n).
 
-
-class _Products:
-    """Products shared by the limit formulas and the inverse-structure check.
-
-    The stacks a = (A, F_1..F_n) and b = (A, F_1..F_n, (F†W)_1..(F†W)_n)
-    index every product a·Y1inv·b that either needs, and ``aYi`` holds the
-    a·Y1inv.  Products are taken left to right as the formulas parse,
-    (a·Y1inv)·b, and a stacked matmul has the bits of its 2-d products.
+    With b = (A, F_1..F_n, (F†W)_1..(F†W)_n), the limit formulas and the
+    inverse-structure check read every product they need from the grid
+    (a·Y1inv)·b, taken left to right as the formulas parse; a stacked matmul
+    has the bits of its 2-d products.
     """
-
-    def __init__(self, m: ScaledModel, Yi: np.ndarray):
-        self.fdw, self.gdw = _channel_sums(m)
-        self.b = np.concatenate([m.A[None], m.F, self.fdw])
-        self.aYi = np.concatenate([m.A[None], m.F]) @ Yi
+    return _channel_sum(m.F, m.W), np.concatenate([m.A[None], m.F]) @ Yi
 
 
 def _inverse_structure_names(n: int) -> list[str]:
@@ -214,12 +236,6 @@ def check_inverse_structure(
       A·Y1inv·F_i and A·Y1inv·(F†W)_j;
     * zero:  P0·Y·P1 = 0, P0·A·P0 = 0, F_i·P0 = 0, and
       P0·(W_ij + F_i·Y1inv·(F†W)_j)·P1 = 0 (no scattering into the fast sector).
-    """
-    return _inverse_structure(m, dec, tol, _Products(m, dec.Y1inv))
-
-
-def _inverse_structure(m: ScaledModel, dec: Decomposition, tol: float, p: _Products) -> CheckReport:
-    """:func:`check_inverse_structure` on a precomputed product table.
 
     Each family is a few stacked products on a ground factor G, G† on the
     left and G on the right.  Up to RECORDED_ARITHMETIC_MAX_DIM, G = P0 and
@@ -229,15 +245,18 @@ def _inverse_structure(m: ScaledModel, dec: Decomposition, tol: float, p: _Produ
     (V0†·a·Y1inv)·b, and each of the left and right families is one factor,
     (Y·Y1inv - I)·P1 or P1·(Y1inv·Y - I), times the stack of its terms.
     """
+    _require_tol(tol)
     P0m, P1m, Yi = dec.P0.matrix, dec.P1.matrix, dec.Y1inv
     Y, A, B, F, G, W = m.Y, m.A, m.B, m.F, m.G, m.W
     n, d = m.channels, m.dim
-    Z = np.concatenate([A[None], p.fdw])
-    X = np.concatenate([A[None], B[None], F, G, W.reshape(n * n, d, d), p.gdw])
+    fdw, aYi = _limit_products(m, Yi)
+    b = np.concatenate([A[None], F, fdw])  # the stack b of _limit_products
+    Z = np.concatenate([A[None], fdw])
+    X = np.concatenate([A[None], B[None], F, G, W.reshape(n * n, d, d), _channel_sum(G, W)])
 
     if d <= RECORDED_ARITHMETIC_MAX_DIM:
         left = right = P0m
-        full = p.aYi[:, None] @ p.b[None]
+        full = aYi[:, None] @ b[None]
         blocks = P1m @ Z @ P0m
         left_res = frobenius_norms(Y @ Yi @ blocks - blocks)
         blocks = np.concatenate([P0m @ X, *(P0m @ full)]) @ P1m
@@ -247,7 +266,7 @@ def _inverse_structure(m: ScaledModel, dec: Decomposition, tol: float, p: _Produ
         right = dec.V0
         left = dagger(right)
         eye = np.eye(d)
-        grid = (left @ p.aYi)[:, None] @ p.b[None]
+        grid = (left @ aYi)[:, None] @ b[None]
         left_res = frobenius_norms((Y @ Yi - eye) @ P1m @ (Z @ right))
         rows = np.concatenate([left @ X, *grid])
         right_res = frobenius_norms(rows @ (P1m @ (Yi @ Y - eye)))
@@ -275,11 +294,37 @@ def _inverse_structure(m: ScaledModel, dec: Decomposition, tol: float, p: _Produ
 
 def check_ground_support(c: CoefficientSet, P1: Projector, tol: float = DEFAULT_TOL) -> CheckReport:
     """Limit coefficients must vanish on the fast sector: P1·L_i = P1·S_ij = 0."""
+    _require_tol(tol)
     P1m = P1.matrix
     r, cells = range(c.channels), [(i, j) for i in range(c.channels) for j in range(c.channels)]
     names = [f"ground: P1·L_{i}" for i in r] + [f"ground: P1·S_{i}{j}" for i, j in cells]
     values = np.concatenate([frobenius_norms(P1m @ c.L), frobenius_norms(P1m @ c.S).ravel()])
     return CheckReport.from_residuals(zip(names, values), tol * norm_scale(c.K, c.L, c.S))
+
+
+# eliminate's last split, (Y's bytes, rank_tol, decomposition): one entry,
+# replaced whole by one assignment, so concurrent callers see an old entry or
+# a new one, never a torn one
+_last_split: tuple[bytes, float, Decomposition] | None = None
+
+
+def _split(m: ScaledModel, rank_tol: float) -> Decomposition:
+    """``decompose(m, rank_tol)``, reused while Y's bytes and rank_tol repeat.
+
+    The key is Y's own bytes, so -0.0 and 0.0 differ, and a caller that then
+    writes into its Y meets a key that no longer matches.  A split that raises
+    is never stored.  The stored arrays are read-only, so a write into one
+    raises instead of reaching a later elimination.
+    """
+    global _last_split
+    key, last = m.Y.tobytes(), _last_split
+    if last is not None and last[0] == key and last[1] == rank_tol:
+        return last[2]
+    dec = decompose(m, rank_tol)
+    for a in (dec.P0.matrix, dec.Y1inv, dec.V0):
+        a.flags.writeable = False
+    _last_split = (key, rank_tol, dec)
+    return dec
 
 
 def eliminate(
@@ -288,21 +333,27 @@ def eliminate(
     tol: float = DEFAULT_TOL,
     y1inv_override: np.ndarray | None = None,
 ) -> EliminationResult:
-    """Compute the strong-coupling limit coefficients and all check reports.
+    """Compute the strong-coupling limit coefficients; the check reports are
+    computed on first read (see :class:`EliminationResult`).
 
-    The limit carries P0, on which its unitarity report closes.  Raises
+    The limit carries P0, on which its unitarity report closes.  The split
+    of the last call is reused when Y has the same bytes and rank_tol is the
+    same, as for a displaced model; a ``y1inv_override`` always decomposes
+    afresh.  Raises InvalidArgument for a tol that is not finite and positive,
+    SingularRestriction when Y is singular on the excited sector, and
     NumericalFailure when a limit coefficient overflows float64.
     """
-    dec = decompose(m, rank_tol, y1inv_override)
+    _require_tol(tol)
+    dec = _split(m, rank_tol) if y1inv_override is None else decompose(m, rank_tol, y1inv_override)
     P0m = dec.P0.matrix
 
     # finite coefficients can still overflow in these products; the check
     # below reports that, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _Products(m, dec.Y1inv)
+        fdw, aYi = _limit_products(m, dec.Y1inv)
         # a·Y1inv·b for b in (A, (F†W)_j): [0, 0] is A·Y1inv·A, [1+i, 0] is
         # F_i·Y1inv·A and [1+i, 1+j] is F_i·Y1inv·(F†W)_j
-        lim = p.aYi[:, None] @ np.concatenate([m.A[None], p.fdw])[None]
+        lim = aYi[:, None] @ np.concatenate([m.A[None], fdw])[None]
         K = P0m @ (m.B - lim[0, 0]) @ P0m
         L = (m.G - lim[1:, 0]) @ P0m
         S = (m.W + lim[1:, 1:]) @ P0m
@@ -311,18 +362,7 @@ def eliminate(
             raise NumericalFailure(f"limit coefficient {name} overflowed to non-finite entries")
 
     limit = CoefficientSet(K=K, L=L, S=S, ground=dec.P0)
-    # a residual or norm scale that overflows fails its report, unwarned
-    with np.errstate(over="ignore", invalid="ignore"):
-        inverse_structure = _inverse_structure(m, dec, tol, p)
-        ground_support = check_ground_support(limit, dec.P1, tol)
-        limit_unitarity = check_hp_unitarity(limit, tol)
-    return EliminationResult(
-        decomposition=dec,
-        limit=limit,
-        inverse_structure=inverse_structure,
-        ground_support=ground_support,
-        limit_unitarity=limit_unitarity,
-    )
+    return EliminationResult(decomposition=dec, limit=limit, _model=m, _tol=tol)
 
 
 def _displaced(K, L, S, closure, a):

@@ -367,11 +367,16 @@ def frobenius_norms(X: np.ndarray) -> np.ndarray:
     the imaginary parts, taken in memory order, and a stacked (1 x m)·(m x 1)
     matmul makes the same dot call, over the same strides, for every matrix.
     """
+    return np.sqrt(_squared_frobenius_norms(X))[..., 0, 0]
+
+
+def _squared_frobenius_norms(X: np.ndarray) -> np.ndarray:
+    """The squares :func:`frobenius_norms` takes the roots of, of shape (..., 1, 1)."""
     if X.strides[-2] < X.strides[-1]:  # column-major matrices: read them in memory order
         X = X.swapaxes(-1, -2)
     flat = X.reshape(*X.shape[:-2], 1, X.shape[-2] * X.shape[-1])
     re, im = flat.real, flat.imag
-    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+    return re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
 
 
 def blocks(W: np.ndarray) -> np.ndarray:

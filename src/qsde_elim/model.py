@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .linalg import Projector, as_operator, contract, dagger, frobenius_norms
+from .linalg import (
+    Projector,
+    _squared_frobenius_norms,
+    as_operator,
+    contract,
+    dagger,
+    frobenius_norms,
+)
 
 DEFAULT_TOL = 1e-9
 
@@ -42,11 +49,19 @@ def _as_operator_stack(arr, name: str, dim: int | None) -> np.ndarray:
 
 def norm_scale(*arrays) -> float:
     """max(1, largest Frobenius norm of an operator or of one matrix of a stack)
-    used to scale check tolerances.  The norms are taken array by array, each
-    with the bits of np.linalg.norm, so no copy of all the operators is made."""
+    used to scale check tolerances.  The squared norms are taken array by
+    array, so no copy of all the operators is made, and one square root is
+    taken of the largest: the root is monotone and correctly rounded, so the
+    scale has the bits of the largest np.linalg.norm."""
     d = np.shape(arrays[0])[-1]
-    largest = [frobenius_norms(np.reshape(a, (-1, d, d))).max() for a in arrays]
-    return max(1.0, float(np.max(largest)))
+    squares = [_squared_frobenius_norms(np.asarray(a).reshape(-1, d, d)).ravel() for a in arrays]
+    return max(1.0, float(np.sqrt(np.concatenate(squares).max())))
+
+
+def _require_tol(tol) -> None:
+    """Refuses a check tolerance that is not finite and positive, before any work."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidArgument(f"tol must be finite and positive, got {tol!r}")
 
 
 @dataclass
@@ -215,6 +230,7 @@ def check_hp_unitarity(c: CoefficientSet, tol: float = DEFAULT_TOL) -> CheckRepo
     a limit set's ground projector, validated first, or else I.  Tolerance is
     scaled by max(1, largest coefficient Frobenius norm).
     """
+    _require_tol(tol)
     if c.ground is not None:
         c.ground.validate(tol * max(1.0, float(c.dim)))
     return CheckReport.from_residuals(_unitarity_residuals(c), tol * norm_scale(c.K, c.L, c.S))
@@ -227,6 +243,7 @@ def check_scaling_consistency(m: ScaledModel, tol: float = DEFAULT_TOL) -> Check
     each as a full-space identity.  Together they make every instantiation
     satisfy the unitarity drift relation, at any k.
     """
+    _require_tol(tol)
     r1 = np.linalg.norm(m.Y + dagger(m.Y) + contract("iba,ibc->ac", m.F.conj(), m.F))
     cross = contract("iba,ibc->ac", m.F.conj(), m.G)
     r2 = np.linalg.norm(m.A + dagger(m.A) + cross + dagger(cross))

@@ -1,6 +1,12 @@
 """Tests for the ground/excited decomposition, the limit formulas, the
 structural checks, and Weyl displacement."""
 
+import importlib
+import json
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +17,7 @@ from qsde_elim import (
     InvalidArgument,
     Projector,
     ScaledModel,
+    SingularRestriction,
     catalog,
     check_ground_support,
     check_hp_unitarity,
@@ -23,9 +30,12 @@ from qsde_elim import (
     instantiate,
     restricted_inverse,
 )
-from qsde_elim.eliminate import _channel_sums, as_amplitude
+from qsde_elim.cli import main
+from qsde_elim.eliminate import _channel_sum, as_amplitude
 from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM, dagger
 from factories import coefficient_gap, haar_unitary, model_gap, random_valid_model
+
+elim = importlib.import_module("qsde_elim.eliminate")  # the package's name is the function
 
 
 def test_decompose_two_level_oracle():
@@ -309,8 +319,8 @@ def test_random_models_need_a_fast_sector(d1):
 
 @pytest.mark.parametrize("d", [16, 32])
 def test_eliminate_checks_inverse_structure_on_its_own_products(d):
-    # eliminate shares its product table with the check; the standalone check
-    # computes the same table, so every residual has the same bits
+    # the report read from eliminate is the standalone check's, on the
+    # model and split eliminate was given, so every residual has its bits
     m = random_valid_model(np.random.default_rng(d), d // 4, d - d // 4, 3)
     e = eliminate(m)
     alone = check_inverse_structure(m, e.decomposition)
@@ -328,7 +338,7 @@ def inverse_structure_oracle(m, dec, tol=1e-9):
     P0m, P1m, Yi = dec.P0.matrix, dec.P1.matrix, dec.Y1inv
     Y, A, B, F, G, W = m.Y, m.A, m.B, m.F, m.G, m.W
     n = m.channels
-    fdw, gdw = _channel_sums(m)
+    fdw, gdw = _channel_sum(m.F, m.W), _channel_sum(m.G, m.W)
     AYi, FYi = A @ Yi, [f @ Yi for f in F]
     r, cells = range(n), [(i, j) for i in range(n) for j in range(n)]
 
@@ -561,3 +571,261 @@ def test_decompose_up_to_d8_keeps_the_restricted_inverse(name):
     m = SMALL_MODELS[name]
     dec = decompose(m)
     np.testing.assert_array_equal(dec.Y1inv, restricted_inverse(m.Y, dec.P1))
+
+
+# ---------------------------------------------------------------------------
+# what eliminate computes: reports on first read, one split per Y
+
+
+def report_models():
+    """The catalog fixtures and random models at d in {4, 8, 16, 32}, n in {1, 3}."""
+    models = {
+        "two_level": catalog.two_level_atom(1.0, 1.0, 0.5),
+        "alkali": catalog.alkali_atom(1.0, 1.0, 0.2, 0.0, 0.4),
+        "cavity": catalog.default_cavity_system(),
+        "lambda": catalog.lambda_system(1.0, 2.0, 0.4, 4),
+    }
+    for d in (4, 8, 16, 32):
+        for n in (1, 3):
+            models[f"random-d{d}-n{n}"] = large_model(d, n, seed=100 + d + n)
+    return models
+
+
+REPORT_MODELS = report_models()
+
+
+def assert_same_report(report, alone):
+    """Names, residuals, tolerance and verdict, bit for bit."""
+    assert [name for name, _ in report.residuals] == [name for name, _ in alone.residuals]
+    values = [np.array([r for _, r in rep.residuals]).tobytes() for rep in (report, alone)]
+    assert values[0] == values[1]
+    assert np.float64(report.tolerance).tobytes() == np.float64(alone.tolerance).tobytes()
+    assert report.passed is alone.passed
+
+
+@pytest.mark.parametrize("name", list(REPORT_MODELS))
+def test_reports_read_from_eliminate_are_the_standalone_reports(name):
+    m = REPORT_MODELS[name]
+    e = eliminate(m)
+    dec = e.decomposition
+    assert_same_report(e.inverse_structure, check_inverse_structure(m, dec))
+    assert_same_report(e.ground_support, check_ground_support(e.limit, dec.P1))
+    assert_same_report(e.limit_unitarity, check_hp_unitarity(e.limit))
+    # each report is computed once, then kept
+    assert e.inverse_structure is e.inverse_structure
+    assert e.ground_support is e.ground_support
+    assert e.limit_unitarity is e.limit_unitarity
+
+
+def test_reports_keep_the_tolerance_eliminate_was_given():
+    m = REPORT_MODELS["random-d8-n3"]
+    e = eliminate(m, tol=1e-6)
+    assert_same_report(e.inverse_structure, check_inverse_structure(m, e.decomposition, 1e-6))
+    assert_same_report(e.ground_support, check_ground_support(e.limit, e.decomposition.P1, 1e-6))
+    assert_same_report(e.limit_unitarity, check_hp_unitarity(e.limit, 1e-6))
+
+
+def test_overflowing_reports_fail_when_read_without_a_warning():
+    # the limit is (B, G, W) = (0, 1e200, 1): finite, but L†L and every norm
+    # scale overflow; the reports are read here, outside any errstate
+    m = ScaledModel(Y=[[0.0]], A=[[0.0]], B=[[0.0]], F=[[[0.0]]], G=[[[1e200]]], W=[[[[1.0]]]])
+    e = eliminate(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = (e.inverse_structure, e.ground_support, e.limit_unitarity)
+    assert not any(report.passed for report in reports)
+    assert all(report.tolerance == np.inf for report in reports)
+    assert e.limit_unitarity.residual("K+K† = -ΣL†L") == np.inf
+
+
+class Counter:
+    """Wraps a function and counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.f(*args, **kwargs)
+
+
+def count(monkeypatch, module, name):
+    counter = Counter(getattr(module, name))
+    monkeypatch.setattr(module, name, counter)
+    return counter
+
+
+@pytest.fixture
+def no_split(monkeypatch):
+    """eliminate's memo, emptied for the test and restored after it."""
+    monkeypatch.setattr(elim, "_last_split", None)
+
+
+@pytest.mark.parametrize("name", ["two_level", "lambda", "random-d16-n3", "random-d32-n1"])
+def test_a_displaced_elimination_reuses_the_split(monkeypatch, no_split, name):
+    m = REPORT_MODELS[name]
+    splits = count(monkeypatch, elim, "_kernel_split")
+    e = eliminate(m)
+    md = displace_scaled(m, 0.3 - 0.4j + np.arange(m.channels))
+    ed = eliminate(md)
+    assert splits.calls == 1
+    assert ed.decomposition is e.decomposition
+    fresh = decompose(md)
+    for a, b in [(ed.decomposition.P0.matrix, fresh.P0.matrix), (ed.decomposition.Y1inv, fresh.Y1inv),
+                 (ed.decomposition.V0, fresh.V0)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert ed.decomposition.P0.rank == fresh.P0.rank
+    assert ed.warnings == fresh.warnings
+
+
+def with_y(m, Y):
+    return ScaledModel(Y=Y, A=m.A, B=m.B, F=m.F, G=m.G, W=m.W)
+
+
+def test_the_split_is_not_reused_for_another_y_or_rank_tol(monkeypatch, no_split):
+    m = catalog.two_level_atom(1.0, 1.0, 0.5)
+    assert m.Y[0, 1] == 0.0 and not np.signbit(m.Y[0, 1].real)
+    ulp = m.Y.copy()
+    ulp[1, 1] = np.nextafter(ulp[1, 1].real, 0.0) + 1j * ulp[1, 1].imag
+    signed_zero = m.Y.copy()
+    signed_zero[0, 1] = complex(-0.0, 0.0)
+    assert np.array_equal(signed_zero, m.Y) and signed_zero.tobytes() != m.Y.tobytes()
+
+    override = decompose(m).Y1inv
+    splits = count(monkeypatch, elim, "_kernel_split")
+    calls = [
+        lambda: eliminate(with_y(m, ulp)),
+        lambda: eliminate(with_y(m, signed_zero)),
+        lambda: eliminate(m, rank_tol=1e-8),
+        lambda: eliminate(m, y1inv_override=override),
+    ]
+    for call in calls:
+        shared = eliminate(m).decomposition  # m's split is the memo's entry
+        before = splits.calls
+        assert call().decomposition is not shared
+        assert splits.calls == before + 1
+
+
+def test_an_override_neither_reads_nor_writes_the_split(monkeypatch, no_split):
+    m = catalog.two_level_atom(1.0, 1.0, 0.5)
+    e = eliminate(m)
+    memo = elim._last_split
+    wrong = np.diag([1.0 + 0.0j, 0.0])
+    overridden = eliminate(m, y1inv_override=wrong)
+    assert elim._last_split is memo
+    np.testing.assert_array_equal(overridden.decomposition.Y1inv, wrong)
+    assert not overridden.inverse_structure.passed
+    assert eliminate(m).decomposition is e.decomposition
+
+
+def test_a_write_into_y_is_a_new_key(no_split):
+    Y = catalog.two_level_atom(1.0, 1.0, 0.5).Y.copy()
+    m = with_y(catalog.two_level_atom(1.0, 1.0, 0.5), Y)
+    assert m.Y is Y
+    first = eliminate(m).decomposition
+    Y[1, 1] *= 2.0  # the model is written in place: its old split must not return
+    second = eliminate(m).decomposition
+    assert second is not first
+    np.testing.assert_allclose(second.Y1inv[1, 1], first.Y1inv[1, 1] / 2.0, rtol=1e-15)
+
+
+def test_a_singular_restriction_raises_on_every_call(monkeypatch, no_split):
+    # nilpotent Y: its restriction to the complement of its kernel is 0
+    m = ScaledModel(
+        Y=[[0.0, 0.0], [1.0, 0.0]], A=np.zeros((2, 2)), B=np.zeros((2, 2)),
+        F=np.zeros((1, 2, 2)), G=np.zeros((1, 2, 2)), W=np.eye(2)[None, None],
+    )
+    splits = count(monkeypatch, elim, "_kernel_split")
+    for calls in (1, 2, 3):
+        with pytest.raises(SingularRestriction):
+            eliminate(m)
+        assert splits.calls == calls
+    assert elim._last_split is None
+
+
+def test_the_shared_split_is_read_only(no_split):
+    m = REPORT_MODELS["random-d16-n3"]
+    dec = eliminate(m).decomposition
+    for a in (dec.P0.matrix, dec.Y1inv, dec.V0, dec.P1.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    fresh = decompose(m)
+    assert eliminate(m).decomposition.Y1inv.tobytes() == fresh.Y1inv.tobytes()
+    # a decomposition of one's own stays writable
+    fresh.P0.matrix[0, 0] = fresh.P0.matrix[0, 0]
+    fresh.P1.matrix[0, 0] = fresh.P1.matrix[0, 0]
+
+
+def test_threads_eliminating_two_models_each_get_their_own_split(no_split):
+    # two models of different Y alternate in more threads than cores, with a
+    # short switch interval: a torn or lost memo entry would hand a thread
+    # the other model's split
+    models = [REPORT_MODELS["random-d8-n3"], REPORT_MODELS["random-d4-n1"]]
+    expected = [eliminate(m).limit.K.tobytes() for m in models]
+    wrong = []
+
+    def work(offset):
+        for i in range(60):
+            j = (i + offset) % 2
+            if eliminate(models[j]).limit.K.tobytes() != expected[j]:
+                wrong.append((offset, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def write_model(tmp_path):
+    path = tmp_path / "m.json"
+    doc = {"schema_version": 1, "builtin": {"name": "lambda_system", "parameters": {"gamma": 1.0, "g": 2.0, "alpha": 0.4}}}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["converge", "--ks", "5,10"], ["kurtz"]])
+def test_converge_and_kurtz_compute_no_report(monkeypatch, tmp_path, capsys, argv):
+    builders = [count(monkeypatch, elim, name) for name in
+                ("check_inverse_structure", "check_ground_support", "check_hp_unitarity")]
+    assert main(argv + ["--model", write_model(tmp_path)]) == 0
+    capsys.readouterr()
+    assert [b.calls for b in builders] == [0, 0, 0]
+
+
+def test_the_eliminate_command_computes_each_report_once(monkeypatch, tmp_path, capsys):
+    builders = [count(monkeypatch, elim, name) for name in
+                ("check_inverse_structure", "check_ground_support", "check_hp_unitarity")]
+    assert main(["eliminate", "--model", write_model(tmp_path)]) == 0
+    capsys.readouterr()
+    assert [b.calls for b in builders] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
+def test_a_tol_that_is_not_finite_and_positive_is_refused(monkeypatch, no_split, tol):
+    m = catalog.two_level_atom(1.0, 1.0, 0.5)
+    good = eliminate(m)
+    memo = elim._last_split
+    splits = count(monkeypatch, elim, "_kernel_split")
+    message = "tol must be finite and positive, got"
+    calls = [
+        lambda: eliminate(m, tol=tol),
+        lambda: eliminate(m, tol=tol, y1inv_override=good.decomposition.Y1inv),
+        lambda: check_inverse_structure(m, good.decomposition, tol),
+        lambda: check_ground_support(good.limit, good.decomposition.P1, tol),
+        lambda: check_hp_unitarity(good.limit, tol),
+        lambda: check_scaling_consistency(m, tol),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument, match=message):
+            call()
+    # refused before any work: no split taken, none stored
+    assert splits.calls == 0
+    assert elim._last_split is memo

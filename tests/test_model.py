@@ -256,6 +256,22 @@ def test_norm_scale_copies_no_operator():
     assert scale == max(1.0, max(float(np.linalg.norm(M)) for M in matrices))
 
 
+def test_norm_scale_is_the_largest_linalg_norm_in_every_layout():
+    # one square root of the largest square: the bits of the largest root,
+    # for C- and Fortran-ordered matrices, transposed views and stacks
+    rng = np.random.default_rng(12)
+    for d in (1, 3, 8, 17):
+        M = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+        W = rng.normal(size=(2, 2, d, d)) + 1j * rng.normal(size=(2, 2, d, d))
+        layouts = [M[0], np.asfortranarray(M[1]), M[2].T, M[3].conj().T, M, W, 3.0 * W]
+        for arrays in (layouts, layouts[::-1], layouts[:4]):
+            expected = max([1.0] + [float(np.linalg.norm(X)) for a in arrays for X in np.reshape(a, (-1, d, d))])
+            assert norm_scale(*arrays) == expected
+    big = np.diag([1e200, 0.0]).astype(complex)
+    with np.errstate(over="ignore"):
+        assert norm_scale(np.eye(2), big) == np.inf
+
+
 @pytest.mark.parametrize("k", [1e160, 1e200, float("inf")])
 def test_instantiate_names_a_coupling_that_overflows(k):
     # k²·Y overflows float64; the coupling is the bad argument, not K
