@@ -386,9 +386,11 @@ def displace_scaled(m: ScaledModel, alpha) -> ScaledModel:
     The delta subtraction in G' is forced by unitarity: conjugating by a
     field-only displacement must leave a field-decoupled model (W = I, F = 0)
     untouched, and the order-by-order dissipativity identities must keep
-    holding for every amplitude.
+    holding for every amplitude.  An amplitude of zeros returns m itself.
     """
     a = as_amplitude(alpha, m.channels)
+    if not a.any():
+        return m
     fdw_a = contract("i,iab->ab", a, _channel_sum(m.F, m.W))
     A2 = m.A + contract("i,iab->ab", a.conj(), m.F) - fdw_a
     B2, G2 = _displaced(m.B, m.G, m.W, np.eye(m.dim, dtype=complex), a)
@@ -406,8 +408,10 @@ def displace_limit(c: CoefficientSet, alpha) -> CoefficientSet:
     where D is ``c.closure``, P0 for limit models and I for instantiated ones.
     The delta subtraction in L' mirrors the one in K': it keeps
     K' + K'† = -sum L'† L' exact for every amplitude, and makes displacing a
-    field-decoupled model a no-op.
+    field-decoupled model a no-op.  An amplitude of zeros returns c itself.
     """
     a = as_amplitude(alpha, c.channels)
+    if not a.any():
+        return c
     K2, L2 = _displaced(c.K, c.L, c.S, c.closure, a)
     return CoefficientSet(K=K2, L=L2, S=c.S, ground=c.ground)

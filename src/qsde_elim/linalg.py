@@ -249,6 +249,8 @@ def expm(M) -> np.ndarray:
     the kernel is ResourceLimit (an allocation) or NumericalFailure (a LAPACK
     solve)."""
     M = as_operator(M, "M")
+    if len(M) > 1 and M[1, 0] != 0 and M[0, 1] != 0:  # neither triangle is zero
+        return _pade_exp(M)
     below = np.tri(len(M), k=-1, dtype=bool)
     lower, upper = M[below].any(), M.T[below].any()
     if not (lower or upper):

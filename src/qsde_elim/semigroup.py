@@ -20,9 +20,11 @@ both derived from that list.
 Coherent states enter through Weyl displacement: a piecewise-constant drive
 gives one displaced generator per segment, composed with the earliest segment
 outermost:  T(f)_t = T(a_1)_{t1-t0} o ... o T(a_m)_{t-t_{m-1}}.  One stepper
-yields the state at every grid time, and k_sweep, its one caller, is the one
-readout: it lifts each state to T_t(P0) and evaluates the form.  The vacuum is
-the drive of amplitude zero on [0, horizon], a drive is cut at the horizon (its
+yields the states of the time grid in blocks, within one segment each, and
+k_sweep, its one caller, is the one readout: it lifts a block to T_t(P0) and
+evaluates its forms as stacked products, with the bits of the same products one
+grid time at a time.  The vacuum is the drive of amplitude zero, whose
+displacement is the identity, on [0, horizon], a drive is cut at the horizon (its
 segments that start before it, the last one ending at it), and within a
 segment the state is stepped along the time grid by its differences.  What
 does not depend on k, the displacement of each segment and the compression
@@ -73,7 +75,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import ClampExceeded, InvalidArgument, NumericalFailure, ResourceLimit
+from .errors import ClampExceeded, InvalidArgument, NumericalFailure, QsdeElimError, ResourceLimit
 from .eliminate import EliminationResult, displace_limit, displace_scaled
 from .linalg import (
     GENERATOR_BUDGET_BYTES,
@@ -99,6 +101,8 @@ STIFF_DECAY = 708.0
 # once its residual is at most FIXED_POINT_TOL of the size of its terms
 SPLIT_MAX_ITER = 50
 FIXED_POINT_TOL = 2.0**-46
+# k_sweep reads the grid in blocks whose states and forms take about this many bytes
+_READ_BYTES = 2**19
 
 
 @dataclass
@@ -178,9 +182,16 @@ def _superoperator(terms: Terms, d: int, rows: int | None = None) -> np.ndarray:
     eye_left, eye_right = np.eye(rows, dtype=complex), np.eye(d, dtype=complex)
     # X -> l X r has matrix kron(r.T, l) on vec(X)
     mats = (
-        np.kron((eye_right if r is None else r).T, eye_left if l is None else l) for l, r in terms
+        _kron((eye_right if r is None else r).T, eye_left if l is None else l) for l, r in terms
     )
     return reduce(np.add, mats)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices by its own broadcast product and reshape, so with
+    its bits and its memory order, without its checks of general shapes."""
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
 
 
 def _apply_terms(terms: Terms, X: np.ndarray) -> np.ndarray:
@@ -227,19 +238,34 @@ def _require_ground_vector(v, P1m: np.ndarray) -> np.ndarray:
     return v
 
 
-def _distance_from_transported(T: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Distance and clamp magnitude from T = T_t(P0) and a ground vector v."""
-    d = T.shape[0]
-    q = 2.0 * np.eye(d, dtype=complex) - T - dagger(T)
-    val = float(np.real(np.vdot(v, q @ v)))
-    if not math.isfinite(val):
-        raise ClampExceeded(f"squared distance came out {val}; propagation overflowed")
-    clamp = max(0.0, -val)
-    if clamp > CLAMP_ABORT:
+def _distances_from_states(
+    Ws: np.ndarray, V0: np.ndarray | None, v: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Distances and the largest clamp of a block of stepped states and a ground vector v.
+
+    Each row of Ws is vec(Z), Z the full d x d state (V0 None) or its ground rows,
+    which V0 lifts to T = T_t(P0) = V0 Z.  The block is read in stacked products:
+    the lift, q @ v and a (1 x d)·(d x 1) product of conj(v) with it, which have
+    the bits of the same products and of np.vdot one grid time at a time.  Tiny
+    negative forms are clamped to zero; the first grid time whose form is not
+    finite, or is clamped by more than CLAMP_ABORT, raises ClampExceeded.
+    """
+    d = len(v)
+    Ts = Ws.reshape(len(Ws), d, -1).swapaxes(1, 2)
+    if V0 is not None:
+        Ts = V0 @ Ts
+    Q = 2.0 * np.eye(d, dtype=complex) - Ts - Ts.conj().swapaxes(-1, -2)
+    vals = (v.conj() @ (Q @ v)[..., None])[..., 0].real
+    clamps = np.where(-vals > 0.0, -vals, 0.0)
+    bad = ~np.isfinite(vals) | (clamps > CLAMP_ABORT)
+    if bad.any():
+        val = float(vals[bad.argmax()])
+        if not math.isfinite(val):
+            raise ClampExceeded(f"squared distance came out {val}; propagation overflowed")
         raise ClampExceeded(
             f"squared distance came out {val:.3e}; propagation is numerically unreliable"
         )
-    return float(np.sqrt(max(val, 0.0))), clamp
+    return np.sqrt(np.where(vals >= 0.0, vals, 0.0)), float(clamps.max())
 
 
 def _require_same_model(m: ScaledModel, e: EliminationResult) -> None:
@@ -470,8 +496,9 @@ def _step_exponential(h: float, gen: np.ndarray, norm1: float, k: float, horizon
     return expm(step)
 
 
-def _propagate(gens, splits, breakpoints, w0: np.ndarray, t_grid, k: float):
-    """Yield (grid index, w) at each time of t_grid, w the vec state w0 stepped there.
+def _propagate(gens, splits, breakpoints, w0: np.ndarray, t_grid, k: float, rows: int):
+    """Yield (grid index, Ws) for consecutive blocks of t_grid, Ws the vec states
+    w0 stepped to the block's times, at most rows of them and all in one segment.
 
     With breakpoints t_0 = 0 < t_1 < ..., segment j runs from t_{j-1} to t_j
     and carries gens[j - 1]; for t in it
@@ -480,32 +507,48 @@ def _propagate(gens, splits, breakpoints, w0: np.ndarray, t_grid, k: float):
 
     with M_i(s) = exp(s * gen_i) and D_i the full segment durations, so the
     earliest segment acts outermost.  H, the earlier segments as one matrix,
-    takes one product per segment.  Within a segment w0 is stepped from the
-    segment start by the grid differences, one expm per distinct float step.
-    A time on a breakpoint belongs to the segment it ends; the last breakpoint
-    is the last grid time, so every time falls in a segment and the last
-    segment needs no full-duration matrix.  Every exponential goes through
-    _step_exponential, with ‖gen‖₁ taken once per generator and splits[j - 1]
-    for its stiff steps; k names the coupling in its error.
+    takes one product per segment and is applied to a block as a stack of
+    matrix-vector products.  Within a segment w0 is stepped from the segment
+    start by the grid differences, one expm per distinct float step, taken in
+    the order of first appearance before a block is stepped.  A step that
+    fails is raised after the block's earlier states are yielded, and the
+    segment's full-duration matrix is formed after its last block, so a
+    failure at an earlier grid time, in the stepper or the reader, comes
+    first.  A time on a breakpoint belongs to the segment it ends; the last
+    breakpoint is the last grid time, so every time falls in a segment and the
+    last segment needs no full-duration matrix.  Every exponential goes
+    through _step_exponential, with ‖gen‖₁ taken once per generator and
+    splits[j - 1] for its stiff steps; k names the coupling in its error.
     """
     head = None  # H, None while no segment has ended
     idx = 0
     horizon = float(t_grid[-1])
     for j, (gen, split) in enumerate(zip(gens, splits)):
         start, end = float(breakpoints[j]), float(breakpoints[j + 1])
+        stop = idx + int(np.searchsorted(t_grid[idx:], end, side="right"))
         norm1 = float(np.linalg.norm(gen, 1))
         cache: dict[float, np.ndarray] = {}
-        w, prev = w0, start
-        while idx < t_grid.size and t_grid[idx] <= end:
-            t = float(t_grid[idx])
-            dt = t - prev
-            if dt > 0:
-                if dt not in cache:
-                    cache[dt] = _step_exponential(dt, gen, norm1, k, horizon, split)
-                w = cache[dt] @ w
-            yield idx, (w if head is None else head @ w)
-            prev = t
-            idx += 1
+        w = w0
+        for lo in range(idx, stop, rows):
+            times = t_grid[lo : min(lo + rows, stop)]
+            dts = np.diff(times, prepend=start if lo == idx else t_grid[lo - 1]).tolist()
+            failure = None  # a refused step, raised once the grid times before it are read
+            try:
+                for dt in dict.fromkeys(dts):
+                    if dt > 0 and dt not in cache:
+                        cache[dt] = _step_exponential(dt, gen, norm1, k, horizon, split)
+            except (QsdeElimError, np.linalg.LinAlgError) as exc:
+                failure, dts = exc, dts[: dts.index(dt)]
+            Ws = np.empty((len(dts), w0.size), dtype=complex)
+            for i, dt in enumerate(dts):
+                if dt > 0:
+                    w = cache[dt] @ w
+                Ws[i] = w
+            if dts:
+                yield lo, (Ws if head is None else (head @ Ws[..., None])[..., 0])
+            if failure is not None:
+                raise failure
+        idx = stop
         if idx == t_grid.size:
             return
         M = _step_exponential(end - start, gen, norm1, k, horizon, split)
@@ -605,8 +648,10 @@ def k_sweep(
     short of it by at most 1e-12 of the horizon.  The sweep takes the segments that start
     before the horizon, the last of them held to it, and displaces and compresses each
     once; per coupling it only forms K(k), L(k) and the generators.  The stepper yields
-    each grid time's state, X or its ground rows Z = V0† X, and k_sweep alone reads it: it
-    lifts Z to T_t(P0) = V0 Z and evaluates the form.  Tiny negative values of the form are
+    the grid's states in blocks of bounded size, X or its ground rows Z = V0† X, and
+    k_sweep alone reads them: it lifts Z to T_t(P0) = V0 Z and evaluates the forms as
+    stacked products, with the bits of one grid time at a time; the first grid time that
+    fails, in the stepper or the reader, raises.  Tiny negative values of the form are
     clamped to zero; a clamp beyond CLAMP_ABORT or a non-finite value aborts with
     ClampExceeded, a time step whose rounding leaves no digit of a mode that has not decayed
     with NumericalFailure, a time step t·G that overflows float64 with InvalidArgument.
@@ -654,7 +699,10 @@ def k_sweep(
         splits.append(None if rotation is None else _SlowFast(rotation, K, L, scaled))
         segments.append((limit.K, limit.L, scaled) if full_state else (K, L, scaled))
     Z0 = dec.P0.matrix if full_state else Vh  # the full state X, or its ground rows V0† X
+    lift = None if full_state else dec.V0
     w0 = vec(Z0).astype(complex)
+    # a block holds about five d x d complex matrices and a few floats per grid time
+    rows = max(1, _READ_BYTES // (80 * m.dim**2 + 256))
 
     distances = np.empty((ks.size, steps))
     max_clamp = 0.0
@@ -663,12 +711,10 @@ def k_sweep(
             _superoperator(_sandwich_terms(K, L, *_coefficients(scaled, k)), m.dim)
             for K, L, scaled in segments
         ]
-        # each next() steps here; an overflow is InvalidArgument in a step, else ClampExceeded
+        # each next() steps a block; an overflow is InvalidArgument in a step, else ClampExceeded
         with np.errstate(over="ignore", invalid="ignore"):
-            for idx, w in _propagate(gens, splits, breakpoints, w0, t_grid, k):
-                Z = w.reshape(Z0.shape, order="F")
-                T = Z if full_state else dec.V0 @ Z  # T_t(P0)
-                distances[i, idx], clamp = _distance_from_transported(T, v)
+            for lo, Ws in _propagate(gens, splits, breakpoints, w0, t_grid, k, rows):
+                distances[i, lo : lo + len(Ws)], clamp = _distances_from_states(Ws, lift, v)
                 max_clamp = max(max_clamp, clamp)
     return ConvergenceReport(
         ks=ks,

@@ -199,10 +199,21 @@ def test_as_amplitude_errors():
 
 
 def test_displacement_zero_amplitude_is_identity():
+    # an amplitude of zeros, -0.0 included, gives back the input itself once it
+    # is checked; any other amplitude displaces
     m = catalog.lambda_system(1.0, 2.0, 0.4, 3)
-    assert model_gap(displace_scaled(m, [0.0]), m) == 0.0
     c = catalog.two_level_limit(1.0, 1.0, 0.5)
-    assert coefficient_gap(displace_limit(c, [0.0]), c) == 0.0
+    for zero in ([0.0], [-0.0j], np.zeros((1, 1))):
+        assert displace_scaled(m, zero) is m
+        assert displace_limit(c, zero) is c
+    for displace, model in ((displace_scaled, m), (displace_limit, c)):
+        with pytest.raises(InvalidArgument, match="amplitude has 2 entries, model has 1 channels"):
+            displace(model, [0.0, 0.0])
+        with pytest.raises(InvalidArgument, match="amplitude contains non-finite entries"):
+            displace(model, [np.nan])
+    moved_m, moved_c = displace_scaled(m, [1e-3]), displace_limit(c, [1e-3j])
+    assert moved_m is not m and model_gap(moved_m, m) > 0.0
+    assert moved_c is not c and coefficient_gap(moved_c, c) > 0.0
 
 
 def test_displaced_two_level_is_a_shifted_drive():

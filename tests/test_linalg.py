@@ -1,5 +1,6 @@
 """Tests for the dense linear algebra kernels."""
 
+import functools
 import json
 import os
 import subprocess
@@ -31,7 +32,7 @@ from qsde_elim import (
 )
 from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM, _BLAS_FORMS, blocks, contract, frobenius_norms
 from qsde_elim import linalg, semigroup
-from qsde_elim.semigroup import _sandwich_terms, _superoperator
+from qsde_elim.semigroup import _kron, _sandwich_terms, _superoperator
 from factories import haar_unitary
 
 
@@ -340,6 +341,30 @@ def test_expm_of_triangular_input_has_the_bits_of_scipy(scale):
         assert same_bits(expm(A), scipy.linalg.expm(A))
 
 
+def test_expm_takes_a_full_matrix_without_its_triangle_scan(monkeypatch):
+    # M[1, 0] and M[0, 1] both non-zero: neither triangle is zero, so the Padé
+    # kernel at once, as the scan would decide; with either of them zero the
+    # scan still routes the matrix
+    rng = np.random.default_rng(5)
+    M = random_complex(rng, 6)
+    sparse = np.diag(np.diag(M))
+    sparse[1, 0], sparse[0, 1] = M[1, 0], M[0, 1]
+    corner = np.triu(M)
+    corner[5, 2] = 1.0  # full, though M[1, 0] is zero
+    results = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "tri", None)  # a scan would fail
+        for name, A in (("dense", M), ("sparse", sparse)):
+            results[name] = expm(A)
+        for A in (corner, np.triu(M), np.tril(M)):
+            with pytest.raises(TypeError):
+                expm(A)
+    for name, A in (("dense", M), ("sparse", sparse)):
+        assert same_bits(results[name], scipy.linalg.expm(A))
+    for A in (corner, np.triu(M), np.tril(M)):
+        assert same_bits(expm(A), scipy.linalg.expm(A))
+
+
 def test_expm_of_diagonal_and_1x1_input_needs_no_scipy_linalg(monkeypatch):
     monkeypatch.setattr(linalg, "_scipy_expm", None)  # a call would fail
     M = np.diag([1.0 + 2.0j, -3000.0, 0.5])
@@ -501,6 +526,37 @@ def test_assemble_superoperator_matches_sandwich():
         np.testing.assert_allclose(
             (S @ vec(X)).reshape((rows, d), order="F"), L @ X @ R, atol=1e-12
         )
+
+
+def kron_superoperator(terms, d: int, rows: int) -> np.ndarray:
+    """The generator as np.kron assembles it: the oracle of _superoperator."""
+    eye_left, eye_right = np.eye(rows, dtype=complex), np.eye(d, dtype=complex)
+    mats = [
+        np.kron((eye_right if r is None else r).T, eye_left if l is None else l) for l, r in terms
+    ]
+    return functools.reduce(np.add, mats)
+
+
+@pytest.mark.parametrize("d, rows", [(1, 1), (2, 2), (3, 1), (8, 8), (12, 1), (12, 3), (16, 4)])
+def test_superoperator_has_the_bits_and_memory_order_of_np_kron(d, rows):
+    # the broadcast product and reshape of np.kron itself: every entry, sign bits
+    # of zeros included, and the strides, which decide the BLAS calls that follow
+    rng = np.random.default_rng(d * rows)
+    K, R = random_complex(rng, rows), random_complex(rng, d)
+    L = [random_complex(rng, rows) for _ in range(2)]
+    K[0, 0], R[-1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    for terms in (
+        _sandwich_terms(K, L, R, [R.T, R.conj()]),
+        _sandwich_terms(None, L, R, [R, -R]),
+        [(None, None), (L[0], None), (None, R)],
+    ):
+        got, ref = _superoperator(terms, d, rows=rows), kron_superoperator(terms, d, rows)
+        assert got.strides == ref.strides
+        assert same_bits(np.ascontiguousarray(got), np.ascontiguousarray(ref))
+    for a, b in ((R.T, L[0].conj().T), (np.eye(d).T, L[1]), (R, np.eye(rows))):
+        got, ref = _kron(a, b), np.kron(a, b)
+        assert got.strides == ref.strides
+        assert same_bits(np.ascontiguousarray(got), np.ascontiguousarray(ref))
 
 
 def test_blocks_layout():

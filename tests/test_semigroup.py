@@ -1,5 +1,9 @@
 """Tests for semigroup propagation, convergence distances, and correctors."""
 
+import importlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,11 +34,13 @@ from qsde_elim import semigroup
 from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM
 from qsde_elim.semigroup import (
     _apply_terms,
-    _distance_from_transported,
+    _distances_from_states,
     _sandwich_terms,
     _superoperator,
 )
 from factories import haar_unitary, random_valid_model
+
+elim_module = importlib.import_module("qsde_elim.eliminate")  # the package's name is the function
 
 
 @pytest.fixture(scope="module")
@@ -238,14 +244,89 @@ def test_ground_vector_validation(two_level):
         k_sweep(m, e, [0.0, 1.0, 0.0], [1.0], steps=2)
 
 
+def per_point_distance(T: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """The readout of one grid time, distance and clamp from T = T_t(P0): the
+    oracle of the stacked readout, which must have its bits."""
+    d = T.shape[0]
+    q = 2.0 * np.eye(d, dtype=complex) - T - T.conj().T
+    val = float(np.real(np.vdot(v, q @ v)))
+    if not math.isfinite(val):
+        raise ClampExceeded(f"squared distance came out {val}; propagation overflowed")
+    clamp = max(0.0, -val)
+    if clamp > CLAMP_ABORT:
+        raise ClampExceeded(
+            f"squared distance came out {val:.3e}; propagation is numerically unreliable"
+        )
+    return float(np.sqrt(max(val, 0.0))), clamp
+
+
+def per_point_read(Ws, V0, v):
+    """The oracle over a block: each row vec(Z) reshaped, lifted by V0 and read alone."""
+    rows = len(v) if V0 is None else V0.shape[1]
+    out = []
+    for w in Ws:
+        Z = w.reshape((rows, len(v)), order="F")
+        out.append(per_point_distance(Z if V0 is None else V0 @ Z, v))
+    return np.array([dist for dist, _ in out]), max(clamp for _, clamp in out)
+
+
 def test_distance_form_clamps_and_aborts():
     v = np.array([1.0, 0.0], dtype=complex)
-    dist, clamp = _distance_from_transported((1.0 + 1e-9) * np.eye(2, dtype=complex), v)
-    assert dist == 0.0
+    Ws = vec((1.0 + 1e-9) * np.eye(2, dtype=complex))[None]  # one grid time
+    dist, clamp = _distances_from_states(Ws, None, v)
+    assert dist.tolist() == [0.0]
     assert clamp == pytest.approx(2e-9, rel=1e-6)
     assert clamp < CLAMP_ABORT
     with pytest.raises(ClampExceeded):
-        _distance_from_transported(3.0 * np.eye(2, dtype=complex), v)
+        _distances_from_states(vec(3.0 * np.eye(2, dtype=complex))[None], None, v)
+
+
+def random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("d, d0", [(2, None), (4, None), (8, None), (12, 1), (12, 3), (32, 8)])
+def test_stacked_readout_has_the_bits_of_the_per_point_form(d, d0):
+    # full states at d <= 8, ground rows lifted by V0 above; every block holds
+    # the state at t = 0, a clamped grid time and random states
+    rng = np.random.default_rng(d + (d0 or 0))
+    V0 = None if d0 is None else np.linalg.qr(random_complex(rng, d, d0))[0]
+    P0 = np.eye(d) if V0 is None else V0 @ V0.conj().T
+    u = random_complex(rng, d if V0 is None else d0)
+    v = (u if V0 is None else V0 @ u) / np.linalg.norm(u)
+    Z0 = P0 if V0 is None else V0.conj().T  # the state at t = 0
+    states = [Z0, (1.0 + 1e-9) * Z0] + [
+        0.3 * Z / np.linalg.norm(Z) for Z in (random_complex(rng, *Z0.shape) for _ in range(40))
+    ]
+    Ws = np.array([vec(Z) for Z in states]).astype(complex)
+    dist, clamp = _distances_from_states(Ws, V0, v)
+    ref_dist, ref_clamp = per_point_read(Ws, V0, v)
+    assert same_bits(dist, ref_dist)
+    assert clamp == ref_clamp > 0.0
+    assert dist[1] == 0.0 and not np.signbit(dist[1])
+    if V0 is None:
+        assert dist[0] == 0.0 and not np.signbit(dist[0])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([3.0, np.nan], r"came out -4\.000e\+00; propagation is numerically unreliable$"),
+        ([np.nan, 3.0], r"came out nan; propagation overflowed$"),
+        ([np.inf, 3.0], r"came out nan; propagation overflowed$"),  # inf - inf
+    ],
+)
+def test_the_first_failing_grid_time_names_the_failure(bad, message):
+    # grid times 0 and 1 read fine; of the two failing ones after them, the first
+    # is raised, with the text of the per-point form
+    v = np.array([1.0, 0.0], dtype=complex)
+    Ws = np.array([vec(np.diag([s, s])) for s in [1.0, 0.5] + bad]).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # as k_sweep reads
+        with pytest.raises(ClampExceeded, match=message) as got:
+            _distances_from_states(Ws, None, v)
+        with pytest.raises(ClampExceeded) as ref:
+            per_point_read(Ws, None, v)
+    assert str(got.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +660,35 @@ def test_rotating_the_channels_keeps_the_distances(name):
         np.testing.assert_allclose(k * got, k * want, rtol=0, atol=1e-6)
 
 
+class NonzeroAmplitude(np.ndarray):
+    """An amplitude whose any() is True, so that a displacement by zero runs
+    the displacement's arithmetic instead of giving back its input."""
+
+    def any(self, *args, **kwargs):
+        return True
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRY_MODELS))
+def test_a_vacuum_sweep_has_the_bits_of_a_displacement_by_zero(name, monkeypatch):
+    # the vacuum skips its displacement; the distances keep every bit, sign
+    # bits of alkali's exact zeros included
+    m = SYMMETRY_MODELS[name]()
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    zero = np.zeros(m.channels)
+    assert displace_scaled(m, zero) is m and displace_limit(e.limit, zero) is e.limit
+    got = [k_sweep(m, e, v, ks, 1.0, 21) for ks in SYMMETRY_KS]
+    real = elim_module.as_amplitude
+    monkeypatch.setattr(
+        elim_module, "as_amplitude", lambda a, n: real(a, n).view(NonzeroAmplitude)
+    )
+    assert displace_scaled(m, zero) is not m and displace_limit(e.limit, zero) is not e.limit
+    for ks, rep in zip(SYMMETRY_KS, got):
+        ref = k_sweep(m, e, v, ks, 1.0, 21)
+        assert same_bits(rep.distances, ref.distances)
+        assert rep.max_clamp == ref.max_clamp
+
+
 # ---------------------------------------------------------------------------
 # correctors and generator convergence
 
@@ -850,14 +960,14 @@ def test_ground_rows_reach_d64(monkeypatch):
 
 
 def fail_at_kron(*args, **kwargs):
-    raise AssertionError("np.kron reached: the generator was being assembled")
+    raise AssertionError("_kron reached: the generator was being assembled")
 
 
 def test_oversized_generator_is_refused_before_assembly(monkeypatch):
     # the dense d = 40 oracle needs 16 * 40**4 bytes = 39 MiB, over the 32 MiB budget
     assert 16 * 40**4 > semigroup.GENERATOR_BUDGET_BYTES >= 16 * 32**4
     c = CoefficientSet(K=np.zeros((40, 40)), L=np.zeros((1, 40, 40)), S=np.zeros((1, 1, 40, 40)))
-    monkeypatch.setattr(np, "kron", fail_at_kron)
+    monkeypatch.setattr(semigroup, "_kron", fail_at_kron)
     with pytest.raises(ResourceLimit, match="1600 x 1600 generator needs 40,960,000 bytes"):
         dense_generator(c, c)
 
@@ -868,7 +978,7 @@ def test_sweep_checks_the_budget_before_assembly(monkeypatch):
     e = eliminate(m)
     v = default_ground_vector(e.decomposition.P0)
     monkeypatch.setattr(semigroup, "GENERATOR_BUDGET_BYTES", 16 * 64 * 64 - 1)
-    monkeypatch.setattr(np, "kron", fail_at_kron)
+    monkeypatch.setattr(semigroup, "_kron", fail_at_kron)
     with pytest.raises(ResourceLimit):
         k_sweep(m, e, v, [5.0], horizon=1.0, steps=6)
 
@@ -917,6 +1027,108 @@ def test_sweep_checks_the_grid_budget_before_allocation(two_level, monkeypatch):
     monkeypatch.setattr(np, "linspace", fail_at_linspace)
     with pytest.raises(ResourceLimit, match=r"5 coupling\(s\) on 1,000,000,000,000,000 grid"):
         k_sweep(m, e, v, [1.0, 2.0, 5.0, 10.0, 20.0], steps=10**15)
+
+
+def test_a_readout_that_fails_first_wins_over_a_step_refusal(two_level, monkeypatch):
+    # t = 0 is read before the first step is taken; with an abort threshold below
+    # every clamp the read fails there, ahead of the step's overflow or refusal
+    m, e, v = two_level
+    monkeypatch.setattr(semigroup, "CLAMP_ABORT", -1.0)
+    for ks, horizon in (([5.0], 1e308), ([1e9], 1.0)):
+        with pytest.raises(ClampExceeded, match="^squared distance came out"):
+            k_sweep(m, e, v, ks, horizon=horizon, steps=3)
+
+
+def test_a_step_refusal_that_comes_first_keeps_its_text(two_level):
+    m, e, v = two_level
+    overflow = r"^horizon 1e\+308 overflows float64 in a time step$"
+    with pytest.raises(InvalidArgument, match=overflow):
+        k_sweep(m, e, v, [5.0], horizon=1e308, steps=3)
+    with pytest.raises(NumericalFailure) as refused:
+        k_sweep(m, e, v, [1e9], steps=3)
+    assert type(refused.value) is NumericalFailure
+    assert str(refused.value).startswith(
+        "horizon 1 at coupling 1e+09: the rounding error of a time step, eps·h·|G| = "
+    )
+
+
+def plant_steps(monkeypatch, outcomes) -> list[float]:
+    """Makes the n-th step exponential of a sweep outcomes[n]: "nan" for one of
+    NaNs, an exception to raise, or None (and every later one) for the true one.
+    Returns the step lengths asked for."""
+    real = semigroup._step_exponential
+    calls = []
+
+    def planted(h, *args):
+        calls.append(h)
+        outcome = outcomes[len(calls) - 1] if len(calls) <= len(outcomes) else None
+        if isinstance(outcome, Exception):
+            raise outcome
+        E = real(h, *args)
+        return np.full_like(E, np.nan) if outcome == "nan" else E
+
+    monkeypatch.setattr(semigroup, "_step_exponential", planted)
+    return calls
+
+
+def test_a_state_is_read_before_a_later_step_is_refused(two_level, monkeypatch):
+    # the grid of 101 points has more than one float step: the first makes the
+    # state at grid time 1 NaN, the second is refused; grid time 1 is read first
+    m, e, v = two_level
+    assert len(set(np.diff(np.linspace(0.0, 1.0, 101)).tolist())) > 1
+    plant_steps(monkeypatch, ["nan", NumericalFailure("planted")])
+    with pytest.raises(ClampExceeded, match="came out nan; propagation overflowed$"):
+        k_sweep(m, e, v, [5.0], steps=101)
+    # refused at once, the step's own failure comes out, after t = 0 is read
+    calls = plant_steps(monkeypatch, [NumericalFailure("planted")])
+    with pytest.raises(NumericalFailure, match="^planted$"):
+        k_sweep(m, e, v, [5.0], steps=101)
+    assert calls == [np.linspace(0.0, 1.0, 101)[1]]
+
+
+def test_a_segment_is_read_before_its_full_duration_step(two_level, monkeypatch):
+    # the segment [0, 0.5] ends at grid time 50; its exp(0.5·G) is refused
+    m, e, v = two_level
+    drive = StepDrive([0.0, 0.5, 1.0], [[0.3], [-0.2]])
+    assert np.linspace(0.0, 1.0, 101)[50] == 0.5
+    real_step, real_read = semigroup._step_exponential, semigroup._distances_from_states
+
+    def refuse_segment(h, *args):
+        if h == 0.5:
+            raise NumericalFailure("segment end")
+        return real_step(h, *args)
+
+    monkeypatch.setattr(semigroup, "_step_exponential", refuse_segment)
+    with pytest.raises(NumericalFailure, match="^segment end$"):
+        k_sweep(m, e, v, [5.0], 1.0, 101, drive)
+    read = []
+
+    def fail_at_the_segment_end(Ws, *args):
+        read.append(len(Ws))
+        if sum(read) > 50:  # the block holds grid time 50
+            raise ClampExceeded("planted at t = 0.5")
+        return real_read(Ws, *args)
+
+    monkeypatch.setattr(semigroup, "_distances_from_states", fail_at_the_segment_end)
+    with pytest.raises(ClampExceeded, match="^planted at t = 0.5$"):
+        k_sweep(m, e, v, [5.0], 1.0, 101, drive)
+
+
+def test_a_long_sweep_reads_its_grid_in_bounded_blocks(two_level):
+    # a thousand times the grid grows the peak by t_grid and distances, and by
+    # at most one block of states and forms
+    m, e, v = two_level
+    drive = StepDrive([0.0, 0.5, 1.0], [[0.3], [-0.2]])
+    peaks = {}
+    for steps in (101, 100_001):
+        tracemalloc.start()
+        try:
+            k_sweep(m, e, v, [5.0], 1.0, steps, drive)
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    grown = 8 * (100_001 - 101) * 2  # t_grid and the one row of distances
+    assert peaks[100_001] - peaks[101] <= grown + semigroup._READ_BYTES
 
 
 @pytest.mark.parametrize("ks", [[100.0], [100.0, 100.0]])
