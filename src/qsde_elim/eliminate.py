@@ -28,7 +28,7 @@ Y1inv on both routes.  The limit depends on Y only through P0 and Y1inv, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -64,17 +64,20 @@ class Decomposition:
 
     ``V0`` is an orthonormal d x d0 basis of range(P0): ``decompose`` keeps it
     from the SVD that found the kernel, and a decomposition built without one
-    takes the eigenvectors of P0.  A given one must span range(P0).  Values
-    are treated as immutable: ``eliminate`` hands one decomposition to every
-    result of a Y with the same bytes, with P0, Y1inv, V0 and P1 read-only.
+    takes the eigenvectors of P0.  A given one must span range(P0); only
+    ``decompose``'s own, orthonormal and spanning range(P0) by construction,
+    is not checked again.  Values are treated as immutable: ``eliminate``
+    hands one decomposition to every result of a Y with the same bytes, with
+    P0, Y1inv, V0 and P1 read-only.
     """
 
     P0: Projector
     Y1inv: np.ndarray
     warnings: list[str] = field(default_factory=list)
     V0: np.ndarray | None = None
+    _from_svd: InitVar[bool] = False  # decompose's V0, the SVD's ground columns
 
-    def __post_init__(self):
+    def __post_init__(self, _from_svd: bool):
         self.Y1inv = as_operator(self.Y1inv, "Y1inv")
         d, d0 = self.P0.dim, self.P0.rank
         if d != self.Y1inv.shape[0]:
@@ -85,7 +88,7 @@ class Decomposition:
         self.V0 = np.asarray(self.V0, dtype=complex)
         if self.V0.shape != (d, d0):
             raise InvalidArgument(f"V0 has shape {self.V0.shape}, P0 has rank {d0}")
-        if not (  # a NaN entry fails too
+        if not _from_svd and not (  # a NaN entry fails too
             np.linalg.norm(dagger(self.V0) @ self.V0 - np.eye(d0)) <= PROJECTOR_TOL
             and np.linalg.norm(self.V0 @ dagger(self.V0) - self.P0.matrix) <= PROJECTOR_TOL
         ):
@@ -186,7 +189,7 @@ def decompose(
     else:
         excited = P0.complement().basis() if d <= RECORDED_ARITHMETIC_MAX_DIM else V[:, :d1]
         Y1inv = _inverse_on(m.Y, excited, rank_tol)
-    return Decomposition(P0=P0, Y1inv=Y1inv, warnings=warnings, V0=V[:, d1:])
+    return Decomposition(P0=P0, Y1inv=Y1inv, warnings=warnings, V0=V[:, d1:], _from_svd=True)
 
 
 def _channel_sum(L: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -299,7 +302,7 @@ def check_ground_support(c: CoefficientSet, P1: Projector, tol: float = DEFAULT_
     r, cells = range(c.channels), [(i, j) for i in range(c.channels) for j in range(c.channels)]
     names = [f"ground: P1·L_{i}" for i in r] + [f"ground: P1·S_{i}{j}" for i, j in cells]
     values = np.concatenate([frobenius_norms(P1m @ c.L), frobenius_norms(P1m @ c.S).ravel()])
-    return CheckReport.from_residuals(zip(names, values), tol * norm_scale(c.K, c.L, c.S))
+    return CheckReport.from_residuals(zip(names, values), tol * c._scale)
 
 
 # eliminate's last split, (Y's bytes, rank_tol, decomposition): one entry,

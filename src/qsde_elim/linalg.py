@@ -22,12 +22,14 @@ with.  That is numpy's einsum loop for channel contractions, the restricted
 inverse on the eigenvectors of P1, P0 as the ground factor of every
 inverse-structure residual in its written association (P0·X·P1, see
 ``eliminate.check_inverse_structure``), and the full d x d state in
-propagation.  Above that dimension propagation steps the ground rows.  A
-BLAS product sums in another order, with fused multiply-adds, and a product
-by a ground basis V0 instead of by P0 rounds differently: either moves the
-last bits of recorded outputs.  The comment on the constant names the
-outputs each of the four kernels pins.  A stacked matmul keeps the bits:
-each of its matrices equals the 2-d product.
+propagation, stepped by every distinct float difference of the time grid.
+Above that dimension propagation steps the ground rows by the grid's one
+step length.  A BLAS product sums in another order, with fused multiply-adds,
+a product by a ground basis V0 instead of by P0 rounds differently, and a
+step of the one length instead of the grid difference an ulp from it gives
+another exponential: each moves the last bits of recorded outputs.  The
+comment on the constant names the outputs each of the four kernels pins.  A
+stacked matmul keeps the bits: each of its matrices equals the 2-d product.
 
 Only numpy and the standard library are imported here.  On scipy 1.17 or
 later the first :func:`expm` call loads scipy's compiled expm kernel from its
@@ -61,8 +63,9 @@ DEFAULT_RANK_TOL = 1e-9
 #     calls;
 #   the inverse-structure check, P0 rather than V0 (eliminate): check and
 #     eliminate on cavity and lambda;
-#   propagation, the full d x d state (semigroup): converge on two_level,
-#     cavity and lambda.
+#   propagation, the full d x d state stepped by every distinct float
+#     difference of the time grid, not by its one step length (semigroup):
+#     converge on two_level, cavity and lambda.
 # That is 12 of the 16; converge on alkali and kurtz on two_level, alkali and
 # cavity move under none of the four.  For the two-level limit with phase
 # 0.6+0.8i, for example, a BLAS product with fused multiply-adds gives a

@@ -17,6 +17,7 @@ their order-by-order (in k) counterparts for the whole family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -136,6 +137,12 @@ class CoefficientSet:
         if self.ground is not None and self.ground.dim != d:
             raise InvalidArgument("ground projector dimension does not match K")
 
+    @cached_property
+    def _scale(self) -> float:
+        """norm_scale(K, L, S), the scale of the set's check tolerances, taken
+        once for every report of the set."""
+        return norm_scale(self.K, self.L, self.S)
+
     @property
     def dim(self) -> int:
         return self.K.shape[0]
@@ -233,7 +240,7 @@ def check_hp_unitarity(c: CoefficientSet, tol: float = DEFAULT_TOL) -> CheckRepo
     _require_tol(tol)
     if c.ground is not None:
         c.ground.validate(tol * max(1.0, float(c.dim)))
-    return CheckReport.from_residuals(_unitarity_residuals(c), tol * norm_scale(c.K, c.L, c.S))
+    return CheckReport.from_residuals(_unitarity_residuals(c), tol * c._scale)
 
 
 def check_scaling_consistency(m: ScaledModel, tol: float = DEFAULT_TOL) -> CheckReport:

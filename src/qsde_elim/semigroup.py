@@ -26,7 +26,11 @@ evaluates its forms as stacked products, with the bits of the same products one
 grid time at a time.  The vacuum is the drive of amplitude zero, whose
 displacement is the identity, on [0, horizon], a drive is cut at the horizon (its
 segments that start before it, the last one ending at it), and within a
-segment the state is stepped along the time grid by its differences.  What
+segment the state is stepped along the time grid by its differences: the
+ground rows (below) by the grid's one step length, one exponential per
+coupling and segment, plus one of a partial first step where the segment
+starts off the grid; the full state by every distinct float difference, the
+arithmetic of its recorded outputs.  What
 does not depend on k, the displacement of each segment and the compression
 of its limit coefficients, happens once per sweep; each coupling only forms
 K(k) and L(k) and assembles.  The earlier segments act as one product
@@ -47,12 +51,13 @@ A stiff step (-Re tr(h G)/n > STIFF_DECAY) is not a dense exponential of
 h G.  In the limit the excited states decay at rate k^2, so such a step is
 decided by the slow/fast split of the ground-row generator (_SlowFast): the
 Chang decoupling of its slow and fast blocks, every matrix O(1), with the
-fast term dropped once it has decayed below eps.  On the full state its
-exponential E is lifted to kron(I, V0)·E·kron(I, V0†), folded into its outer
-factors.  The split takes the structural zeros that eliminate certifies as
-exact, so it gives the distance of the exactly structured model.  Its k-free
-parts are built at a segment's first stiff step and kept for every coupling
-of the sweep; the basis they share does not depend on the drive.  Where the
+fast term dropped once a bound on it is below eps, which one Cholesky
+factorization per step length decides.  On the full state its exponential E
+is lifted to kron(I, V0)·E·kron(I, V0†), folded into its outer factors.  The
+split takes the structural zeros that eliminate certifies as exact, so it
+gives the distance of the exactly structured model.  Its k-free parts are
+built at a segment's first stiff step and kept for every coupling of the
+sweep; the basis they share does not depend on the drive.  Where the
 blocks it takes as zero are, at that coupling, above the rounding that the
 dense step commits anyway, where a fixed point does not converge (small k),
 or at k = 0, the dense exponential stands.
@@ -421,7 +426,10 @@ class _Decoupled:
 
     The second term is dropped where a bound on it is below eps: the product
     of its outer factors' norms times exp(hμ), with μ the largest eigenvalue
-    of (A_f + A_f†)/2, so that ‖exp(hA_f)‖ <= exp(hμ).
+    of S = (A_f + A_f†)/2, so that ‖exp(hA_f)‖ <= exp(hμ).  That bound is
+    below eps exactly when μ < c = -log(norms/eps)/h, that is when c·I - S is
+    positive definite, which one Cholesky factorization per step length
+    decides without the eigenvalues.
     """
 
     def __init__(self, rot: _Rotation, L, M, A_s, A_f):
@@ -434,7 +442,7 @@ class _Decoupled:
         nL, nM, nf = float(np.linalg.norm(L)), float(np.linalg.norm(M)), len(A_f)
         norms2 = ((nL * nM + math.sqrt(nf)) ** 2 + nM**2) * (nf + nL**2)
         self.log_margin = 0.5 * math.log(norms2) - math.log(EPS)  # log(bound / eps) at h = 0
-        self.mu = float(np.linalg.eigvalsh(0.5 * (A_f + dagger(A_f)))[-1])
+        self.S = 0.5 * (A_f + dagger(A_f))
 
     @cached_property
     def fast_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -444,10 +452,23 @@ class _Decoupled:
 
     def exp(self, h: float) -> np.ndarray:
         E = self.left @ (expm(h * self.A_s) @ self.right)
-        if self.log_margin + h * self.mu >= 0:
+        if not _spectrum_below(self.S, -self.log_margin / h):
             left_f, right_f = self.fast_factors
             E += left_f @ (expm(h * self.A_f) @ right_f)
         return E
+
+
+def _spectrum_below(S: np.ndarray, c: float) -> bool:
+    """Whether every eigenvalue of the Hermitian S is below c: whether c·I - S
+    is positive definite, so has a Cholesky factor.  c is added to the
+    diagonal only, so an infinite c leaves no NaN off it."""
+    shifted = -S
+    shifted[np.diag_indices_from(shifted)] += c
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _fixed_point(residual, correct, X: np.ndarray) -> np.ndarray | None:
@@ -496,7 +517,9 @@ def _step_exponential(h: float, gen: np.ndarray, norm1: float, k: float, horizon
     return expm(step)
 
 
-def _propagate(gens, splits, breakpoints, w0: np.ndarray, t_grid, k: float, rows: int):
+def _propagate(
+    gens, splits, breakpoints, w0: np.ndarray, t_grid, k: float, rows: int, h: float | None
+):
     """Yield (grid index, Ws) for consecutive blocks of t_grid, Ws the vec states
     w0 stepped to the block's times, at most rows of them and all in one segment.
 
@@ -509,8 +532,13 @@ def _propagate(gens, splits, breakpoints, w0: np.ndarray, t_grid, k: float, rows
     earliest segment acts outermost.  H, the earlier segments as one matrix,
     takes one product per segment and is applied to a block as a stack of
     matrix-vector products.  Within a segment w0 is stepped from the segment
-    start by the grid differences, one expm per distinct float step, taken in
-    the order of first appearance before a block is stepped.  A step that
+    start by the grid differences, one exponential per distinct step, taken in
+    the order of first appearance before a block is stepped.  Given the grid's
+    step length h, a difference within 4·eps·horizon of h, which differs from
+    it by the rounding of the grid times, is taken as h: a segment then takes
+    one exponential of h, plus one of its partial first step where it starts
+    off the grid.  With h None every distinct float difference is a step of
+    its own (the arithmetic of the full state's recorded outputs).  A step that
     fails is raised after the block's earlier states are yielded, and the
     segment's full-duration matrix is formed after its last block, so a
     failure at an earlier grid time, in the stepper or the reader, comes
@@ -523,6 +551,7 @@ def _propagate(gens, splits, breakpoints, w0: np.ndarray, t_grid, k: float, rows
     head = None  # H, None while no segment has ended
     idx = 0
     horizon = float(t_grid[-1])
+    near = 4.0 * EPS * horizon
     for j, (gen, split) in enumerate(zip(gens, splits)):
         start, end = float(breakpoints[j]), float(breakpoints[j + 1])
         stop = idx + int(np.searchsorted(t_grid[idx:], end, side="right"))
@@ -531,7 +560,10 @@ def _propagate(gens, splits, breakpoints, w0: np.ndarray, t_grid, k: float, rows
         w = w0
         for lo in range(idx, stop, rows):
             times = t_grid[lo : min(lo + rows, stop)]
-            dts = np.diff(times, prepend=start if lo == idx else t_grid[lo - 1]).tolist()
+            dts = np.diff(times, prepend=start if lo == idx else t_grid[lo - 1])
+            if h is not None:
+                dts = np.where(np.abs(dts - h) <= near, h, dts)
+            dts = dts.tolist()
             failure = None  # a refused step, raised once the grid times before it are read
             try:
                 for dt in dict.fromkeys(dts):
@@ -685,6 +717,9 @@ def k_sweep(
     dec = e.decomposition
     v = _require_ground_vector(v, dec.P1.matrix)
     full_state = m.dim <= RECORDED_ARITHMETIC_MAX_DIM
+    # the ground rows step by the grid's one step length; the full state keeps
+    # one step per distinct float difference, the arithmetic of its recorded outputs
+    h = None if full_state else horizon / (steps - 1)
     # the drive on [0, horizon]: the segments that start before it, the last ending at it
     reached = min(int(np.searchsorted(drive.breakpoints, horizon)), len(drive.amplitudes))
     breakpoints = np.append(drive.breakpoints[:reached], horizon)
@@ -713,7 +748,7 @@ def k_sweep(
         ]
         # each next() steps a block; an overflow is InvalidArgument in a step, else ClampExceeded
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo, Ws in _propagate(gens, splits, breakpoints, w0, t_grid, k, rows):
+            for lo, Ws in _propagate(gens, splits, breakpoints, w0, t_grid, k, rows, h):
                 distances[i, lo : lo + len(Ws)], clamp = _distances_from_states(Ws, lift, v)
                 max_clamp = max(max_clamp, clamp)
     return ConvergenceReport(

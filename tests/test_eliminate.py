@@ -36,6 +36,7 @@ from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM, dagger
 from factories import coefficient_gap, haar_unitary, model_gap, random_valid_model
 
 elim = importlib.import_module("qsde_elim.eliminate")  # the package's name is the function
+model_module = importlib.import_module("qsde_elim.model")
 
 
 def test_decompose_two_level_oracle():
@@ -547,6 +548,20 @@ def test_decomposition_rejects_a_ground_basis_that_does_not_span_range_p0():
     assert listed.V0.dtype == complex
 
 
+@pytest.mark.parametrize("d, n", [(8, 2), (16, 3)])
+def test_decompose_hands_over_the_svds_ground_basis_unchecked(d, n, monkeypatch):
+    # decompose's V0 is the SVD's kernel columns, orthonormal and spanning
+    # range(P0) by construction: with the check's tolerance below every
+    # residual it still passes, and the same basis given by a caller does not
+    m = large_model(d, n, seed=d + n)
+    monkeypatch.setattr(elim, "PROJECTOR_TOL", -1.0)
+    dec = decompose(m)
+    vh = np.linalg.svd(m.Y)[2]
+    assert np.array_equal(dec.V0, dagger(vh)[:, d - dec.P0.rank :])
+    with pytest.raises(InvalidArgument, match=r"V0 is not an orthonormal basis of range\(P0\)"):
+        Decomposition(P0=dec.P0, Y1inv=dec.Y1inv, V0=dec.V0)
+
+
 @pytest.mark.parametrize("d0, d1, n", [(1, 1, 1), (2, 6, 3), (0, 12, 2), (4, 12, 2), (3, 9, 1)])
 def test_decomposition_derives_its_excited_projector(d0, d1, n):
     m = random_valid_model(np.random.default_rng(d0 + d1 + n), d0, d1, n)
@@ -634,6 +649,20 @@ def test_reports_keep_the_tolerance_eliminate_was_given():
     assert_same_report(e.inverse_structure, check_inverse_structure(m, e.decomposition, 1e-6))
     assert_same_report(e.ground_support, check_ground_support(e.limit, e.decomposition.P1, 1e-6))
     assert_same_report(e.limit_unitarity, check_hp_unitarity(e.limit, 1e-6))
+
+
+@pytest.mark.parametrize("name", list(REPORT_MODELS))
+def test_the_limit_reports_share_one_norm_scale(name, monkeypatch):
+    # ground support and limit unitarity scale their tolerances by the norm
+    # scale of the same limit (K, L, S): taken once, with the bits of the call
+    m = REPORT_MODELS[name]
+    e = eliminate(m, tol=1e-7)
+    direct = 1e-7 * model_module.norm_scale(e.limit.K, e.limit.L, e.limit.S)
+    scales = count(monkeypatch, model_module, "norm_scale")
+    reports = (e.ground_support, e.limit_unitarity)
+    assert scales.calls == 1
+    for report in reports:
+        assert np.float64(report.tolerance).tobytes() == np.float64(direct).tobytes()
 
 
 def test_overflowing_reports_fail_when_read_without_a_warning():

@@ -1131,6 +1131,142 @@ def test_a_long_sweep_reads_its_grid_in_bounded_blocks(two_level):
     assert peaks[100_001] - peaks[101] <= grown + semigroup._READ_BYTES
 
 
+# ---------------------------------------------------------------------------
+# one step length for the ground rows: above RECORDED_ARITHMETIC_MAX_DIM a
+# grid difference an ulp from horizon / (steps - 1) is a step of that length
+
+
+def grid_difference_squared_distances(m, e, k, v, drive, t_grid):
+    """<v, (2I - T - T†) v> of the ground rows Z = V0† X stepped within each
+    segment by every float difference of t_grid, one expm per distinct
+    difference, with the earlier segments' full durations applied by hand,
+    the earliest outermost: the full state's stepping rule on the ground rows."""
+    V0 = e.decomposition.V0
+    Vh = V0.conj().T
+    if drive is None:
+        segments, bps = [(e.limit, m)], [0.0, float(t_grid[-1])]
+    else:
+        segments = [(displace_limit(e.limit, a), displace_scaled(m, a)) for a in drive.amplitudes]
+        bps = drive.breakpoints
+    head, out = None, []
+    for j, (limit, scaled) in enumerate(segments):
+        right = instantiate(scaled, k)
+        left = (Vh @ limit.K @ V0, Vh @ limit.L @ V0)
+        G = _superoperator(_sandwich_terms(*left, right.K, right.L), m.dim)
+        start, end = float(bps[j]), float(bps[j + 1])
+        # a time on a breakpoint belongs to the segment it ends
+        inside = (t_grid <= end) & ((t_grid > start) if j else True)
+        w, prev, steps = vec(Vh), start, {}
+        for t in t_grid[inside]:
+            dt = float(t) - prev
+            if dt > 0:
+                if dt not in steps:
+                    steps[dt] = expm(dt * G)
+                w = steps[dt] @ w
+            prev = float(t)
+            Z = (w if head is None else head @ w).reshape(Vh.shape, order="F")
+            T = V0 @ Z
+            out.append(np.vdot(v, (2.0 * np.eye(m.dim) - T - T.conj().T) @ v).real)
+        jump = expm((end - start) * G)
+        head = jump if head is None else head @ jump
+    return np.array(out)
+
+
+STEP_LENGTH_MODELS = {
+    **GROUND_ROW_MODELS,
+    "random-d12-n1": lambda: random_valid_model(np.random.default_rng(5), 3, 9, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_LENGTH_MODELS))
+@pytest.mark.parametrize("drive_name", sorted(GROUND_ROW_DRIVES))
+def test_one_step_length_meets_the_grid_difference_stepper(name, drive_name, monkeypatch):
+    # up to k = 5 no step of these sweeps is stiff, not even a segment's full
+    # duration, so the oracle's plain expm is the stepper's exponential up to
+    # the ulps of h
+    m = STEP_LENGTH_MODELS[name]()
+    assert m.dim > RECORDED_ARITHMETIC_MAX_DIM
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    drive = None
+    if GROUND_ROW_DRIVES[drive_name] is not None:
+        breakpoints, amps = GROUND_ROW_DRIVES[drive_name]
+        drive = StepDrive(breakpoints, [[a] * m.channels for a in amps])
+    splits = record_splits(monkeypatch)
+    for steps in (37, 101):
+        rep = k_sweep(m, e, v, [2.0, 5.0], horizon=1.0, steps=steps, drive=drive)
+        for i, k in enumerate(rep.ks):
+            q = np.maximum(grid_difference_squared_distances(m, e, k, v, drive, rep.t_grid), 0.0)
+            np.testing.assert_allclose(rep.distances[i] ** 2, q, rtol=0, atol=1e-10)
+    assert splits == []
+
+
+# per coupling on the 101-point grid of [0, 1]: the vacuum takes the grid step;
+# a breakpoint on the grid adds the next segment's grid step and the first
+# segment's full duration; one off the grid adds the next segment's partial
+# first step too
+STEP_COUNTS = {
+    "vacuum": (None, [0.01]),
+    "on-grid": ([0.0, 0.5, 1.0], [0.01, 0.5, 0.01]),
+    "off-grid": ([0.0, 0.505, 1.0], [0.01, 0.505, 0.51 - 0.505, 0.01]),
+}
+
+
+@pytest.mark.parametrize("drive_name", sorted(STEP_COUNTS))
+def test_the_ground_rows_take_one_exponential_per_step_length(drive_name, monkeypatch):
+    m = catalog.lambda_system(1.0, 2.0, 0.4, 4)
+    assert m.dim == 12 > RECORDED_ARITHMETIC_MAX_DIM
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    breakpoints, per_coupling = STEP_COUNTS[drive_name]
+    drive = None if breakpoints is None else StepDrive(breakpoints, [[0.3], [-0.2]])
+    t_grid = np.linspace(0.0, 1.0, 101)
+    assert t_grid[50] == 0.5 and 0.505 not in t_grid
+    calls = plant_steps(monkeypatch, [])  # the step lengths asked for
+    k_sweep(m, e, v, [5.0, 100.0], horizon=1.0, steps=101, drive=drive)
+    assert calls == 2 * per_coupling
+
+
+def test_the_full_state_keeps_one_exponential_per_float_difference(monkeypatch):
+    # up to RECORDED_ARITHMETIC_MAX_DIM the recorded outputs pin the steps: the
+    # 101-point grid of [0, 1] has 8 distinct float differences
+    m = catalog.default_cavity_system(n_trunc=4)
+    assert m.dim == RECORDED_ARITHMETIC_MAX_DIM
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    differences = list(dict.fromkeys(np.diff(np.linspace(0.0, 1.0, 101)).tolist()))
+    assert len(differences) == 8
+    calls = plant_steps(monkeypatch, [])  # the step lengths asked for
+    k_sweep(m, e, v, [5.0, 100.0], horizon=1.0, steps=101)
+    assert calls == 2 * differences
+
+
+def test_a_refused_step_length_comes_after_the_earlier_grid_times(monkeypatch):
+    # at d = 12 the grid step is the only step of a vacuum segment: refused, it
+    # raises after t = 0 is read; refused in the second segment of the
+    # driven-catalog drive, after the 51 grid times of the first
+    m = catalog.lambda_system(1.0, 2.0, 0.4, 4)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    real_read, read = semigroup._distances_from_states, []
+
+    def reading(Ws, *args):
+        read.append(len(Ws))
+        return real_read(Ws, *args)
+
+    monkeypatch.setattr(semigroup, "_distances_from_states", reading)
+    calls = plant_steps(monkeypatch, [NumericalFailure("planted")])
+    with pytest.raises(NumericalFailure, match="^planted$"):
+        k_sweep(m, e, v, [5.0], steps=101)
+    assert calls == [0.01] and read == [1]
+    read.clear()
+    calls = plant_steps(monkeypatch, [None, None, NumericalFailure("planted")])
+    drive = StepDrive([0.0, 0.5, 1.0], [[0.3], [-0.2]])
+    with pytest.raises(NumericalFailure, match="^planted$"):
+        k_sweep(m, e, v, [5.0], 1.0, 101, drive)
+    assert calls == [0.01, 0.5, 0.01] and sum(read) == 51
+
+
 @pytest.mark.parametrize("ks", [[100.0], [100.0, 100.0]])
 def test_corrected_slope_needs_two_distinct_couplings(ks):
     # one coupling, swept once or twice, leaves no slope to fit: NaN, unwarned
@@ -1231,6 +1367,48 @@ def test_split_is_reached_only_by_stiff_steps(monkeypatch):
         v = default_ground_vector(e.decomposition.P0)
         for drive in (None, StepDrive(breakpoints, [[a] * m.channels for a in amps])):
             k_sweep(m, e, v, [5.0], horizon=1.0, steps=6, drive=drive)
+
+
+def fast_term_dropped(S: np.ndarray, c: float) -> bool:
+    """The eigenvalue rule the split's Cholesky test stands for: the fast term
+    is kept where log_margin + h·μ >= 0, with c = -log_margin/h, so dropped
+    where μ, the largest eigenvalue of S, is below c."""
+    return bool(np.linalg.eigvalsh(S)[-1] < c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 24, 60])
+def test_the_cholesky_test_decides_as_the_largest_eigenvalue(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        X = random_complex(rng, n, n)
+        S = 0.5 * (X + X.conj().T) - rng.uniform(0, 3) * np.eye(n)
+        mu, size = np.linalg.eigvalsh(S)[-1], np.linalg.norm(S, 2)
+        for delta in np.geomspace(1e-3 * size, 1e3 * semigroup.EPS * size, 12):
+            for c in (mu + delta, mu - delta):
+                assert semigroup._spectrum_below(S, c) is fast_term_dropped(S, c)
+
+
+@pytest.mark.parametrize("name", ["cavity-d16", "lambda-d12", "two_level"])
+def test_the_split_drops_the_fast_term_as_the_eigenvalue_rule(name, monkeypatch):
+    # cavity drops its fast term at k = 1e4; lambda's fast block has a positive
+    # numerical abscissa, so it keeps it; every decision of a sweep agrees
+    build = {**GROUND_ROW_MODELS, "two_level": lambda: catalog.two_level_atom(1.0, 1.0, 0.5)}[name]
+    m = build()
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    real, decisions = semigroup._spectrum_below, []
+
+    def checked(S, c):
+        decisions.append(real(S, c))
+        assert decisions[-1] is fast_term_dropped(S, c)
+        return decisions[-1]
+
+    monkeypatch.setattr(semigroup, "_spectrum_below", checked)
+    drive = StepDrive([0.0, 0.5, 1.0], [[0.3] * m.channels, [-0.2] * m.channels])
+    for steps in (6, 101):
+        k_sweep(m, e, v, [1e3, 1e4], horizon=1.0, steps=steps)
+        k_sweep(m, e, v, [1e4], horizon=1.0, steps=steps, drive=drive)
+    assert decisions and set(decisions) == {name != "lambda-d12"}
 
 
 def test_a_planted_slow_slow_block_falls_back_to_the_dense_path(monkeypatch):
