@@ -32,10 +32,12 @@ coupling and segment, plus one of a partial first step where the segment
 starts off the grid; the full state by every distinct float difference, the
 arithmetic of its recorded outputs.  What
 does not depend on k, the displacement of each segment and the compression
-of its limit coefficients, happens once per sweep; each coupling only forms
-K(k) and L(k) and assembles.  The earlier segments act as one product
-matrix, one multiplication per segment.  build_generators gives the dense
-d^2 x d^2 skew generator from the same terms; no distance goes through it.
+of its limit coefficients, happens once per sweep.  The generator is
+k²G₂ + kG₁ + G₀ (_generator_terms); per coupling the ground rows form it from
+parts assembled once, and the full state assembles it from K(k) and L(k),
+the arithmetic of its recorded outputs.  The earlier segments act as one
+product matrix, one multiplication per segment.  build_generators gives the
+dense d^2 x d^2 skew generator; no distance goes through it.
 
 The state never leaves the ground rows.  Every left factor of the skew
 generator, K† and L_i† of the limit (displaced or not), maps into range(P0),
@@ -57,7 +59,9 @@ is lifted to kron(I, V0)·E·kron(I, V0†), folded into its outer factors.  The
 split takes the structural zeros that eliminate certifies as exact, so it
 gives the distance of the exactly structured model.  Its k-free parts are
 built at a segment's first stiff step and kept for every coupling of the
-sweep; the basis they share does not depend on the drive.  Where the
+sweep; the basis they share does not depend on the drive.  It and the parts
+of the undisplaced model are kept on the elimination result for later
+sweeps.  Where the
 blocks it takes as zero are, at that coupling, above the rounding that the
 dense step commits anyway, where a fixed point does not converge (small k),
 or at k = 0, the dense exponential stands.
@@ -92,7 +96,7 @@ from .linalg import (
     frobenius_norms,
     vec,
 )
-from .model import ScaledModel, _coefficients, instantiate
+from .model import CoefficientSet, ScaledModel, _coefficients, instantiate
 
 CLAMP_ABORT = 1e-6
 GROUND_VECTOR_TOL = 1e-9
@@ -169,6 +173,29 @@ def _sandwich_terms(K_left, L_left, K_right, L_right) -> Terms:
     return terms
 
 
+def _generator_terms(K, L, scaled: ScaledModel, right=lambda X: X) -> tuple[Terms, Terms, Terms]:
+    """Terms of the k-free parts of K† X + X K(k) + Σ L_i† X L_i(k) = k²G₂ + kG₁ + G₀,
+    each right factor of scaled mapped by right: X Y; X A + Σ L_i† X F_i; the rest."""
+    Y, A, B, F, G = (right(a) for a in (scaled.Y, scaled.A, scaled.B, scaled.F, scaled.G))
+    return [(None, Y)], _sandwich_terms(None, L, A, F), _sandwich_terms(K, L, B, G)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each marked read-only: a write into a kept part raises."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _require_budget(n: int) -> None:
+    """Refuses an n x n generator over GENERATOR_BUDGET_BYTES with ResourceLimit."""
+    if 16 * n * n > GENERATOR_BUDGET_BYTES:
+        raise ResourceLimit(
+            f"a {n} x {n} generator needs {16 * n * n:,} bytes, "
+            f"over the budget of {GENERATOR_BUDGET_BYTES:,} bytes"
+        )
+
+
 def _superoperator(terms: Terms, d: int, rows: int | None = None) -> np.ndarray:
     """Matrix of the terms acting on vec(X), X of shape rows x d, where rows
     defaults to the size of the first left factor (d when that factor is None).
@@ -178,12 +205,7 @@ def _superoperator(terms: Terms, d: int, rows: int | None = None) -> np.ndarray:
     """
     if rows is None:
         rows = d if terms[0][0] is None else len(terms[0][0])
-    n = rows * d
-    if 16 * n * n > GENERATOR_BUDGET_BYTES:
-        raise ResourceLimit(
-            f"a {n} x {n} generator needs {16 * n * n:,} bytes, "
-            f"over the budget of {GENERATOR_BUDGET_BYTES:,} bytes"
-        )
+    _require_budget(rows * d)
     eye_left, eye_right = np.eye(rows, dtype=complex), np.eye(d, dtype=complex)
     # X -> l X r has matrix kron(r.T, l) on vec(X)
     mats = (
@@ -301,7 +323,7 @@ class _Rotation:
         self.d, self.d0, self.nf = d, d0, d0 * (d - d0)
         # V1 completes the decomposition's V0, which stays the slow columns
         complete = np.linalg.qr(V0, mode="complete")[0]
-        self.V = np.concatenate([complete[:, d0:], V0], axis=1)
+        (self.V,) = _read_only(np.concatenate([complete[:, d0:], V0], axis=1))
         self.lift = V0 if lift else None
 
     def rotate(self, X: np.ndarray) -> np.ndarray:
@@ -324,13 +346,50 @@ class _Rotation:
         return Y.reshape(len(X), -1)
 
 
+class _Parts:
+    """The k-free parts of a segment's generator k²G₂ + kG₁ + G₀, its limit's
+    K, L compressed to the ground rows: the stepper's, and the split's (right index
+    rotated by rot).  Each set is built from the model given at its first use, read-only."""
+
+    def __init__(self, limit: CoefficientSet, V0: np.ndarray, rot: _Rotation | None):
+        self.K, self.L = _read_only(dagger(V0) @ limit.K @ V0, dagger(V0) @ limit.L @ V0)
+        self.rot, self._ground, self._split = rot, None, None
+
+    def generator(self, scaled: ScaledModel, k: float) -> np.ndarray:
+        """k²G₂ + kG₁ + G₀, refused as its assembly is: K(k) or L(k), then the budget.
+        G₂ = kron(Yᵀ, I) is added on its d0 diagonal blocks, not kept."""
+        _coefficients(scaled, k)
+        d, d0 = scaled.dim, len(self.K)
+        _require_budget(d0 * d)
+        if self._ground is None:
+            terms = _generator_terms(self.K, self.L, scaled)[1:]
+            self._ground = _read_only(*(_superoperator(g, d, d0) for g in terms))
+        G1, G0 = self._ground
+        gen, kkY = k * G1 + G0, k * k * scaled.Y.T
+        for a in range(d0):  # a view: gen is a new C-ordered array
+            gen.reshape(d, d0, d, d0)[:, a, :, a] += kkY
+        return gen
+
+    def split(self, scaled: ScaledModel) -> tuple:
+        """G₂'s fast-fast block, G₁, G₀, and the norms of the blocks taken as
+        zero: G₂ off its fast-fast block, and G₁'s slow-slow block."""
+        if self._split is None:
+            rot, f, s = self.rot, slice(0, self.rot.nf), slice(self.rot.nf, None)
+            terms = _generator_terms(self.K, self.L, scaled, rot.rotate)
+            G2, G1, G0 = (_superoperator(g, rot.d, rows=rot.d0) for g in terms)
+            G2_off = math.hypot(float(np.linalg.norm(G2[f, s])), float(np.linalg.norm(G2[s])))
+            G1_ss = float(np.linalg.norm(G1[s, s]))
+            self._split = (*_read_only(G2[f, f].copy(), G1, G0), G2_off, G1_ss)
+        return self._split
+
+
 class _SlowFast:
     """exp(h·G) of one segment's ground-row generator by the Chang decoupling
     of its slow and fast blocks (Kokotović, Khalil & O'Reilly, *Singular
     Perturbation Methods in Control*, 1986, ch. 2), every matrix O(1).
 
-    With the right index rotated by V, G = k²G₂ + kG₁ + G₀ has k-free parts,
-    built at the segment's first stiff step.  The identities that
+    With the right index rotated by V, G = k²G₂ + kG₁ + G₀ has k-free parts
+    (_Parts.split), read at the segment's first stiff step.  The identities that
     eliminate certifies (Y·V0 = 0, P0·Y·P1 = 0, P0·A·P0 = 0, F_i·P0 = 0) leave
     G₂ only a fast-fast block and G₁ no slow-slow block.  The split takes
     those blocks as exact zeros, so it propagates the exactly structured
@@ -355,22 +414,9 @@ class _SlowFast:
     rounding or a fixed point has not converged within SPLIT_MAX_ITER steps.
     """
 
-    def __init__(self, rot: _Rotation, K, L, scaled: ScaledModel):
-        self.rot, self.K, self.L, self.scaled = rot, K, L, scaled
+    def __init__(self, parts: _Parts, scaled: ScaledModel):
+        self.parts, self.scaled = parts, scaled
         self.k = self.terms = None  # the coupling the terms were decoupled at, and they
-
-    @cached_property
-    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-        """G₂'s fast-fast block, G₁ and G₀, and the norms of the blocks taken
-        as zero: G₂ off its fast-fast block, and G₁'s slow-slow block."""
-        rot, m = self.rot, self.scaled
-        f, s = slice(0, rot.nf), slice(rot.nf, None)
-        g2 = [(None, rot.rotate(m.Y))]
-        g1 = _sandwich_terms(None, self.L, rot.rotate(m.A), rot.rotate(m.F))
-        g0 = _sandwich_terms(self.K, self.L, rot.rotate(m.B), rot.rotate(m.G))
-        G2, G1, G0 = (_superoperator(g, rot.d, rows=rot.d0) for g in (g2, g1, g0))
-        G2_off = math.hypot(float(np.linalg.norm(G2[f, s])), float(np.linalg.norm(G2[s])))
-        return G2[f, f], G1, G0, G2_off, float(np.linalg.norm(G1[s, s]))
 
     def exp(self, h: float, k: float) -> np.ndarray | None:
         """exp(h·G) at coupling k, or None where the split does not hold."""
@@ -383,8 +429,8 @@ class _SlowFast:
         and at k = 0, where no fast block decays."""
         if k == 0:
             return None
-        rot = self.rot
-        G2ff, G1, G0, G2_off, G1_ss = self.parts
+        rot = self.parts.rot
+        G2ff, G1, G0, G2_off, G1_ss = self.parts.split(self.scaled)
         f, s = slice(0, rot.nf), slice(rot.nf, None)
         kk = k * k
         E = G1[f, f] + G0[f, f] / k
@@ -607,9 +653,7 @@ def kurtz_corrector(e: EliminationResult, m: ScaledModel, X) -> tuple[np.ndarray
     if np.linalg.norm(X - P0m @ X @ P0m) > 1e-9 * scale:
         raise InvalidArgument("X must be supported on the ground sector (X = P0 X P0)")
 
-    K, L = e.limit.K, e.limit.L
-    l0 = _sandwich_terms(K, L, m.B, m.G)
-    l1 = _sandwich_terms(None, L, m.A, m.F)
+    _, l1, l0 = _generator_terms(e.limit.K, e.limit.L, m)
     YP = e.decomposition.Y1inv @ e.decomposition.P1.matrix
     X1 = -_apply_terms(l1, X) @ YP
     X2 = -(_apply_terms(l0, X) + _apply_terms(l1, X1)) @ YP
@@ -723,17 +767,21 @@ def k_sweep(
     # the drive on [0, horizon]: the segments that start before it, the last ending at it
     reached = min(int(np.searchsorted(drive.breakpoints, horizon)), len(drive.amplitudes))
     breakpoints = np.append(drive.breakpoints[:reached], horizon)
-    # stiff steps take the slow/fast split where there is a fast sector; a
-    # segment's parts are built at its first
-    rotation = _Rotation(dec.V0, lift=full_state) if dec.V0.shape[1] < m.dim else None
-    Vh = dagger(dec.V0)
-    segments, splits = [], []  # per segment: left factors K, L and the displaced scaled model
+    # stiff steps take the slow/fast split where there is a fast sector; the rotation and
+    # the parts of m's own generator are kept on e while m's Y, A, B, F, G keep their
+    # bytes (never an exception, nothing of a coupling), a displaced segment's are not
+    key, kept = b"".join(a.tobytes() for a in (m.Y, m.A, m.B, m.F, m.G)), e._sweep_parts
+    if kept is None or kept[0] != key:
+        rot = _Rotation(dec.V0, lift=full_state) if dec.V0.shape[1] < m.dim else None
+        kept = e._sweep_parts = (key, _Parts(e.limit, dec.V0, rot))
+    own = kept[1]
+    segments, splits = [], []  # per segment: the limit, the parts and the scaled model
     for alpha in drive.amplitudes[:reached]:
         limit, scaled = displace_limit(e.limit, alpha), displace_scaled(m, alpha)
-        K, L = Vh @ limit.K @ dec.V0, Vh @ limit.L @ dec.V0  # compressed to the ground rows
-        splits.append(None if rotation is None else _SlowFast(rotation, K, L, scaled))
-        segments.append((limit.K, limit.L, scaled) if full_state else (K, L, scaled))
-    Z0 = dec.P0.matrix if full_state else Vh  # the full state X, or its ground rows V0† X
+        parts = own if scaled is m else _Parts(limit, dec.V0, own.rot)
+        splits.append(None if own.rot is None else _SlowFast(parts, scaled))
+        segments.append((limit, parts, scaled))
+    Z0 = dec.P0.matrix if full_state else dagger(dec.V0)  # the full state X, or its rows V0† X
     lift = None if full_state else dec.V0
     w0 = vec(Z0).astype(complex)
     # a block holds about five d x d complex matrices and a few floats per grid time
@@ -742,9 +790,11 @@ def k_sweep(
     distances = np.empty((ks.size, steps))
     max_clamp = 0.0
     for i, k in enumerate(ks):
-        gens = [
-            _superoperator(_sandwich_terms(K, L, *_coefficients(scaled, k)), m.dim)
-            for K, L, scaled in segments
+        gens = [  # the full state keeps the per-coupling assembly of its recorded outputs
+            _superoperator(_sandwich_terms(limit.K, limit.L, *_coefficients(scaled, k)), m.dim)
+            if full_state
+            else parts.generator(scaled, k)
+            for limit, parts, scaled in segments
         ]
         # each next() steps a block; an overflow is InvalidArgument in a step, else ClampExceeded
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,5 +1,6 @@
 """Tests for semigroup propagation, convergence distances, and correctors."""
 
+import dataclasses
 import importlib
 import math
 import tracemalloc
@@ -1267,6 +1268,25 @@ def test_a_refused_step_length_comes_after_the_earlier_grid_times(monkeypatch):
     assert calls == [0.01, 0.5, 0.01] and sum(read) == 51
 
 
+@pytest.mark.parametrize("horizon", [1.0, 0.7])
+@pytest.mark.parametrize("offset", [1e-6, 1e-3])
+def test_a_breakpoint_just_past_a_grid_time_meets_the_grid_difference_stepper(offset, horizon):
+    # a breakpoint offset·horizon past a grid time gives the next segment a
+    # partial first step h - offset·horizon, which is a step of its own: taken
+    # as the grid step h, it would move d² by far more than 1e-10
+    m = catalog.lambda_system(1.0, 1.0, 0.5, 4)
+    assert m.dim == 12 > RECORDED_ARITHMETIC_MAX_DIM
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    t_grid = np.linspace(0.0, horizon, 101)
+    breakpoints = [0.0, t_grid[30] + offset * horizon, t_grid[60] + 2 * offset * horizon, horizon]
+    drive = StepDrive(breakpoints, [[0.3], [-0.2j], [0.1]])
+    rep = k_sweep(m, e, v, [2.0, 5.0], horizon=horizon, steps=101, drive=drive)
+    for i, k in enumerate(rep.ks):
+        q = np.maximum(grid_difference_squared_distances(m, e, k, v, drive, rep.t_grid), 0.0)
+        np.testing.assert_allclose(rep.distances[i] ** 2, q, rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("ks", [[100.0], [100.0, 100.0]])
 def test_corrected_slope_needs_two_distinct_couplings(ks):
     # one coupling, swept once or twice, leaves no slope to fit: NaN, unwarned
@@ -1490,3 +1510,182 @@ def test_a_fixed_point_that_does_not_converge_takes_the_dense_path(n_trunc, monk
     assert rep.max_clamp == dense.max_clamp
     if n_trunc == 4:
         np.testing.assert_allclose(rep.distances[1], [0.0, 1.33966611, 1.40581944], atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the k-free parts G₂, G₁, G₀ of the generator, kept on the elimination result
+
+
+POLYNOMIAL_MODELS = {
+    "cavity-d16": lambda: catalog.default_cavity_system(n_trunc=8),
+    "cavity-d32": lambda: catalog.default_cavity_system(n_trunc=16),
+    "lambda-d12": lambda: catalog.lambda_system(1.0, 2.0, 0.4, 4),
+    "random-d16": lambda: random_valid_model(np.random.default_rng(7), 4, 12, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYNOMIAL_MODELS))
+def test_the_parts_make_the_assembled_ground_row_generator(name):
+    # k²G₂ + kG₁ + G₀ is the per-coupling assembly of K† X + X K(k) + Σ L_i† X L_i(k)
+    # on the ground rows up to the rounding of its sums, undisplaced and displaced
+    m = POLYNOMIAL_MODELS[name]()
+    e = eliminate(m)
+    V0 = e.decomposition.V0
+    alpha = np.full(m.channels, 0.3 - 0.2j)
+    displaced = (displace_limit(e.limit, alpha), displace_scaled(m, alpha))
+    for limit, scaled in ((e.limit, m), displaced):
+        parts = semigroup._Parts(limit, V0, None)
+        K, L = V0.conj().T @ limit.K @ V0, V0.conj().T @ limit.L @ V0
+        assert same_bits(parts.K, K) and same_bits(parts.L, L)
+        for k in (5.0, 100.0, 1e4):
+            right = instantiate(scaled, k)
+            assembled = _superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim)
+            gap = np.abs(parts.generator(scaled, k) - assembled).max()
+            assert gap <= 1e-15 * np.abs(assembled).max()
+
+
+def test_kurtz_corrector_reads_the_generator_terms():
+    # l1 = X A + Σ L_i† X F_i and l0 = K† X + X B + Σ L_i† X G_i, with the bits
+    # of the term lists written out
+    m = random_valid_model(np.random.default_rng(3), 2, 4, 2)
+    e = eliminate(m)
+    X = e.decomposition.P0.matrix @ random_complex(np.random.default_rng(4), 6, 6)
+    X = X @ e.decomposition.P0.matrix
+    X1, X2 = kurtz_corrector(e, m, X)
+    K, L = e.limit.K, e.limit.L
+    l1 = [(None, m.A)] + [(L[i].conj().T, m.F[i]) for i in range(2)]
+    l0 = [(K.conj().T, None), (None, m.B)] + [(L[i].conj().T, m.G[i]) for i in range(2)]
+    YP = e.decomposition.Y1inv @ e.decomposition.P1.matrix
+    ref1 = -_apply_terms(l1, X) @ YP
+    assert same_bits(X1, ref1)
+    assert same_bits(X2, -(_apply_terms(l0, X) + _apply_terms(l1, ref1)) @ YP)
+
+
+# (model, ks, drive) of the memo tests: the full state and the ground rows,
+# each with a stiff coupling that takes the split and a drive with a
+# displaced segment
+MEMO_CASES = {
+    "two_level": (lambda: catalog.two_level_atom(1.0, 1.0, 0.5), [5.0, 1e4]),
+    "cavity-d16": (lambda: catalog.default_cavity_system(n_trunc=8), [5.0, 1e4]),
+}
+MEMO_DRIVES = {"vacuum": None, "driven": ([0.0, 0.45, 1.0], [0.0, -0.2j])}
+
+
+def memo_sweep(m, e, ks, drive_name):
+    drive = None
+    if MEMO_DRIVES[drive_name] is not None:
+        breakpoints, amps = MEMO_DRIVES[drive_name]
+        drive = StepDrive(breakpoints, [[a] * m.channels for a in amps])
+    v = default_ground_vector(e.decomposition.P0)
+    return k_sweep(m, e, v, ks, horizon=1.0, steps=11, drive=drive)
+
+
+def same_sweep(a, b) -> bool:
+    return same_bits(a.distances, b.distances) and a.max_clamp == b.max_clamp
+
+
+def unkept(e):
+    """A copy of the elimination result that keeps no parts."""
+    return dataclasses.replace(e)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+@pytest.mark.parametrize("drive_name", sorted(MEMO_DRIVES))
+def test_a_second_sweep_has_the_bits_of_the_first_and_of_a_fresh_result(name, drive_name):
+    build, ks = MEMO_CASES[name]
+    m = build()
+    e = eliminate(m)
+    first = memo_sweep(m, e, ks, drive_name)
+    assert e._sweep_parts is not None
+    parts = e._sweep_parts[1]
+    second = memo_sweep(m, e, ks, drive_name)
+    assert e._sweep_parts[1] is parts
+    fresh = memo_sweep(m, eliminate(build()), ks, drive_name)
+    assert same_sweep(first, second) and same_sweep(first, fresh)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+def test_another_model_swept_with_the_result_gets_its_own_parts(name):
+    # a model of the same shape, and the model itself written in place, each
+    # meet a key that does not match and get the bits of a result that kept nothing
+    build, ks = MEMO_CASES[name]
+    m = build()
+    e = eliminate(m)
+    other = dataclasses.replace(m, A=1.5 * m.A, B=m.B + 0.25 * m.B.conj().T, G=0.5 * m.G)
+    want = memo_sweep(other, unkept(e), ks, "driven")
+    memo_sweep(m, e, ks, "driven")
+    assert same_sweep(memo_sweep(other, e, ks, "driven"), want)
+    memo_sweep(m, e, ks, "driven")
+    m.B *= 2.0  # the parts kept for m no longer hold
+    assert same_sweep(memo_sweep(m, e, ks, "driven"), memo_sweep(m, unkept(e), ks, "driven"))
+
+
+def test_the_kept_parts_are_read_only():
+    m = catalog.default_cavity_system(n_trunc=8)
+    e = eliminate(m)
+    memo_sweep(m, e, [5.0, 1e4], "vacuum")
+    parts = e._sweep_parts[1]
+    kept = [parts.K, parts.L, parts.rot.V, *parts._ground, *parts._split[:3]]
+    assert all(isinstance(a, np.ndarray) for a in kept)
+    for a in kept:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
+
+@pytest.mark.parametrize("planted", ["_Rotation", "_generator_terms"])
+def test_a_build_that_raises_is_not_kept(planted, monkeypatch):
+    # the rotation is built with the entry, the parts at their first use: an
+    # exception in either stores nothing, and the next sweep builds them anew
+    m = catalog.default_cavity_system(n_trunc=8)
+    e = eliminate(m)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("planted")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(semigroup, planted, fail)
+        with pytest.raises(RuntimeError, match="^planted$"):
+            memo_sweep(m, e, [5.0, 1e4], "vacuum")
+    if planted == "_Rotation":
+        assert e._sweep_parts is None
+    else:
+        assert e._sweep_parts[1]._ground is None and e._sweep_parts[1]._split is None
+    got = memo_sweep(m, e, [5.0, 1e4], "vacuum")
+    assert same_sweep(got, memo_sweep(m, unkept(e), [5.0, 1e4], "vacuum"))
+
+
+@pytest.mark.parametrize("n_trunc", [4, 16])
+def test_the_refusals_run_on_every_sweep_with_kept_parts(n_trunc, monkeypatch):
+    # the budget and the overflow of K(k), L(k) refuse a sweep whose parts are kept
+    m = catalog.default_cavity_system(n_trunc=n_trunc)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    k_sweep(m, e, v, [5.0, 1e4], horizon=1.0, steps=6)
+    assert e._sweep_parts[1]._split is not None
+    with pytest.raises(InvalidArgument, match="coupling k = 1e\\+160 overflows"):
+        k_sweep(m, e, v, [1e160], horizon=1.0, steps=6)
+    rows = m.dim if m.dim <= RECORDED_ARITHMETIC_MAX_DIM else e.decomposition.V0.shape[1]
+    monkeypatch.setattr(semigroup, "GENERATOR_BUDGET_BYTES", 16 * (rows * m.dim) ** 2 - 1)
+    monkeypatch.setattr(semigroup, "_kron", fail_at_kron)
+    with pytest.raises(ResourceLimit, match=f"a {rows * m.dim} x {rows * m.dim} generator"):
+        k_sweep(m, e, v, [5.0], horizon=1.0, steps=6)
+
+
+def test_a_second_sweep_at_the_same_coupling_decouples_again(monkeypatch):
+    # nothing of a coupling is kept: the decoupled terms are formed in every sweep
+    m = catalog.default_cavity_system(n_trunc=8)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    real, couplings = semigroup._SlowFast._decouple, []
+
+    def counting(self, k):
+        couplings.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(semigroup._SlowFast, "_decouple", counting)
+    first = k_sweep(m, e, v, [1e4], horizon=1.0, steps=6)
+    assert couplings == [1e4]
+    second = k_sweep(m, e, v, [1e4], horizon=1.0, steps=6)
+    assert couplings == [1e4, 1e4]
+    assert same_sweep(first, second)
