@@ -65,9 +65,12 @@ DEFAULT_RANK_TOL = 1e-9
 #     eliminate on cavity and lambda;
 #   propagation, the full d x d state stepped by every distinct float
 #     difference of the time grid, not by its one step length (semigroup):
-#     converge on two_level, cavity and lambda.
-# That is 12 of the 16; converge on alkali and kurtz on two_level, alkali and
-# cavity move under none of the four.  For the two-level limit with phase
+#     converge on all four models (the step length alone moves all four).
+# That is 13 of the 16; kurtz on two_level, alkali and cavity moves under none
+# of the four.  tools/planted_faults.py switches each branch and checks that
+# these outputs move.  The full state's per-coupling assembly of its generator
+# from K(k) and L(k) pins none of them: it keeps the bits of d <= 8 sweeps,
+# which tools/compare_parent.py compares.  For the two-level limit with phase
 # 0.6+0.8i, for example, a BLAS product with fused multiply-adds gives a
 # limit-unitarity residual of 6.7e-18 where einsum gives exactly 0.  Removing
 # any branch, or the constant, needs a change to the benchmark that

@@ -34,10 +34,10 @@ arithmetic of its recorded outputs.  What
 does not depend on k, the displacement of each segment and the compression
 of its limit coefficients, happens once per sweep.  The generator is
 k²G₂ + kG₁ + G₀ (_generator_terms); per coupling the ground rows form it from
-parts assembled once, and the full state assembles it from K(k) and L(k),
-the arithmetic of its recorded outputs.  The earlier segments act as one
-product matrix, one multiplication per segment.  build_generators gives the
-dense d^2 x d^2 skew generator; no distance goes through it.
+parts assembled once, and the full state assembles it from K(k) and L(k), which
+keeps the bits of its sweeps (no recorded output depends on it).  The earlier
+segments act as one product matrix, one multiplication per segment.
+build_generators gives the dense d^2 x d^2 skew generator; no distance goes through it.
 
 The state never leaves the ground rows.  Every left factor of the skew
 generator, K† and L_i† of the limit (displaced or not), maps into range(P0),
@@ -51,20 +51,20 @@ RECORDED_ARITHMETIC_MAX_DIM k_sweep keeps the full d x d state X = V0 Z.
 
 A stiff step (-Re tr(h G)/n > STIFF_DECAY) is not a dense exponential of
 h G.  In the limit the excited states decay at rate k^2, so such a step is
-decided by the slow/fast split of the ground-row generator (_SlowFast): the
-Chang decoupling of its slow and fast blocks, every matrix O(1), with the
+decided by the slow/fast split of the ground-row generator (_Parts.decouple):
+the Chang decoupling of its slow and fast blocks, every matrix O(1), with the
 fast term dropped once a bound on it is below eps, which one Cholesky
 factorization per step length decides.  On the full state its exponential E
 is lifted to kron(I, V0)·E·kron(I, V0†), folded into its outer factors.  The
 split takes the structural zeros that eliminate certifies as exact, so it
 gives the distance of the exactly structured model.  Its k-free parts are
 built at a segment's first stiff step and kept for every coupling of the
-sweep; the basis they share does not depend on the drive.  It and the parts
-of the undisplaced model are kept on the elimination result for later
-sweeps.  Where the
-blocks it takes as zero are, at that coupling, above the rounding that the
-dense step commits anyway, where a fixed point does not converge (small k),
-or at k = 0, the dense exponential stands.
+sweep, its decoupled terms once per coupling; the basis they share does not
+depend on the drive.  It and the parts of the undisplaced model are kept on
+the elimination result for later sweeps.  Where the blocks it takes as zero
+are, at that coupling, above the rounding that the dense step commits
+anyway, where a fixed point does not converge (small k), or at k = 0, the
+dense exponential stands.
 
 A generator over GENERATOR_BUDGET_BYTES is refused with ResourceLimit before
 it is assembled, and so is a sweep whose time grid and distance array
@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 
 import numpy as np
 
@@ -313,9 +313,9 @@ def _validate_couplings(ks, positive: bool) -> np.ndarray:
 
 
 class _Rotation:
-    """The unitary V = [V1 V0] of the right index that the slow/fast splits
-    of one sweep share: it does not depend on the drive.  vec(Z V) holds the
-    d0·d1 fast entries first.  On the full state X = V0 Z (lift), the outer
+    """The unitary V = [V1 V0] of the right index that the slow/fast split of
+    every segment of a sweep takes: it does not depend on the drive.  vec(Z V)
+    holds the d0·d1 fast entries first.  On the full state X = V0 Z (lift), the outer
     factors also take vec(X) to vec(Z) and back."""
 
     def __init__(self, V0: np.ndarray, lift: bool):
@@ -347,19 +347,26 @@ class _Rotation:
 
 
 class _Parts:
-    """The k-free parts of a segment's generator k²G₂ + kG₁ + G₀, its limit's
-    K, L compressed to the ground rows: the stepper's, and the split's (right index
-    rotated by rot).  Each set is built from the model given at its first use, read-only."""
+    """One sweep segment: its limit, with K, L compressed to the ground rows, and the
+    k-free parts of its generator k²G₂ + kG₁ + G₀: the stepper's, and the split's
+    (right index rotated by rot).  Each set is built from the model given at its
+    first use, read-only; nothing of a coupling is kept."""
 
-    def __init__(self, limit: CoefficientSet, V0: np.ndarray, rot: _Rotation | None):
+    def __init__(
+        self, limit: CoefficientSet, V0: np.ndarray, rot: _Rotation | None, full_state: bool
+    ):
+        self.limit, self.full_state = limit, full_state
         self.K, self.L = _read_only(dagger(V0) @ limit.K @ V0, dagger(V0) @ limit.L @ V0)
         self.rot, self._ground, self._split = rot, None, None
 
     def generator(self, scaled: ScaledModel, k: float) -> np.ndarray:
-        """k²G₂ + kG₁ + G₀, refused as its assembly is: K(k) or L(k), then the budget.
-        G₂ = kron(Yᵀ, I) is added on its d0 diagonal blocks, not kept."""
-        _coefficients(scaled, k)
+        """The generator at coupling k, refused as its assembly is: K(k) or L(k), then the
+        budget.  The full state assembles it from K(k) and L(k); the ground rows form
+        k²G₂ + kG₁ + G₀, with G₂ = kron(Yᵀ, I) added on its d0 diagonal blocks, not kept."""
+        coefficients = _coefficients(scaled, k)
         d, d0 = scaled.dim, len(self.K)
+        if self.full_state:
+            return _superoperator(_sandwich_terms(self.limit.K, self.limit.L, *coefficients), d)
         _require_budget(d0 * d)
         if self._ground is None:
             terms = _generator_terms(self.K, self.L, scaled)[1:]
@@ -382,55 +389,41 @@ class _Parts:
             self._split = (*_read_only(G2[f, f].copy(), G1, G0), G2_off, G1_ss)
         return self._split
 
+    def decouple(self, scaled: ScaledModel, k: float) -> _Decoupled | None:
+        """The terms of exp(h·G), G the segment's ground-row generator at coupling k, by
+        the Chang decoupling of its slow and fast blocks (Kokotović, Khalil & O'Reilly,
+        *Singular Perturbation Methods in Control*, 1986, ch. 2), every matrix O(1).
 
-class _SlowFast:
-    """exp(h·G) of one segment's ground-row generator by the Chang decoupling
-    of its slow and fast blocks (Kokotović, Khalil & O'Reilly, *Singular
-    Perturbation Methods in Control*, 1986, ch. 2), every matrix O(1).
+        With the right index rotated by V, G = k²G₂ + kG₁ + G₀ has k-free parts
+        (split), read at the segment's first stiff step.  The identities that
+        eliminate certifies (Y·V0 = 0, P0·Y·P1 = 0, P0·A·P0 = 0, F_i·P0 = 0) leave
+        G₂ only a fast-fast block and G₁ no slow-slow block.  The split takes
+        those blocks as exact zeros, so it propagates the exactly structured
+        model; it does so at coupling k only where k² times G₂'s other blocks plus
+        k times G₁'s slow-slow block is within n·eps·‖G‖ (Frobenius, n the order
+        of G), the rounding of one product by G that the dense step commits
+        anyway.  With f and s the fast and slow blocks, per coupling
 
-    With the right index rotated by V, G = k²G₂ + kG₁ + G₀ has k-free parts
-    (_Parts.split), read at the segment's first stiff step.  The identities that
-    eliminate certifies (Y·V0 = 0, P0·Y·P1 = 0, P0·A·P0 = 0, F_i·P0 = 0) leave
-    G₂ only a fast-fast block and G₁ no slow-slow block.  The split takes
-    those blocks as exact zeros, so it propagates the exactly structured
-    model; it does so at coupling k only where k² times G₂'s other blocks plus
-    k times G₁'s slow-slow block is within n·eps·‖G‖ (Frobenius, n the order
-    of G), the rounding of one product by G that the dense step commits
-    anyway.  With f and s the fast and slow blocks, per coupling
+            M_f = G₂ff + G₁ff/k + G₀ff/k²,  N_fs = G₁fs + G₀fs/k,
+            N_sf = G₁sf + G₀sf/k,  A_ss = G₀ss,
 
-        M_f = G₂ff + G₁ff/k + G₀ff/k²,  N_fs = G₁fs + G₀fs/k,
-        N_sf = G₁sf + G₀sf/k,  A_ss = G₀ss,
+        the Riccati solution H = M_f⁻¹(-N_fs + (H·A_ss + H·N_sf·H)/k²) gives the
+        slow generator A_s = A_ss + N_sf·H, the Sylvester solution
+        P·(M_f - H·N_sf/k²) = N_sf + A_s·P/k² and the fast generator
+        A_f = k²M_f - H·N_sf.  Both are fixed points, each step corrected by
+        M_f⁻¹.  With L = H/k and M = P/k the exponential in the rotated basis is
 
-    the Riccati solution H = M_f⁻¹(-N_fs + (H·A_ss + H·N_sf·H)/k²) gives the
-    slow generator A_s = A_ss + N_sf·H, the Sylvester solution
-    P·(M_f - H·N_sf/k²) = N_sf + A_s·P/k² and the fast generator
-    A_f = k²M_f - H·N_sf.  Both are fixed points, each step corrected by
-    M_f⁻¹.  With L = H/k and M = P/k the exponential in the rotated basis is
+            [L; I]·exp(hA_s)·[-M, I + M·L] + [L·M + I; M]·exp(hA_f)·[I, -L]
 
-        [L; I]·exp(hA_s)·[-M, I + M·L] + [L·M + I; M]·exp(hA_f)·[I, -L]
-
-    (see :class:`_Decoupled`).  :meth:`exp` gives None, for the dense
-    exponential instead, where the blocks taken as zero are above that
-    rounding or a fixed point has not converged within SPLIT_MAX_ITER steps.
-    """
-
-    def __init__(self, parts: _Parts, scaled: ScaledModel):
-        self.parts, self.scaled = parts, scaled
-        self.k = self.terms = None  # the coupling the terms were decoupled at, and they
-
-    def exp(self, h: float, k: float) -> np.ndarray | None:
-        """exp(h·G) at coupling k, or None where the split does not hold."""
-        if self.k != k:
-            self.k, self.terms = k, self._decouple(k)
-        return None if self.terms is None else self.terms.exp(h)
-
-    def _decouple(self, k: float) -> _Decoupled | None:
-        """The two terms at coupling k; None where the split does not hold,
-        and at k = 0, where no fast block decays."""
-        if k == 0:
+        (see :class:`_Decoupled`).  None, for the dense exponential instead, where
+        the blocks taken as zero are above that rounding, a fixed point has not
+        converged within SPLIT_MAX_ITER steps, there is no fast sector (rot None),
+        or k = 0, where no fast block decays.
+        """
+        if k == 0 or self.rot is None:
             return None
-        rot = self.parts.rot
-        G2ff, G1, G0, G2_off, G1_ss = self.parts.split(self.scaled)
+        rot = self.rot
+        G2ff, G1, G0, G2_off, G1_ss = self.split(scaled)
         f, s = slice(0, rot.nf), slice(rot.nf, None)
         kk = k * k
         E = G1[f, f] + G0[f, f] / k
@@ -529,7 +522,7 @@ def _fixed_point(residual, correct, X: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _step_exponential(h: float, gen: np.ndarray, norm1: float, k: float, horizon: float, split):
+def _step_exponential(h: float, gen: np.ndarray, norm1: float, k: float, horizon: float, decoupled):
     """exp(h·gen), refused with NumericalFailure where rounding decides the result.
 
     expm's backward error is about eps·h·‖gen‖₁.  From 1 on, it leaves no digit
@@ -539,8 +532,8 @@ def _step_exponential(h: float, gen: np.ndarray, norm1: float, k: float, horizon
     the phases, and the step returns that 0 without an expm, which on norms
     beyond about 1e30 can return entries of order 1 or NaN.  A step h·gen that is not
     finite, from an overflow, is refused with InvalidArgument naming the
-    horizon.  A stiff step goes to the segment's slow/fast split where one is
-    given and holds.
+    horizon.  A stiff step takes the segment's slow/fast split, the terms that
+    decoupled() gives, where it holds (they are not None).
     """
     decayed = EPS * h * norm1 >= 1.0 and math.isfinite(norm1)
     if decayed:
@@ -548,29 +541,29 @@ def _step_exponential(h: float, gen: np.ndarray, norm1: float, k: float, horizon
         if not h * (slowest + EPS * norm1) < -745.0:
             raise NumericalFailure(
                 f"horizon {horizon:g} at coupling {k:g}: the rounding error of a time step, "
-                f"eps·h·|G| = {EPS * h * norm1:.3g}, leaves no digit of a mode with "
-                f"Re λ = {slowest:.3g}"
+                f"eps·h·|G| = {EPS * h * norm1:.3g}, leaves no digit of a mode"
             )
     step = h * gen
     if not np.isfinite(step).all():
         raise InvalidArgument(f"horizon {horizon:g} overflows float64 in a time step")
     if decayed:
         return np.zeros_like(step)
-    if split is not None and -float((step.diagonal().real / len(step)).sum()) > STIFF_DECAY:
-        E = split.exp(h, k)
-        if E is not None:
-            return E
+    if -float((step.diagonal().real / len(step)).sum()) > STIFF_DECAY:
+        terms = decoupled()
+        if terms is not None:
+            return terms.exp(h)
     return expm(step)
 
 
 def _propagate(
-    gens, splits, breakpoints, w0: np.ndarray, t_grid, k: float, rows: int, h: float | None
+    gens, segments, breakpoints, w0: np.ndarray, t_grid, k: float, rows: int, h: float | None
 ):
     """Yield (grid index, Ws) for consecutive blocks of t_grid, Ws the vec states
     w0 stepped to the block's times, at most rows of them and all in one segment.
 
     With breakpoints t_0 = 0 < t_1 < ..., segment j runs from t_{j-1} to t_j
-    and carries gens[j - 1]; for t in it
+    and carries gens[j - 1], the generator of segments[j - 1] = (parts, scaled);
+    for t in it
 
         w_t = H_{j-1} M_j(t - t_{j-1}) w0,  H_{j-1} = M_1(D_1) ... M_{j-1}(D_{j-1})
 
@@ -591,18 +584,20 @@ def _propagate(
     first.  A time on a breakpoint belongs to the segment it ends; the last
     breakpoint is the last grid time, so every time falls in a segment and the
     last segment needs no full-duration matrix.  Every exponential goes
-    through _step_exponential, with ‖gen‖₁ taken once per generator and
-    splits[j - 1] for its stiff steps; k names the coupling in its error.
+    through _step_exponential, with ‖gen‖₁ taken once per generator and, for its
+    stiff steps, the segment's decoupled terms at k, formed at the first of them;
+    k names the coupling in its error.
     """
     head = None  # H, None while no segment has ended
     idx = 0
     horizon = float(t_grid[-1])
     near = 4.0 * EPS * horizon
-    for j, (gen, split) in enumerate(zip(gens, splits)):
+    for j, (gen, (parts, scaled)) in enumerate(zip(gens, segments)):
         start, end = float(breakpoints[j]), float(breakpoints[j + 1])
         stop = idx + int(np.searchsorted(t_grid[idx:], end, side="right"))
         norm1 = float(np.linalg.norm(gen, 1))
-        cache: dict[float, np.ndarray] = {}
+        decoupled = cache(partial(parts.decouple, scaled, k))
+        steps: dict[float, np.ndarray] = {}
         w = w0
         for lo in range(idx, stop, rows):
             times = t_grid[lo : min(lo + rows, stop)]
@@ -613,14 +608,14 @@ def _propagate(
             failure = None  # a refused step, raised once the grid times before it are read
             try:
                 for dt in dict.fromkeys(dts):
-                    if dt > 0 and dt not in cache:
-                        cache[dt] = _step_exponential(dt, gen, norm1, k, horizon, split)
+                    if dt > 0 and dt not in steps:
+                        steps[dt] = _step_exponential(dt, gen, norm1, k, horizon, decoupled)
             except (QsdeElimError, np.linalg.LinAlgError) as exc:
                 failure, dts = exc, dts[: dts.index(dt)]
             Ws = np.empty((len(dts), w0.size), dtype=complex)
             for i, dt in enumerate(dts):
                 if dt > 0:
-                    w = cache[dt] @ w
+                    w = steps[dt] @ w
                 Ws[i] = w
             if dts:
                 yield lo, (Ws if head is None else (head @ Ws[..., None])[..., 0])
@@ -629,7 +624,7 @@ def _propagate(
         idx = stop
         if idx == t_grid.size:
             return
-        M = _step_exponential(end - start, gen, norm1, k, horizon, split)
+        M = _step_exponential(end - start, gen, norm1, k, horizon, decoupled)
         head = M if head is None else head @ M
 
 
@@ -773,14 +768,13 @@ def k_sweep(
     key, kept = b"".join(a.tobytes() for a in (m.Y, m.A, m.B, m.F, m.G)), e._sweep_parts
     if kept is None or kept[0] != key:
         rot = _Rotation(dec.V0, lift=full_state) if dec.V0.shape[1] < m.dim else None
-        kept = e._sweep_parts = (key, _Parts(e.limit, dec.V0, rot))
+        kept = e._sweep_parts = (key, _Parts(e.limit, dec.V0, rot, full_state))
     own = kept[1]
-    segments, splits = [], []  # per segment: the limit, the parts and the scaled model
+    segments = []  # per segment: its parts and its scaled model
     for alpha in drive.amplitudes[:reached]:
         limit, scaled = displace_limit(e.limit, alpha), displace_scaled(m, alpha)
-        parts = own if scaled is m else _Parts(limit, dec.V0, own.rot)
-        splits.append(None if own.rot is None else _SlowFast(parts, scaled))
-        segments.append((limit, parts, scaled))
+        parts = own if scaled is m else _Parts(limit, dec.V0, own.rot, full_state)
+        segments.append((parts, scaled))
     Z0 = dec.P0.matrix if full_state else dagger(dec.V0)  # the full state X, or its rows V0† X
     lift = None if full_state else dec.V0
     w0 = vec(Z0).astype(complex)
@@ -790,15 +784,10 @@ def k_sweep(
     distances = np.empty((ks.size, steps))
     max_clamp = 0.0
     for i, k in enumerate(ks):
-        gens = [  # the full state keeps the per-coupling assembly of its recorded outputs
-            _superoperator(_sandwich_terms(limit.K, limit.L, *_coefficients(scaled, k)), m.dim)
-            if full_state
-            else parts.generator(scaled, k)
-            for limit, parts, scaled in segments
-        ]
+        gens = [parts.generator(scaled, k) for parts, scaled in segments]
         # each next() steps a block; an overflow is InvalidArgument in a step, else ClampExceeded
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo, Ws in _propagate(gens, splits, breakpoints, w0, t_grid, k, rows, h):
+            for lo, Ws in _propagate(gens, segments, breakpoints, w0, t_grid, k, rows, h):
                 distances[i, lo : lo + len(Ws)], clamp = _distances_from_states(Ws, lift, v)
                 max_clamp = max(max_clamp, clamp)
     return ConvergenceReport(

@@ -1012,10 +1012,10 @@ def test_recorded_converge_calls_never_reach_the_split(model, tmp_path, capsys, 
     # the slow/fast split takes only stiff steps, and at the CLI defaults
     # (k <= 100, 101 points) no step of the recorded models is stiff: their
     # bytes come from dense exponentials alone
-    def fail(self, h, k):
+    def fail(self, scaled, k):
         raise AssertionError("the slow/fast split was reached")
 
-    monkeypatch.setattr(semigroup._SlowFast, "exp", fail)
+    monkeypatch.setattr(semigroup._Parts, "decouple", fail)
     assert_recorded_bytes(f"converge:{model}", tmp_path, capsys)
 
 

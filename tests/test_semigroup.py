@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -897,16 +898,17 @@ def record_expm_shapes(monkeypatch):
 
 
 def record_splits(monkeypatch):
-    """(h, k, split taken) of every step that goes to the slow/fast split."""
+    """(scaled model, k, split taken) of every segment and coupling whose stiff
+    steps go to the slow/fast split: the split holds for all of them or for none."""
     calls = []
-    real_exp = semigroup._SlowFast.exp
+    real_decouple = semigroup._Parts.decouple
 
-    def recording_exp(self, h, k):
-        E = real_exp(self, h, k)
-        calls.append((h, k, E is not None))
-        return E
+    def recording_decouple(self, scaled, k):
+        terms = real_decouple(self, scaled, k)
+        calls.append((scaled, k, terms is not None))
+        return terms
 
-    monkeypatch.setattr(semigroup._SlowFast, "exp", recording_exp)
+    monkeypatch.setattr(semigroup._Parts, "decouple", recording_decouple)
     return calls
 
 
@@ -1051,6 +1053,20 @@ def test_a_step_refusal_that_comes_first_keeps_its_text(two_level):
     assert str(refused.value).startswith(
         "horizon 1 at coupling 1e+09: the rounding error of a time step, eps·h·|G| = "
     )
+
+
+@pytest.mark.parametrize("horizon", [1.0, 1e100])
+def test_a_step_refusal_names_no_eigenvalue(horizon):
+    # once eps·h·|G| is at least 1 the slowest eigenvalue of the generator is rounding
+    # noise, which moves with the order of the generator's sums: the text keeps the
+    # decision's eps·h·|G| and prints no eigenvalue
+    m = catalog.lambda_system(1.0, 2.0, 0.4, 4)
+    e = eliminate(m)
+    v = default_ground_vector(e.decomposition.P0)
+    head = f"horizon {horizon:g} at coupling 1e+09: the rounding error of a time step, "
+    text = re.escape(head) + r"eps·h·\|G\| = [0-9.e+]+, leaves no digit of a mode$"
+    with pytest.raises(NumericalFailure, match=f"^{text}"):
+        k_sweep(m, e, v, [1e9], horizon=horizon, steps=3)
 
 
 def plant_steps(monkeypatch, outcomes) -> list[float]:
@@ -1309,7 +1325,7 @@ def same_bits(A: np.ndarray, B: np.ndarray) -> bool:
 
 def no_split(monkeypatch):
     """Every stiff step takes the dense exponential, as where the split declines."""
-    monkeypatch.setattr(semigroup._SlowFast, "exp", lambda self, h, k: None)
+    monkeypatch.setattr(semigroup._Parts, "decouple", lambda self, scaled, k: None)
 
 
 # k·sup at k = 1e4 on the 6-point vacuum grid (horizon 1, default ground
@@ -1372,10 +1388,10 @@ def test_split_agrees_with_the_dense_path_up_to_k_100(name, drive_name, monkeypa
 
 def test_split_is_reached_only_by_stiff_steps(monkeypatch):
     # at k = 5 no step of any of these models is stiff, vacuum or driven
-    def fail(self, h, k):
+    def fail(self, scaled, k):
         raise AssertionError("the slow/fast split was reached")
 
-    monkeypatch.setattr(semigroup._SlowFast, "exp", fail)
+    monkeypatch.setattr(semigroup._Parts, "decouple", fail)
     small = [
         catalog.two_level_atom(1.0, 1.0, 0.5),
         catalog.alkali_atom(1.0, 1.0, 0.2, 0.0, 0.4),
@@ -1534,7 +1550,7 @@ def test_the_parts_make_the_assembled_ground_row_generator(name):
     alpha = np.full(m.channels, 0.3 - 0.2j)
     displaced = (displace_limit(e.limit, alpha), displace_scaled(m, alpha))
     for limit, scaled in ((e.limit, m), displaced):
-        parts = semigroup._Parts(limit, V0, None)
+        parts = semigroup._Parts(limit, V0, None, full_state=False)
         K, L = V0.conj().T @ limit.K @ V0, V0.conj().T @ limit.L @ V0
         assert same_bits(parts.K, K) and same_bits(parts.L, L)
         for k in (5.0, 100.0, 1e4):
@@ -1677,15 +1693,36 @@ def test_a_second_sweep_at_the_same_coupling_decouples_again(monkeypatch):
     m = catalog.default_cavity_system(n_trunc=8)
     e = eliminate(m)
     v = default_ground_vector(e.decomposition.P0)
-    real, couplings = semigroup._SlowFast._decouple, []
+    real, couplings = semigroup._Parts.decouple, []
 
-    def counting(self, k):
+    def counting(self, scaled, k):
         couplings.append(k)
-        return real(self, k)
+        return real(self, scaled, k)
 
-    monkeypatch.setattr(semigroup._SlowFast, "_decouple", counting)
+    monkeypatch.setattr(semigroup._Parts, "decouple", counting)
     first = k_sweep(m, e, v, [1e4], horizon=1.0, steps=6)
     assert couplings == [1e4]
     second = k_sweep(m, e, v, [1e4], horizon=1.0, steps=6)
     assert couplings == [1e4, 1e4]
     assert same_sweep(first, second)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+@pytest.mark.parametrize("drive_name", sorted(MEMO_DRIVES))
+def test_a_repeated_coupling_decouples_each_segment_once_per_occurrence(
+    name, drive_name, monkeypatch
+):
+    # a segment's decoupled terms are formed at its first stiff step of a coupling and
+    # held for that coupling only: each occurrence of k decouples every segment once,
+    # and the rows of the repeated k have the same bits
+    build, _ = MEMO_CASES[name]
+    m = build()
+    splits = record_splits(monkeypatch)
+    rep = memo_sweep(m, eliminate(m), [1e4, 1e4], drive_name)
+    segments = 1 if MEMO_DRIVES[drive_name] is None else 2
+    models = [id(scaled) for scaled, _, _ in splits]
+    assert len(models) == 2 * segments and len(set(models)) == segments
+    assert models[:segments] == models[segments:]
+    assert all(k == 1e4 and taken for _, k, taken in splits)
+    assert same_bits(rep.distances[0], rep.distances[1])
+    assert rep.sup_distance[0] == rep.sup_distance[1]

@@ -22,13 +22,14 @@ The corpus:
   horizons of 1e308, 1e100 and 1e6 and couplings up to 1e9, most of which
   refuse.
 
-It prints whether every sweep of dimension at most 8 (the recorded
-arithmetic) has the same bits on both trees, uint64 views of its distances
-and sup; the largest |Δd²| and the largest relative change of a sup above
-d = 8; whether max_clamp is equal; and the exception class and text of every
-refusal.  The exit status is 1 when a sweep of dimension at most 8 changes a
-bit or its max_clamp, a larger one moves by more than 1e-10 in d², a refusal
-changes its class or text, or a sweep refuses on one tree only; else 0.
+It prints whether every sweep of dimension at most RECORDED_ARITHMETIC_MAX_DIM
+(8, the recorded arithmetic; read from this tree's package) has the same bits
+on both trees, uint64 views of its distances and sup; the largest |Δd²| and
+the largest relative change of a sup above it; whether max_clamp is equal;
+and the exception class and text of every refusal.  The exit status is 1 when
+a sweep of dimension at most that changes a bit or its max_clamp, a larger
+one moves by more than 1e-10 in d², a refusal changes its class or text, or a
+sweep refuses on one tree only; else 0.
 
 ``--run CORPUS OUT`` is the worker that each tree's interpreter runs.
 """
@@ -45,8 +46,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-RECORDED_MAX_DIM = 8  # the package's RECORDED_ARITHMETIC_MAX_DIM
-D2_TOL = 1e-10  # the allowed move of d² above it
+D2_TOL = 1e-10  # the allowed move of d² above RECORDED_ARITHMETIC_MAX_DIM
 PINS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 KS = ([5.0, 100.0], [1e4], [0.0, 2.0])
@@ -75,7 +75,6 @@ PROBE_SWEEPS = ((1e308, [5.0]), (1e100, [5.0]), (1e100, [1e9]), (1.0, [1e9]), (1
 def build_corpus() -> dict:
     """Model coefficients by name, and the sweeps as (id, model, ks, horizon,
     steps, drive, CLAMP_ABORT or None)."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from factories import random_valid_model
 
     from qsde_elim import catalog
@@ -144,6 +143,7 @@ def same_bits(a, b) -> bool:
 
 def compare(base: dict, here: dict) -> tuple[list[str], bool]:
     """Report lines, and whether every sweep keeps what it must."""
+    from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM as top
     lines, ok = [], True
     small = small_same = large = clamps_equal = completed = 0
     worst_d2, worst_sup = (0.0, None), (0.0, None)
@@ -165,7 +165,7 @@ def compare(base: dict, here: dict) -> tuple[list[str], bool]:
         completed += 1
         clamp_same = same_bits(b[4], h[4])
         clamps_equal += clamp_same
-        if dim <= RECORDED_MAX_DIM:
+        if dim <= top:
             small += 1
             bits = same_bits(b[2], h[2]) and same_bits(b[3], h[3]) and clamp_same
             small_same += bits
@@ -181,7 +181,6 @@ def compare(base: dict, here: dict) -> tuple[list[str], bool]:
             lines.append(f"DIFFERS {sweep_id}: d = {dim}, |Δd²| = {d2:.3g}")
         worst_d2 = max(worst_d2, (d2, sweep_id), key=lambda x: x[0])
         worst_sup = max(worst_sup, (sup, sweep_id), key=lambda x: x[0])
-    top = RECORDED_MAX_DIM
     lines.append(f"d <= {top}: {small_same} of {small} completed sweeps bit-identical (uint64)")
     lines.append(f"d > {top}: {large} completed sweeps; largest |Δd²| {worst_d2[0]:.3g}"
                  f" ({worst_d2[1]})")
@@ -208,6 +207,8 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
+    # this tree's package, whose threshold compare reads, and the test factories
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     rev = subprocess.run(
         ["git", "rev-parse", "--verify", f"{argv[0]}^{{commit}}"],
         cwd=ROOT, check=True, capture_output=True, text=True,

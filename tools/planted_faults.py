@@ -36,6 +36,7 @@ T_SEMIGROUP = "tests/test_semigroup.py"
 T_ELIMINATE = "tests/test_eliminate.py"
 T_ACCEPTANCE = "tests/test_acceptance.py"
 T_CLI = "tests/test_cli.py"
+RECORDED = T_CLI + "::test_cli_bytes_match_recorded_reference"
 
 FAULTS = [
     (
@@ -162,15 +163,18 @@ FAULTS = [
     (
         "the kept parts holding the decoupled terms of a coupling",
         SEMIGROUP,
-        "        if self.k != k:\n"
-        "            self.k, self.terms = k, self._decouple(k)\n"
-        "        return None if self.terms is None else self.terms.exp(h)\n",
-        '        kept = self.parts.__dict__.setdefault("decoupled", {})\n'
-        "        if k not in kept:\n"
-        "            kept[k] = self._decouple(k)\n"
-        "        return None if kept[k] is None else kept[k].exp(h)\n",
+        "        decoupled = cache(partial(parts.decouple, scaled, k))\n",
+        '        kept = parts.__dict__.setdefault("decoupled", {})\n'
+        "        decoupled = lambda: kept[k] if k in kept else "
+        "kept.setdefault(k, parts.decouple(scaled, k))\n",
         [
             T_SEMIGROUP + "::test_a_second_sweep_at_the_same_coupling_decouples_again",
+            *(
+                f"{T_SEMIGROUP}::test_a_repeated_coupling_decouples_each_segment_once_per_"
+                f"occurrence[{drive}-{name}]"
+                for drive in ("driven", "vacuum")
+                for name in ("cavity-d16", "two_level")
+            ),
         ],
     ),
     (
@@ -202,6 +206,38 @@ FAULTS = [
         "        if self._ground is None:\n",
         "        if self._ground is None:\n            self._ground = ()\n",
         [T_SEMIGROUP + "::test_a_build_that_raises_is_not_kept[_generator_terms]"],
+    ),
+    # each d <= 8 branch of RECORDED_ARITHMETIC_MAX_DIM switched to its d > 8
+    # arithmetic moves the recorded outputs that the comment on the constant names
+    (
+        "contract's channel sums by BLAS at d <= 8",
+        LINALG,
+        "    if d <= RECORDED_ARITHMETIC_MAX_DIM:\n        return np.einsum(spec, *operands)\n",
+        "    if False:\n        return np.einsum(spec, *operands)\n",
+        [f"{RECORDED}[{cmd}:{model}]" for cmd in ("check", "eliminate")
+         for model in ("two_level", "alkali")],
+    ),
+    (
+        "decompose solving Y1inv on the SVD's vectors at d <= 8",
+        ELIMINATE,
+        "excited = P0.complement().basis() if d <= RECORDED_ARITHMETIC_MAX_DIM else V[:, :d1]\n",
+        "excited = V[:, :d1]\n",
+        [f"{RECORDED}[{cmd}:lambda]" for cmd in ("check", "eliminate", "converge", "kurtz")],
+    ),
+    (
+        "the inverse-structure check on V0 at d <= 8",
+        ELIMINATE,
+        "    if d <= RECORDED_ARITHMETIC_MAX_DIM:\n        left = right = P0m\n",
+        "    if False:\n        left = right = P0m\n",
+        [f"{RECORDED}[{cmd}:{model}]" for cmd in ("check", "eliminate")
+         for model in ("cavity", "lambda")],
+    ),
+    (
+        "the ground rows stepped by the one step length at d <= 8",
+        SEMIGROUP,
+        "    full_state = m.dim <= RECORDED_ARITHMETIC_MAX_DIM\n",
+        "    full_state = False\n",
+        [f"{RECORDED}[converge:{model}]" for model in ("two_level", "alkali", "cavity", "lambda")],
     ),
 ]
 
