@@ -41,6 +41,7 @@ from .linalg import (
     Projector,
     _inverse_on,
     _kernel_split,
+    _require_tol,
     as_operator,
     contract,
     dagger,
@@ -51,7 +52,6 @@ from .model import (
     CheckReport,
     CoefficientSet,
     ScaledModel,
-    _require_tol,
     check_hp_unitarity,
     norm_scale,
 )
@@ -112,9 +112,9 @@ class EliminationResult:
     model and ``tol`` are kept for them: the inverse-structure check forms
     its (2n + 1) d x d products when read.  k_sweep keeps here, for a later
     sweep of a model of the same bytes, the k-free parts of its generator:
-    a d x d rotation, up to five (d0·d)² complex matrices and the model's
-    bytes, 0.42 MB for the n_trunc 16 cavity (d = 32, d0 = 2); nothing of a
-    coupling.
+    a d x d rotation, two matrices of order d0·d (d² up to d = 8) and up to
+    three of order d0·d, and the model's bytes: 0.42 MB for the n_trunc 16
+    cavity (d = 32, d0 = 2), 0.15 MB for n_trunc 4; nothing of a coupling.
     """
 
     decomposition: Decomposition

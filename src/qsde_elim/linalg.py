@@ -68,11 +68,9 @@ DEFAULT_RANK_TOL = 1e-9
 #     converge on all four models (the step length alone moves all four).
 # That is 13 of the 16; kurtz on two_level, alkali and cavity moves under none
 # of the four.  tools/planted_faults.py switches each branch and checks that
-# these outputs move.  The full state's per-coupling assembly of its generator
-# from K(k) and L(k) pins none of them: it keeps the bits of d <= 8 sweeps,
-# which tools/compare_parent.py compares.  For the two-level limit with phase
-# 0.6+0.8i, for example, a BLAS product with fused multiply-adds gives a
-# limit-unitarity residual of 6.7e-18 where einsum gives exactly 0.  Removing
+# these outputs move.  For the two-level limit with phase 0.6+0.8i, for
+# example, a BLAS product with fused multiply-adds gives a limit-unitarity
+# residual of 6.7e-18 where einsum gives exactly 0.  Removing
 # any branch, or the constant, needs a change to the benchmark that
 # re-records reference.json.
 RECORDED_ARITHMETIC_MAX_DIM = 8
@@ -124,7 +122,9 @@ class Projector:
         return self.matrix.shape[0]
 
     def validate(self, tol: float = PROJECTOR_TOL) -> None:
-        """Check P = P†, P² = P and trace(P) = rank, else raise InvalidArgument."""
+        """Check P = P†, P² = P and trace(P) = rank to tol >= 0, else raise InvalidArgument."""
+        if not tol >= 0:  # NaN included; +inf passes every projector
+            raise InvalidArgument(f"tol must be non-negative, got {tol!r}")
         P = self.matrix
         if np.linalg.norm(P - dagger(P)) > tol:
             raise InvalidArgument("projector is not Hermitian")
@@ -151,6 +151,12 @@ class Projector:
         return basis
 
 
+def _require_tol(tol, name: str = "tol") -> None:
+    """Refuses a tolerance that is not finite and positive, before any work."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidArgument(f"{name} must be finite and positive, got {tol!r}")
+
+
 def kernel_projector(M, rank_tol: float = DEFAULT_RANK_TOL) -> Projector:
     """Orthogonal projector onto the numerical kernel of ``M``.
 
@@ -165,8 +171,7 @@ def _kernel_split(M, rank_tol: float) -> tuple[Projector, np.ndarray, np.ndarray
     the right singular vectors as columns: the last ``rank`` of them span the
     kernel, the others its complement."""
     M = as_operator(M, "M")
-    if not (np.isfinite(rank_tol) and rank_tol > 0):
-        raise InvalidArgument(f"rank_tol must be finite and positive, got {rank_tol!r}")
+    _require_tol(rank_tol, "rank_tol")
     d = M.shape[0]
     _, s, vh = np.linalg.svd(M)
     if s.size and s[0] > 0:
@@ -189,9 +194,11 @@ def restricted_inverse(M, P1: Projector, tol: float = DEFAULT_RANK_TOL) -> np.nd
     restricted block is numerically singular, i.e. its smallest singular value
     is <= tol times its largest, and NumericalFailure when the inverse of a
     nonsingular but tiny block (a subnormal one, say) or the norm of M, against
-    which the residuals are certified, overflows float64.
+    which the residuals are certified, overflows float64.  ``tol`` must be
+    finite and positive.
     """
     M = as_operator(M, "M")
+    _require_tol(tol)
     if M.shape[0] != P1.dim:
         raise InvalidArgument(f"M is {M.shape[0]}x{M.shape[0]} but projector dim is {P1.dim}")
     return _inverse_on(M, P1.basis(), tol)

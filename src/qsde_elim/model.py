@@ -24,6 +24,7 @@ import numpy as np
 from .errors import InvalidArgument
 from .linalg import (
     Projector,
+    _require_tol,
     _squared_frobenius_norms,
     as_operator,
     contract,
@@ -57,12 +58,6 @@ def norm_scale(*arrays) -> float:
     d = np.shape(arrays[0])[-1]
     squares = [_squared_frobenius_norms(np.asarray(a).reshape(-1, d, d)).ravel() for a in arrays]
     return max(1.0, float(np.sqrt(np.concatenate(squares).max())))
-
-
-def _require_tol(tol) -> None:
-    """Refuses a check tolerance that is not finite and positive, before any work."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise InvalidArgument(f"tol must be finite and positive, got {tol!r}")
 
 
 @dataclass

@@ -33,9 +33,8 @@ starts off the grid; the full state by every distinct float difference, the
 arithmetic of its recorded outputs.  What
 does not depend on k, the displacement of each segment and the compression
 of its limit coefficients, happens once per sweep.  The generator is
-k²G₂ + kG₁ + G₀ (_generator_terms); per coupling the ground rows form it from
-parts assembled once, and the full state assembles it from K(k) and L(k), which
-keeps the bits of its sweeps (no recorded output depends on it).  The earlier
+k²G₂ + kG₁ + G₀ (_generator_terms); per coupling the stepper forms it, on the
+full state or the ground rows, from parts assembled once.  The earlier
 segments act as one product matrix, one multiplication per segment.
 build_generators gives the dense d^2 x d^2 skew generator; no distance goes through it.
 
@@ -196,15 +195,12 @@ def _require_budget(n: int) -> None:
         )
 
 
-def _superoperator(terms: Terms, d: int, rows: int | None = None) -> np.ndarray:
-    """Matrix of the terms acting on vec(X), X of shape rows x d, where rows
-    defaults to the size of the first left factor (d when that factor is None).
+def _superoperator(terms: Terms, d: int, rows: int) -> np.ndarray:
+    """Matrix of the terms acting on vec(X), X of shape rows x d.
 
     Raises ResourceLimit, before anything is assembled, when the matrix would
     take more than GENERATOR_BUDGET_BYTES.
     """
-    if rows is None:
-        rows = d if terms[0][0] is None else len(terms[0][0])
     _require_budget(rows * d)
     eye_left, eye_right = np.eye(rows, dtype=complex), np.eye(d, dtype=complex)
     # X -> l X r has matrix kron(r.T, l) on vec(X)
@@ -234,7 +230,7 @@ def _apply_terms(terms: Terms, X: np.ndarray) -> np.ndarray:
 def build_generators(m: ScaledModel, e: EliminationResult, k: float) -> np.ndarray:
     """Skew generator at coupling k as a dense d^2 x d^2 matrix."""
     right = instantiate(m, float(k))
-    return _superoperator(_sandwich_terms(e.limit.K, e.limit.L, right.K, right.L), m.dim)
+    return _superoperator(_sandwich_terms(e.limit.K, e.limit.L, right.K, right.L), m.dim, m.dim)
 
 
 def default_ground_vector(P0: Projector) -> np.ndarray:
@@ -347,34 +343,33 @@ class _Rotation:
 
 
 class _Parts:
-    """One sweep segment: its limit, with K, L compressed to the ground rows, and the
-    k-free parts of its generator k²G₂ + kG₁ + G₀: the stepper's, and the split's
-    (right index rotated by rot).  Each set is built from the model given at its
-    first use, read-only; nothing of a coupling is kept."""
+    """One sweep segment: its limit's K, L compressed to the ground rows, the stepper's
+    left factors (those, or on the full state the limit's own), and the k-free parts
+    of its generator k²G₂ + kG₁ + G₀: the stepper's, and the split's (right index
+    rotated by rot).  Each set is built from the model given at its first use,
+    read-only; nothing of a coupling is kept."""
 
     def __init__(
         self, limit: CoefficientSet, V0: np.ndarray, rot: _Rotation | None, full_state: bool
     ):
-        self.limit, self.full_state = limit, full_state
         self.K, self.L = _read_only(dagger(V0) @ limit.K @ V0, dagger(V0) @ limit.L @ V0)
-        self.rot, self._ground, self._split = rot, None, None
+        self.left = (limit.K, limit.L) if full_state else (self.K, self.L)
+        self.rot, self._stepper, self._split = rot, None, None
 
     def generator(self, scaled: ScaledModel, k: float) -> np.ndarray:
-        """The generator at coupling k, refused as its assembly is: K(k) or L(k), then the
-        budget.  The full state assembles it from K(k) and L(k); the ground rows form
-        k²G₂ + kG₁ + G₀, with G₂ = kron(Yᵀ, I) added on its d0 diagonal blocks, not kept."""
-        coefficients = _coefficients(scaled, k)
-        d, d0 = scaled.dim, len(self.K)
-        if self.full_state:
-            return _superoperator(_sandwich_terms(self.limit.K, self.limit.L, *coefficients), d)
-        _require_budget(d0 * d)
-        if self._ground is None:
-            terms = _generator_terms(self.K, self.L, scaled)[1:]
-            self._ground = _read_only(*(_superoperator(g, d, d0) for g in terms))
-        G1, G0 = self._ground
+        """The generator at coupling k on the stepper's rows, refused as its assembly is:
+        K(k) or L(k), then the budget.  k·G₁ + G₀ from the parts built at the first
+        coupling, with k²G₂, G₂ = kron(Yᵀ, I), added on its diagonal blocks, not kept."""
+        _coefficients(scaled, k)
+        d, rows = scaled.dim, len(self.left[0])
+        _require_budget(rows * d)
+        if self._stepper is None:
+            terms = _generator_terms(*self.left, scaled)[1:]
+            self._stepper = _read_only(*(_superoperator(g, d, rows) for g in terms))
+        G1, G0 = self._stepper
         gen, kkY = k * G1 + G0, k * k * scaled.Y.T
-        for a in range(d0):  # a view: gen is a new C-ordered array
-            gen.reshape(d, d0, d, d0)[:, a, :, a] += kkY
+        for a in range(rows):  # a view: gen is a new C-ordered array
+            gen.reshape(d, rows, d, rows)[:, a, :, a] += kkY
         return gen
 
     def split(self, scaled: ScaledModel) -> tuple:
@@ -383,7 +378,7 @@ class _Parts:
         if self._split is None:
             rot, f, s = self.rot, slice(0, self.rot.nf), slice(self.rot.nf, None)
             terms = _generator_terms(self.K, self.L, scaled, rot.rotate)
-            G2, G1, G0 = (_superoperator(g, rot.d, rows=rot.d0) for g in terms)
+            G2, G1, G0 = (_superoperator(g, rot.d, rot.d0) for g in terms)
             G2_off = math.hypot(float(np.linalg.norm(G2[f, s])), float(np.linalg.norm(G2[s])))
             G1_ss = float(np.linalg.norm(G1[s, s]))
             self._split = (*_read_only(G2[f, f].copy(), G1, G0), G2_off, G1_ss)
@@ -644,8 +639,10 @@ def kurtz_corrector(e: EliminationResult, m: ScaledModel, X) -> tuple[np.ndarray
     if X.shape[0] != m.dim:
         raise InvalidArgument("X dimension does not match the model")
     P0m = e.decomposition.P0.matrix
-    scale = max(1.0, float(np.linalg.norm(X)))
-    if np.linalg.norm(X - P0m @ X @ P0m) > 1e-9 * scale:
+    # in units of the largest real or imaginary part (at least 1): no norm overflows
+    scale = max(1.0, float(np.abs(X.real).max()), float(np.abs(X.imag).max()))
+    Xs = X / scale
+    if np.linalg.norm(Xs - P0m @ Xs @ P0m) > 1e-9 * max(1.0 / scale, float(np.linalg.norm(Xs))):
         raise InvalidArgument("X must be supported on the ground sector (X = P0 X P0)")
 
     _, l1, l0 = _generator_terms(e.limit.K, e.limit.L, m)

@@ -1117,6 +1117,19 @@ def test_bad_input_exits_1_with_one_error_line(tmp_path, capsys, model, argv, me
     assert err.startswith("error: ") and message in err
 
 
+def test_a_check_tolerance_that_overflows_with_the_dimension_still_reports(tmp_path, capsys):
+    # the limit's ground projector is validated at tol·max(1, d), inf for tol 1e308:
+    # an infinite tolerance passes it, and limit-unitarity is read at 1e308
+    doc = {"schema_version": 1, "builtin": {"name": "alkali", "parameters": {
+        "delta": 1.0, "gamma": 1.0, "bx": 0.2, "by": 0.0, "bz": 0.4}}}
+    path = write_json(tmp_path / "m.json", doc)
+    code, out, err = run(capsys, ["check", "--model", path, "--tol", "1e308"])
+    assert code == 2 and err == ""
+    sections = {s["name"]: s for s in json.loads(out)["sections"]}
+    assert sections["limit-unitarity"]["tolerance"] == 1e308
+    assert sections["limit-unitarity"]["passed"]
+
+
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text("[" * 100000 + "]" * 100000)

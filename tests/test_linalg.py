@@ -80,6 +80,17 @@ def test_projector_validate_rejects_defects():
         Projector(np.eye(2), 5)
 
 
+def test_projector_validate_refuses_a_nan_or_negative_tol():
+    # a NaN tolerance would pass any matrix; +inf, which a tolerance scaled by
+    # the dimension overflows to, passes every projector as it did
+    not_a_projector = Projector(np.array([[2.0, 1.0], [0.0, 5.0]]), 1)
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(InvalidArgument, match="tol must be non-negative"):
+            not_a_projector.validate(bad)
+    not_a_projector.validate(float("inf"))
+    Projector(np.diag([1.0, 0.0, 1.0]), 2).validate(0.0)
+
+
 def test_kernel_projector_diagonal():
     P = kernel_projector(np.diag([0.0, 0.0, 2.0, 3.0]))
     assert P.rank == 2
@@ -188,6 +199,18 @@ def test_projector_basis_spans_the_range():
         Projector(np.diag([1.0, 0.0]), 2).basis()
 
 
+def test_restricted_inverse_refuses_a_tolerance_that_is_not_finite_and_positive():
+    # the default refuses this block as singular; a NaN or zero tol would return
+    # an inverse of norm 1e12, and a negative one fail its certification
+    M = np.diag([1.0, 1e-12, 0.0])
+    P1 = Projector(np.diag([1.0, 1.0, 0.0]), 2)
+    with pytest.raises(SingularRestriction):
+        restricted_inverse(M, P1)
+    for bad in (float("nan"), 0.0, -1.0, float("inf")):
+        with pytest.raises(InvalidArgument, match="tol must be finite and positive"):
+            restricted_inverse(M, P1, tol=bad)
+
+
 def test_restricted_inverse_dimension_mismatch():
     with pytest.raises(InvalidArgument, match="M is 3x3 but projector dim is 2"):
         restricted_inverse(np.eye(3), Projector(np.eye(2), 2))
@@ -259,7 +282,7 @@ def first_ground_row_step(m, e, k: float, steps: int = 6) -> np.ndarray:
     limit, scaled = displace_limit(e.limit, zero), displace_scaled(m, zero)
     K, L = dagger(V0) @ limit.K @ V0, dagger(V0) @ limit.L @ V0
     right = instantiate(scaled, k)
-    gen = _superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim)
+    gen = _superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim, len(K))
     return np.linspace(0.0, 1.0, steps)[1] * gen
 
 
@@ -522,7 +545,7 @@ def test_assemble_superoperator_matches_sandwich():
         L = rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows))
         R = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         X = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
-        S = _superoperator([(L, R)], d)
+        S = _superoperator([(L, R)], d, rows)
         np.testing.assert_allclose(
             (S @ vec(X)).reshape((rows, d), order="F"), L @ X @ R, atol=1e-12
         )
@@ -550,7 +573,7 @@ def test_superoperator_has_the_bits_and_memory_order_of_np_kron(d, rows):
         _sandwich_terms(None, L, R, [R, -R]),
         [(None, None), (L[0], None), (None, R)],
     ):
-        got, ref = _superoperator(terms, d, rows=rows), kron_superoperator(terms, d, rows)
+        got, ref = _superoperator(terms, d, rows), kron_superoperator(terms, d, rows)
         assert got.strides == ref.strides
         assert same_bits(np.ascontiguousarray(got), np.ascontiguousarray(ref))
     for a, b in ((R.T, L[0].conj().T), (np.eye(d).T, L[1]), (R, np.eye(rows))):

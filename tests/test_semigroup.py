@@ -5,6 +5,7 @@ import importlib
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def slow_only_model(rng, d=3):
 
 def dense_generator(left: CoefficientSet, right: CoefficientSet) -> np.ndarray:
     """Matrix of X -> left.K† X + X right.K + sum_i left.L_i† X right.L_i on vec(X)."""
-    return _superoperator(_sandwich_terms(left.K, left.L, right.K, right.L), left.dim)
+    return _superoperator(_sandwich_terms(left.K, left.L, right.K, right.L), left.dim, left.dim)
 
 
 def dense_evolve(G: np.ndarray, X, t: float) -> np.ndarray:
@@ -154,7 +155,7 @@ def test_superoperator_and_operator_action_agree():
         for K_left in (left.K, None):
             terms = _sandwich_terms(K_left, left.L, right.K, right.L)
             np.testing.assert_allclose(
-                (_superoperator(terms, d) @ vec(X)).reshape((d, d), order="F"),
+                (_superoperator(terms, d, d) @ vec(X)).reshape((d, d), order="F"),
                 _apply_terms(terms, X),
                 atol=1e-12,
             )
@@ -721,6 +722,22 @@ def test_kurtz_corrector_rejects_non_ground_observable(two_level):
         kurtz_corrector(e, m, np.eye(3))
 
 
+@pytest.mark.parametrize("scale, excited", [(1e160, True), (1e300, False)])
+def test_an_observable_whose_norm_overflows_is_refused_off_the_ground_sector(
+    two_level, scale, excited
+):
+    # ‖X‖ overflows to inf beyond about 1e154; the support check reads X in units
+    # of its largest entry, so it refuses without a numpy warning
+    m, e, _ = two_level
+    X = scale * (e.decomposition.P1.matrix if excited else np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="supported on the ground sector"):
+            kurtz_corrector(e, m, X)
+        with pytest.raises(InvalidArgument, match="supported on the ground sector"):
+            generator_convergence_check(m, e, X, [5.0])
+
+
 def test_kurtz_corrector_identities_on_random_model():
     # the correctors must solve L1(X) + L1*(X1-part)... verified directly
     # against their defining equations on a non-axis-aligned model
@@ -1169,7 +1186,7 @@ def grid_difference_squared_distances(m, e, k, v, drive, t_grid):
     for j, (limit, scaled) in enumerate(segments):
         right = instantiate(scaled, k)
         left = (Vh @ limit.K @ V0, Vh @ limit.L @ V0)
-        G = _superoperator(_sandwich_terms(*left, right.K, right.L), m.dim)
+        G = _superoperator(_sandwich_terms(*left, right.K, right.L), m.dim, len(V0.T))
         start, end = float(bps[j]), float(bps[j + 1])
         # a time on a breakpoint belongs to the segment it ends
         inside = (t_grid <= end) & ((t_grid > start) if j else True)
@@ -1540,22 +1557,37 @@ POLYNOMIAL_MODELS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(POLYNOMIAL_MODELS))
+# the full state's (d <= RECORDED_ARITHMETIC_MAX_DIM), whose left factors are the limit's own
+FULL_STATE_MODELS = {
+    "two_level": lambda: catalog.two_level_atom(1.0, 1.0, 0.5),
+    "alkali": lambda: catalog.alkali_atom(1.0, 1.0, 0.2, 0.0, 0.4),
+    "cavity-d8": lambda: catalog.default_cavity_system(n_trunc=4),
+    "lambda-d6": lambda: catalog.lambda_system(1.0, 2.0, 0.4, 2),
+    "random-d8": lambda: random_valid_model(np.random.default_rng(2), 2, 6, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLYNOMIAL_MODELS) + sorted(FULL_STATE_MODELS))
 def test_the_parts_make_the_assembled_ground_row_generator(name):
     # k²G₂ + kG₁ + G₀ is the per-coupling assembly of K† X + X K(k) + Σ L_i† X L_i(k)
-    # on the ground rows up to the rounding of its sums, undisplaced and displaced
-    m = POLYNOMIAL_MODELS[name]()
+    # on the stepper's rows up to the rounding of its sums, undisplaced and displaced:
+    # the ground rows above RECORDED_ARITHMETIC_MAX_DIM, the full state up to it
+    m = {**POLYNOMIAL_MODELS, **FULL_STATE_MODELS}[name]()
     e = eliminate(m)
     V0 = e.decomposition.V0
+    full_state = name in FULL_STATE_MODELS
+    assert full_state == (m.dim <= RECORDED_ARITHMETIC_MAX_DIM)
     alpha = np.full(m.channels, 0.3 - 0.2j)
     displaced = (displace_limit(e.limit, alpha), displace_scaled(m, alpha))
     for limit, scaled in ((e.limit, m), displaced):
-        parts = semigroup._Parts(limit, V0, None, full_state=False)
+        parts = semigroup._Parts(limit, V0, None, full_state)
         K, L = V0.conj().T @ limit.K @ V0, V0.conj().T @ limit.L @ V0
         assert same_bits(parts.K, K) and same_bits(parts.L, L)
+        left = (limit.K, limit.L) if full_state else (K, L)
         for k in (5.0, 100.0, 1e4):
             right = instantiate(scaled, k)
-            assembled = _superoperator(_sandwich_terms(K, L, right.K, right.L), m.dim)
+            terms = _sandwich_terms(*left, right.K, right.L)
+            assembled = _superoperator(terms, m.dim, len(left[0]))
             gap = np.abs(parts.generator(scaled, k) - assembled).max()
             assert gap <= 1e-15 * np.abs(assembled).max()
 
@@ -1637,16 +1669,19 @@ def test_another_model_swept_with_the_result_gets_its_own_parts(name):
 
 
 def test_the_kept_parts_are_read_only():
-    m = catalog.default_cavity_system(n_trunc=8)
-    e = eliminate(m)
-    memo_sweep(m, e, [5.0, 1e4], "vacuum")
-    parts = e._sweep_parts[1]
-    kept = [parts.K, parts.L, parts.rot.V, *parts._ground, *parts._split[:3]]
-    assert all(isinstance(a, np.ndarray) for a in kept)
-    for a in kept:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[(0,) * a.ndim] = 1.0
+    # the ground rows' parts (d = 16) and the full state's (d = 8)
+    for n_trunc in (8, 4):
+        m = catalog.default_cavity_system(n_trunc=n_trunc)
+        e = eliminate(m)
+        memo_sweep(m, e, [5.0, 1e4], "vacuum")
+        parts = e._sweep_parts[1]
+        kept = [parts.K, parts.L, parts.rot.V, *parts._stepper, *parts._split[:3]]
+        assert all(isinstance(a, np.ndarray) for a in kept)
+        assert parts._stepper[0].shape == (m.dim * len(parts.left[0]),) * 2
+        for a in kept:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
 
 
 @pytest.mark.parametrize("planted", ["_Rotation", "_generator_terms"])
@@ -1666,7 +1701,7 @@ def test_a_build_that_raises_is_not_kept(planted, monkeypatch):
     if planted == "_Rotation":
         assert e._sweep_parts is None
     else:
-        assert e._sweep_parts[1]._ground is None and e._sweep_parts[1]._split is None
+        assert e._sweep_parts[1]._stepper is None and e._sweep_parts[1]._split is None
     got = memo_sweep(m, e, [5.0, 1e4], "vacuum")
     assert same_sweep(got, memo_sweep(m, unkept(e), [5.0, 1e4], "vacuum"))
 

@@ -25,8 +25,9 @@ The corpus:
 It prints whether every sweep of dimension at most RECORDED_ARITHMETIC_MAX_DIM
 (8, the recorded arithmetic; read from this tree's package) has the same bits
 on both trees, uint64 views of its distances and sup; the largest |Δd²| and
-the largest relative change of a sup above it; whether max_clamp is equal;
-and the exception class and text of every refusal.  The exit status is 1 when
+the largest relative change of a sup, among those of them whose bits differ
+and among the sweeps above it; whether max_clamp is equal; and the exception
+class and text of every refusal.  The exit status is 1 when
 a sweep of dimension at most that changes a bit or its max_clamp, a larger
 one moves by more than 1e-10 in d², a refusal changes its class or text, or a
 sweep refuses on one tree only; else 0.
@@ -145,8 +146,10 @@ def compare(base: dict, here: dict) -> tuple[list[str], bool]:
     """Report lines, and whether every sweep keeps what it must."""
     from qsde_elim.linalg import RECORDED_ARITHMETIC_MAX_DIM as top
     lines, ok = [], True
-    small = small_same = large = clamps_equal = completed = 0
-    worst_d2, worst_sup = (0.0, None), (0.0, None)
+    small = small_same = clamps_equal = completed = 0
+    # (|Δd²|, relative sup change, sweep) of the d <= top sweeps whose bits
+    # differ, and of every d > top sweep
+    moved: dict[bool, list] = {True: [], False: []}
     refusals: dict[tuple[str, str], int] = {}
     for sweep_id, b in base.items():
         h = here[sweep_id]
@@ -165,26 +168,26 @@ def compare(base: dict, here: dict) -> tuple[list[str], bool]:
         completed += 1
         clamp_same = same_bits(b[4], h[4])
         clamps_equal += clamp_same
+        d2 = float(np.max(np.abs(b[2] ** 2 - h[2] ** 2)))
+        sup = float(np.max(np.abs(b[3] - h[3]) / np.maximum(np.abs(b[3]), np.finfo(float).tiny)))
         if dim <= top:
             small += 1
             bits = same_bits(b[2], h[2]) and same_bits(b[3], h[3]) and clamp_same
             small_same += bits
-            if not bits:
-                ok = False
-                lines.append(f"DIFFERS {sweep_id}: d = {dim}, bits or max_clamp changed")
-            continue
-        large += 1
-        d2 = float(np.max(np.abs(b[2] ** 2 - h[2] ** 2)))
-        sup = float(np.max(np.abs(b[3] - h[3]) / np.maximum(np.abs(b[3]), np.finfo(float).tiny)))
-        if not d2 <= D2_TOL:
+            if bits:
+                continue
+            ok = False
+            lines.append(f"DIFFERS {sweep_id}: d = {dim}, bits or max_clamp changed")
+        elif not d2 <= D2_TOL:
             ok = False
             lines.append(f"DIFFERS {sweep_id}: d = {dim}, |Δd²| = {d2:.3g}")
-        worst_d2 = max(worst_d2, (d2, sweep_id), key=lambda x: x[0])
-        worst_sup = max(worst_sup, (sup, sweep_id), key=lambda x: x[0])
+        moved[dim <= top].append((d2, sup, sweep_id))
     lines.append(f"d <= {top}: {small_same} of {small} completed sweeps bit-identical (uint64)")
-    lines.append(f"d > {top}: {large} completed sweeps; largest |Δd²| {worst_d2[0]:.3g}"
-                 f" ({worst_d2[1]})")
-    lines.append(f"d > {top}: largest relative sup change {worst_sup[0]:.3g} ({worst_sup[1]})")
+    for is_small, label, which in ((True, f"d <= {top}", "changed"), (False, f"d > {top}", "completed")):
+        rows = [(0.0, 0.0, None), *moved[is_small]]  # a tie at 0 names no sweep
+        d2, sup = max(rows, key=lambda r: r[0]), max(rows, key=lambda r: r[1])
+        lines.append(f"{label}: {len(rows) - 1} {which} sweeps; largest |Δd²| {d2[0]:.3g} ({d2[2]})")
+        lines.append(f"{label}: largest relative sup change {sup[1]:.3g} ({sup[2]})")
     lines.append(f"max_clamp equal on {clamps_equal} of {completed} completed sweeps")
     lines.append(f"refusals on REV: {sum(refusals.values())}, by class and text:")
     for (cls, text), count in sorted(refusals.items()):

@@ -180,10 +180,11 @@ FAULTS = [
     (
         "kept parts skip the budget refusal",
         SEMIGROUP,
-        "        _require_budget(d0 * d)\n",
+        "        _require_budget(rows * d)\n",
         "",
         [
-            T_SEMIGROUP + "::test_the_refusals_run_on_every_sweep_with_kept_parts[16]",
+            f"{T_SEMIGROUP}::test_the_refusals_run_on_every_sweep_with_kept_parts[{n_trunc}]"
+            for n_trunc in (4, 16)
         ],
     ),
     (
@@ -201,10 +202,20 @@ FAULTS = [
         [T_SEMIGROUP + "::test_a_build_that_raises_is_not_kept[_Rotation]"],
     ),
     (
+        "k²Yᵀ added on the first d0 diagonal blocks only",
+        SEMIGROUP,
+        "        for a in range(rows):  # a view: gen is a new C-ordered array\n",
+        "        for a in range(len(self.K)):\n",
+        [
+            f"{T_SEMIGROUP}::test_the_parts_make_the_assembled_ground_row_generator[{name}]"
+            for name in ("alkali", "cavity-d8", "lambda-d6", "random-d8", "two_level")
+        ],
+    ),
+    (
         "the ground-row parts marked built before their build",
         SEMIGROUP,
-        "        if self._ground is None:\n",
-        "        if self._ground is None:\n            self._ground = ()\n",
+        "        if self._stepper is None:\n",
+        "        if self._stepper is None:\n            self._stepper = ()\n",
         [T_SEMIGROUP + "::test_a_build_that_raises_is_not_kept[_generator_terms]"],
     ),
     # each d <= 8 branch of RECORDED_ARITHMETIC_MAX_DIM switched to its d > 8
