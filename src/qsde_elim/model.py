@@ -49,6 +49,16 @@ def _as_operator_stack(arr, name: str, dim: int | None) -> np.ndarray:
     return arr
 
 
+def _as_operator_grid(arr, name: str, n: int, d: int) -> np.ndarray:
+    """Coerce to shape (n, n, d, d) complex with finite entries."""
+    arr = np.asarray(arr, dtype=complex)
+    if arr.shape != (n, n, d, d):
+        raise InvalidArgument(f"{name} must have shape ({n}, {n}, {d}, {d}), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgument(f"{name} contains non-finite entries")
+    return arr
+
+
 def norm_scale(*arrays) -> float:
     """max(1, largest Frobenius norm of an operator or of one matrix of a stack)
     used to scale check tolerances.  The squared norms are taken array by
@@ -87,12 +97,7 @@ class ScaledModel:
         self.G = _as_operator_stack(self.G, "G", d)
         if self.G.shape[0] != n:
             raise InvalidArgument(f"G has {self.G.shape[0]} channels, F has {n}")
-        W = np.asarray(self.W, dtype=complex)
-        if W.shape != (n, n, d, d):
-            raise InvalidArgument(f"W must have shape ({n}, {n}, {d}, {d}), got {W.shape}")
-        if not np.all(np.isfinite(W)):
-            raise InvalidArgument("W contains non-finite entries")
-        self.W = W
+        self.W = _as_operator_grid(self.W, "W", n, d)
 
     @property
     def dim(self) -> int:
@@ -123,12 +128,7 @@ class CoefficientSet:
         d = self.K.shape[0]
         self.L = _as_operator_stack(self.L, "L", d)
         n = self.L.shape[0]
-        S = np.asarray(self.S, dtype=complex)
-        if S.shape != (n, n, d, d):
-            raise InvalidArgument(f"S must have shape ({n}, {n}, {d}, {d}), got {S.shape}")
-        if not np.all(np.isfinite(S)):
-            raise InvalidArgument("S contains non-finite entries")
-        self.S = S
+        self.S = _as_operator_grid(self.S, "S", n, d)
         if self.ground is not None and self.ground.dim != d:
             raise InvalidArgument("ground projector dimension does not match K")
 

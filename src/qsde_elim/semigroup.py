@@ -30,12 +30,14 @@ segment the state is stepped along the time grid by its differences: the
 ground rows (below) by the grid's one step length, one exponential per
 coupling and segment, plus one of a partial first step where the segment
 starts off the grid; the full state by every distinct float difference, the
-arithmetic of its recorded outputs.  What
-does not depend on k, the displacement of each segment and the compression
-of its limit coefficients, happens once per sweep.  The generator is
-k²G₂ + kG₁ + G₀ (_generator_terms); per coupling the stepper forms it, on the
-full state or the ground rows, from parts assembled once.  The earlier
-segments act as one product matrix, one multiplication per segment.
+arithmetic of its recorded outputs.  One memo per segment gives all its
+exponentials, its full duration included: each distinct step is taken once,
+when it first appears.  What does not depend on k, the displacement of each
+segment and the compression of its limit coefficients, happens once per
+sweep.  The generator is k²G₂ + kG₁ + G₀ (_generator_terms); per coupling the
+stepper forms it for every segment, on the full state or the ground rows,
+from parts assembled once.  The earlier segments act as one product matrix,
+one multiplication per segment.
 build_generators gives the dense d^2 x d^2 skew generator; no distance goes through it.
 
 The state never leaves the ground rows.  Every left factor of the skew
@@ -551,40 +553,41 @@ def _step_exponential(h: float, gen: np.ndarray, norm1: float, k: float, horizon
 
 
 def _propagate(
-    gens, segments, breakpoints, w0: np.ndarray, t_grid, k: float, rows: int, h: float | None
+    segments, breakpoints, w0: np.ndarray, t_grid, k: float, rows: int, h: float | None
 ):
     """Yield (grid index, Ws) for consecutive blocks of t_grid, Ws the vec states
     w0 stepped to the block's times, at most rows of them and all in one segment.
 
     With breakpoints t_0 = 0 < t_1 < ..., segment j runs from t_{j-1} to t_j
-    and carries gens[j - 1], the generator of segments[j - 1] = (parts, scaled);
-    for t in it
+    with gen_j, the generator of segments[j - 1] = (parts, scaled) at k; for t in it
 
         w_t = H_{j-1} M_j(t - t_{j-1}) w0,  H_{j-1} = M_1(D_1) ... M_{j-1}(D_{j-1})
 
     with M_i(s) = exp(s * gen_i) and D_i the full segment durations, so the
-    earliest segment acts outermost.  H, the earlier segments as one matrix,
-    takes one product per segment and is applied to a block as a stack of
-    matrix-vector products.  Within a segment w0 is stepped from the segment
-    start by the grid differences, one exponential per distinct step, taken in
-    the order of first appearance before a block is stepped.  Given the grid's
-    step length h, a difference within 4·eps·horizon of h, which differs from
-    it by the rounding of the grid times, is taken as h: a segment then takes
-    one exponential of h, plus one of its partial first step where it starts
-    off the grid.  With h None every distinct float difference is a step of
-    its own (the arithmetic of the full state's recorded outputs).  A step that
+    earliest segment acts outermost.  Every gen_j is formed before the first
+    block, so a refusal of K(k), L(k) or the budget comes first.  H, the
+    earlier segments as one matrix, takes one product per segment and is
+    applied to a block as a stack of matrix-vector products.  Within a segment
+    w0 is stepped from its start by the grid differences.  One memo per
+    segment gives every exponential: _step_exponential with gen_j, ‖gen_j‖₁
+    and, for its stiff steps, the segment's decoupled terms at k (formed at
+    the first of them) bound, so each distinct step, the full duration
+    included, is taken once, when it first appears.  Given the grid's step
+    length h, a difference within 4·eps·horizon of h, which differs from it by
+    the rounding of the grid times, is taken as h: a segment then takes one
+    exponential of h, plus one of its partial first step where it starts off
+    the grid.  With h None every distinct float difference is a step of its
+    own (the arithmetic of the full state's recorded outputs).  A step that
     fails is raised after the block's earlier states are yielded, and the
     segment's full-duration matrix is formed after its last block, so a
     failure at an earlier grid time, in the stepper or the reader, comes
-    first.  A time on a breakpoint belongs to the segment it ends; the last
-    breakpoint is the last grid time, so every time falls in a segment and the
-    last segment needs no full-duration matrix.  Every exponential goes
-    through _step_exponential, with ‖gen‖₁ taken once per generator and, for its
-    stiff steps, the segment's decoupled terms at k, formed at the first of them;
-    k names the coupling in its error.
+    first; k names the coupling in a step's error.  A time on a breakpoint
+    belongs to the segment it ends; the last breakpoint is the last grid time,
+    so every time falls in a segment and the last segment needs no
+    full-duration matrix.
     """
-    head = None  # H, None while no segment has ended
-    idx = 0
+    gens = [parts.generator(scaled, k) for parts, scaled in segments]
+    head, idx = None, 0  # H, None while no segment has ended; the next grid index
     horizon = float(t_grid[-1])
     near = 4.0 * EPS * horizon
     for j, (gen, (parts, scaled)) in enumerate(zip(gens, segments)):
@@ -592,34 +595,30 @@ def _propagate(
         stop = idx + int(np.searchsorted(t_grid[idx:], end, side="right"))
         norm1 = float(np.linalg.norm(gen, 1))
         decoupled = cache(partial(parts.decouple, scaled, k))
-        steps: dict[float, np.ndarray] = {}
+        exp = cache(lambda dt: _step_exponential(dt, gen, norm1, k, horizon, decoupled))
         w = w0
         for lo in range(idx, stop, rows):
             times = t_grid[lo : min(lo + rows, stop)]
             dts = np.diff(times, prepend=start if lo == idx else t_grid[lo - 1])
             if h is not None:
                 dts = np.where(np.abs(dts - h) <= near, h, dts)
-            dts = dts.tolist()
+            Ws = np.empty((len(dts), w0.size), dtype=complex)
             failure = None  # a refused step, raised once the grid times before it are read
             try:
-                for dt in dict.fromkeys(dts):
-                    if dt > 0 and dt not in steps:
-                        steps[dt] = _step_exponential(dt, gen, norm1, k, horizon, decoupled)
+                for i, dt in enumerate(dts.tolist()):
+                    if dt > 0:
+                        w = exp(dt) @ w
+                    Ws[i] = w
             except (QsdeElimError, np.linalg.LinAlgError) as exc:
-                failure, dts = exc, dts[: dts.index(dt)]
-            Ws = np.empty((len(dts), w0.size), dtype=complex)
-            for i, dt in enumerate(dts):
-                if dt > 0:
-                    w = steps[dt] @ w
-                Ws[i] = w
-            if dts:
+                failure, Ws = exc, Ws[:i]
+            if len(Ws):
                 yield lo, (Ws if head is None else (head @ Ws[..., None])[..., 0])
             if failure is not None:
                 raise failure
         idx = stop
         if idx == t_grid.size:
             return
-        M = _step_exponential(end - start, gen, norm1, k, horizon, decoupled)
+        M = exp(end - start)
         head = M if head is None else head @ M
 
 
@@ -677,7 +676,8 @@ def generator_convergence_check(
     The corrected residual decays like 1/k when the structural identities
     hold; couplings must be positive, and e must match m (see kurtz_corrector).
     A residual that overflows float64 comes out infinite or NaN, without a
-    numpy warning.  The couplings go through as one stack, split into batches
+    numpy warning, and so does a corrected residual at a k whose square
+    underflows to 0.  The couplings go through as one stack, split into batches
     only where their K(k) and L(k) would exceed GENERATOR_BUDGET_BYTES; every
     residual has the bits of the same sum at one scalar k.
     """
@@ -686,7 +686,7 @@ def generator_convergence_check(
     corrected = np.empty(ks.size)
     uncorrected = np.empty(ks.size)
     batch = max(1, GENERATOR_BUDGET_BYTES // (16 * (m.channels + 1) * m.dim**2))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         X1, X2 = kurtz_corrector(e, m, X)
         K, L = e.limit.K, e.limit.L
         LX = _apply_terms(_sandwich_terms(K, L, K, L), X)
@@ -781,10 +781,9 @@ def k_sweep(
     distances = np.empty((ks.size, steps))
     max_clamp = 0.0
     for i, k in enumerate(ks):
-        gens = [parts.generator(scaled, k) for parts, scaled in segments]
         # each next() steps a block; an overflow is InvalidArgument in a step, else ClampExceeded
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo, Ws in _propagate(gens, segments, breakpoints, w0, t_grid, k, rows, h):
+            for lo, Ws in _propagate(segments, breakpoints, w0, t_grid, k, rows, h):
                 distances[i, lo : lo + len(Ws)], clamp = _distances_from_states(Ws, lift, v)
                 max_clamp = max(max_clamp, clamp)
     return ConvergenceReport(

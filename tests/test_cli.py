@@ -1065,6 +1065,32 @@ def test_cold_cli_stderr_carries_no_warning(tmp_path, args, stderr):
     assert len(proc.stderr.splitlines()) == (1 if stderr else 0)
 
 
+def test_a_generator_that_overflows_prints_its_error_line_alone(tmp_path, capsys):
+    # K(k) overflows while the generators are formed, then the first time step;
+    # the suite turns a numpy warning into an error, so none may reach main
+    mpath = write_json(tmp_path / "m.json", two_level_doc(alpha=9.5e153))
+    code, out, err = run(capsys, ["converge", "--ks", "1.2e154", "--steps", "3", "--model", mpath])
+    assert (code, out, err) == (1, "", "error: horizon 1 overflows float64 in a time step\n")
+
+
+@pytest.mark.parametrize(
+    "name, parameters",
+    [("cavity_system", {}), ("lambda_system", {"gamma": 1.0, "g": 2.0, "alpha": 0.4, "n_trunc": 4})],
+    ids=["cavity", "lambda"],
+)
+def test_a_coupling_whose_square_underflows_prints_no_warning(tmp_path, capsys, name, parameters):
+    # k² underflows to 0 at k = 1e-200: X2 / k² is not finite and the corrected
+    # residual null, without a numpy warning; the rows at k = 1 are those of k = 1 alone
+    doc = {"schema_version": 1, "builtin": {"name": name, "parameters": parameters}}
+    mpath = write_json(tmp_path / "m.json", doc)
+    code, out, err = run(capsys, ["kurtz", "--ks", "1e-200,1", "--format", "json", "--model", mpath])
+    assert (code, err) == (0, "")
+    rows = strict_json(out)["residuals"]
+    assert [row["corrected"] for row in rows if row["k"] == 1e-200] == [None] * (len(rows) // 2)
+    _, alone, _ = run(capsys, ["kurtz", "--ks", "1", "--format", "json", "--model", mpath])
+    assert [row for row in rows if row["k"] == 1.0] == strict_json(alone)["residuals"]
+
+
 # ---------------------------------------------------------------------------
 # inputs that once ended in a traceback or passed silently
 

@@ -32,6 +32,7 @@ COPIED = ("src", "tests", "tools", "bench", "pyproject.toml", "README.md")
 SEMIGROUP = "src/qsde_elim/semigroup.py"
 ELIMINATE = "src/qsde_elim/eliminate.py"
 LINALG = "src/qsde_elim/linalg.py"
+MODEL = "src/qsde_elim/model.py"
 T_SEMIGROUP = "tests/test_semigroup.py"
 T_ELIMINATE = "tests/test_eliminate.py"
 T_ACCEPTANCE = "tests/test_acceptance.py"
@@ -217,6 +218,111 @@ FAULTS = [
         "        if self._stepper is None:\n",
         "        if self._stepper is None:\n            self._stepper = ()\n",
         [T_SEMIGROUP + "::test_a_build_that_raises_is_not_kept[_generator_terms]"],
+    ),
+    (
+        "no snapping to h",
+        SEMIGROUP,
+        "            if h is not None:\n",
+        "            if False:\n",
+        [
+            *(
+                f"{T_SEMIGROUP}::test_the_ground_rows_take_one_exponential_per_step_length[{drive}]"
+                for drive in ("off-grid", "on-grid", "vacuum")
+            ),
+            T_SEMIGROUP + "::test_a_refused_step_length_comes_after_the_earlier_grid_times",
+        ],
+    ),
+    (
+        "partial first steps snapped to h",
+        SEMIGROUP,
+        "                dts = np.where(np.abs(dts - h) <= near, h, dts)\n",
+        "                dts = np.where(dts > 0, h, dts)\n",
+        [
+            T_SEMIGROUP + "::test_the_ground_rows_take_one_exponential_per_step_length[off-grid]",
+            *(
+                f"{T_SEMIGROUP}::test_one_step_length_meets_the_grid_difference_stepper[{case}]"
+                for case in ("driven-lambda-d12", "driven5-cavity-d16")
+            ),
+            f"{T_SEMIGROUP}::test_a_breakpoint_just_past_a_grid_time_meets_the_grid_difference_"
+            "stepper[1e-06-1.0]",
+        ],
+    ),
+    (
+        "the Cholesky threshold shifted by 1e-9 of itself",
+        SEMIGROUP,
+        "    shifted[np.diag_indices_from(shifted)] += c\n",
+        "    shifted[np.diag_indices_from(shifted)] += c * (1 + 1e-9)\n",
+        [
+            f"{T_SEMIGROUP}::test_the_cholesky_test_decides_as_the_largest_eigenvalue[{n}]"
+            for n in (1, 2, 7, 24, 60)
+        ],
+    ),
+    (
+        "the split's check blind to P0·Y·P1, G₂'s fast-slow block",
+        SEMIGROUP,
+        "            G2_off = math.hypot(float(np.linalg.norm(G2[f, s])), "
+        "float(np.linalg.norm(G2[s])))\n",
+        "            G2_off = float(np.linalg.norm(G2[s]))\n",
+        [T_SEMIGROUP + "::test_a_residual_the_split_would_drop_falls_back_at_k_100"],
+    ),
+    (
+        "a refused step raised before the block's earlier states are yielded",
+        SEMIGROUP,
+        "                failure, Ws = exc, Ws[:i]\n",
+        "                raise\n",
+        [
+            T_SEMIGROUP + "::test_a_state_is_read_before_a_later_step_is_refused",
+            T_SEMIGROUP + "::test_a_readout_that_fails_first_wins_over_a_step_refusal",
+            T_SEMIGROUP + "::test_a_refused_step_length_comes_after_the_earlier_grid_times",
+        ],
+    ),
+    (
+        "the segment-end matrix formed before the segment's blocks",
+        SEMIGROUP,
+        "        w = w0\n",
+        "        w = w0\n        if stop < t_grid.size:\n            exp(end - start)\n",
+        [
+            T_SEMIGROUP + "::test_a_segment_is_read_before_its_full_duration_step",
+            T_SEMIGROUP + "::test_a_refused_step_length_comes_after_the_earlier_grid_times",
+            T_SEMIGROUP + "::test_the_ground_rows_take_one_exponential_per_step_length[on-grid]",
+        ],
+    ),
+    (
+        "every step taken anew, without the segment's memo",
+        SEMIGROUP,
+        "        exp = cache(lambda dt: _step_exponential(dt, gen, norm1, k, horizon, decoupled))\n",
+        "        exp = lambda dt: _step_exponential(dt, gen, norm1, k, horizon, decoupled)\n",
+        [
+            T_SEMIGROUP + "::test_the_full_state_keeps_one_exponential_per_float_difference",
+            T_SEMIGROUP + "::test_the_ground_rows_take_one_exponential_per_step_length[vacuum]",
+        ],
+    ),
+    (
+        "one block for the whole grid",
+        SEMIGROUP,
+        "    head, idx = None, 0  # H, None while no segment has ended; the next grid index\n",
+        "    head, idx, rows = None, 0, t_grid.size\n",
+        [T_SEMIGROUP + "::test_a_long_sweep_reads_its_grid_in_bounded_blocks"],
+    ),
+    (
+        "decompose's own V0 checked again",
+        ELIMINATE,
+        "        if not _from_svd and not (  # a NaN entry fails too\n",
+        "        if not (  # a NaN entry fails too\n",
+        [
+            f"{T_ELIMINATE}::test_decompose_hands_over_the_svds_ground_basis_unchecked[{case}]"
+            for case in ("8-2", "16-3")
+        ],
+    ),
+    (
+        "the norm scale taken per report",
+        MODEL,
+        "    @cached_property\n    def _scale(self) -> float:\n",
+        "    @property\n    def _scale(self) -> float:\n",
+        [
+            f"{T_ELIMINATE}::test_the_limit_reports_share_one_norm_scale[{name}]"
+            for name in ("two_level", "cavity", "random-d16-n3", "random-d32-n1")
+        ],
     ),
     # each d <= 8 branch of RECORDED_ARITHMETIC_MAX_DIM switched to its d > 8
     # arithmetic moves the recorded outputs that the comment on the constant names
